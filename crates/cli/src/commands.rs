@@ -1786,10 +1786,8 @@ fn cmd_campaign(opts: &GlobalOpts) -> CliResult {
             cells
                 .iter()
                 .filter_map(|c| {
-                    let label = c.id.canonical();
                     store
-                        .runs()
-                        .find(|r| r.label.as_deref() == Some(label.as_str()))
+                        .find_label(&c.id.canonical())
                         .map(|r| r.measurements.clone())
                 })
                 .flatten()

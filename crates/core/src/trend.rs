@@ -23,8 +23,9 @@
 //! on known shifts.
 
 use std::fmt;
+use std::ops::Range;
 
-use rigor_stats::changepoint::{segment, select_penalty_factor, SegmentConfig};
+use rigor_stats::changepoint::{segment, select_penalty_factor, Segment, SegmentConfig};
 use rigor_stats::{
     bootstrap_mean_ci, bootstrap_ratio_ci, mean, welch_t_test, ConfidenceInterval,
     DEFAULT_RESAMPLES,
@@ -420,27 +421,14 @@ fn derive_seed(base: u64, benchmark: &str, tag: u64) -> u64 {
     h.wrapping_mul(0x0000_0100_0000_01b3)
 }
 
-/// Analyzes one benchmark's history; p-values are raw until the caller
-/// corrects them suite-wide.
-fn analyze_one(benchmark: &str, points: &[TrendPoint], config: &TrendConfig) -> BenchmarkTrend {
+/// Segments a history's run values under the configured penalty: the
+/// resolved penalty factor and the segments. `None` when the history is
+/// too short to segment (fewer than `2 × min_segment` runs).
+fn segmentation(points: &[TrendPoint], config: &TrendConfig) -> Option<(f64, Vec<Segment>)> {
     let min_seg = config.min_segment.max(1);
-    let n = points.len();
-    if n < 2 * min_seg {
-        return BenchmarkTrend {
-            benchmark: benchmark.to_string(),
-            runs: n,
-            status: TrendStatus::InsufficientData,
-            penalty_factor: None,
-            segments: Vec::new(),
-            changepoints: Vec::new(),
-            note: Some(format!(
-                "insufficient data: {n} usable run(s) archived, trend analysis \
-                 needs at least {} (2 × min-segment {min_seg})",
-                2 * min_seg
-            )),
-        };
+    if points.len() < 2 * min_seg {
+        return None;
     }
-
     let values: Vec<f64> = points.iter().map(|p| p.value).collect();
     let seg_config = SegmentConfig {
         min_segment_len: min_seg,
@@ -455,6 +443,39 @@ fn analyze_one(benchmark: &str, points: &[TrendPoint], config: &TrendConfig) -> 
             ..seg_config
         },
     );
+    Some((factor, segs))
+}
+
+/// The run-index range of a history's current segment: every run since the
+/// level last shifted, or the whole history when it is too short to
+/// segment. It is the last segment [`analyze_trend`] reports, without the
+/// CIs and tests that analysis attaches to every segment and shift.
+pub fn current_segment(points: &[TrendPoint], config: &TrendConfig) -> Range<usize> {
+    segmentation(points, config)
+        .and_then(|(_, segs)| segs.last().map(|s| s.start..s.end))
+        .unwrap_or(0..points.len())
+}
+
+/// Analyzes one benchmark's history; p-values are raw until the caller
+/// corrects them suite-wide.
+fn analyze_one(benchmark: &str, points: &[TrendPoint], config: &TrendConfig) -> BenchmarkTrend {
+    let min_seg = config.min_segment.max(1);
+    let n = points.len();
+    let Some((factor, segs)) = segmentation(points, config) else {
+        return BenchmarkTrend {
+            benchmark: benchmark.to_string(),
+            runs: n,
+            status: TrendStatus::InsufficientData,
+            penalty_factor: None,
+            segments: Vec::new(),
+            changepoints: Vec::new(),
+            note: Some(format!(
+                "insufficient data: {n} usable run(s) archived, trend analysis \
+                 needs at least {} (2 × min-segment {min_seg})",
+                2 * min_seg
+            )),
+        };
+    };
 
     // Pool every run's invocation samples per segment: the segment level
     // and all shift statistics are computed over invocations, not run

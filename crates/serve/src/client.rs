@@ -731,10 +731,7 @@ impl CellSink for RemoteStore {
         {
             let guard = self.spool.lock().expect("spool lock");
             if let Some(spool) = guard.as_ref() {
-                if let Some(r) = spool
-                    .runs()
-                    .find(|r| r.label.as_deref() == Some(label.as_str()))
-                {
+                if let Some(r) = spool.find_label(&label) {
                     return Ok(Some(CellReceipt {
                         run_id: r.id.clone(),
                         seq: r.seq,

@@ -306,22 +306,17 @@ fn route(req: &Request, store: &Mutex<Store>) -> Response {
         }
         ("GET", "/seq") => {
             let store = store.lock().expect("store lock");
-            let next = store.runs().map(|r| r.seq + 1).max().unwrap_or(0);
-            ok_json(vec![("next_seq".into(), next.to_value())])
+            ok_json(vec![("next_seq".into(), store.next_seq().to_value())])
         }
         ("GET", "/completed") => {
             let Some(label) = req.query_param("label") else {
                 return bad_request("missing `label` query parameter");
             };
             let store = store.lock().expect("store lock");
-            let found = store
-                .runs()
-                .find(|r| r.label.as_deref() == Some(label))
-                .map(|r| (r.id.clone(), r.seq));
-            match found {
-                Some((id, seq)) => ok_json(vec![
-                    ("run_id".into(), id.to_value()),
-                    ("seq".into(), seq.to_value()),
+            match store.find_label(label) {
+                Some(r) => ok_json(vec![
+                    ("run_id".into(), r.id.to_value()),
+                    ("seq".into(), r.seq.to_value()),
                 ]),
                 None => (
                     404,

@@ -16,7 +16,7 @@
 //! is a hard error.
 
 use std::fmt;
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use rigor::measurement::BenchmarkMeasurement;
@@ -25,7 +25,6 @@ use serde::json::{get_field, DeError, JsonValue};
 use serde::{Deserialize, Serialize};
 
 use crate::hash::content_hash;
-use crate::index::{Index, IndexEntry};
 use crate::record::{Payload, RunRecord};
 
 /// File name of the archive journal inside the store directory.
@@ -194,12 +193,32 @@ pub fn parse_record_line(line: &str) -> Result<RunRecord, DeError> {
     Ok(record)
 }
 
-/// One run plus where its line lives in the journal.
-#[derive(Debug, Clone)]
-struct StoredRun {
-    record: RunRecord,
-    offset: u64,
-    bytes: u64,
+/// Splits the journal into its newline-*terminated* lines, each with its
+/// byte offset and without its `\n`. The flag is true when an unterminated
+/// (torn) final segment follows; that segment is never parsed. `open` and
+/// `verify` share this scan, so their line numbers and byte offsets agree.
+fn journal_lines(bytes: &[u8]) -> (Vec<(usize, &[u8])>, bool) {
+    let mut lines = Vec::new();
+    let mut offset = 0;
+    for piece in bytes.split_inclusive(|&b| b == b'\n') {
+        match piece.strip_suffix(b"\n") {
+            Some(line) => lines.push((offset, line)),
+            None => return (lines, true),
+        }
+        offset += piece.len();
+    }
+    (lines, false)
+}
+
+/// Decodes and integrity-checks one complete record line; `Ok(None)` is a
+/// blank line. Bytes that are not UTF-8, as bit rot leaves them, are
+/// corruption like any other, so the caller can say where they are.
+fn parse_journal_line(line: &[u8]) -> Result<Option<RunRecord>, String> {
+    let text = std::str::from_utf8(line).map_err(|e| format!("not valid UTF-8: {e}"))?;
+    if text.trim().is_empty() {
+        return Ok(None);
+    }
+    parse_record_line(text).map(Some).map_err(|e| e.to_string())
 }
 
 /// One complete line that failed parsing or its integrity check, located
@@ -260,12 +279,14 @@ pub struct CompactionReport {
 #[derive(Debug)]
 pub struct Store {
     dir: PathBuf,
-    runs: Vec<StoredRun>,
+    runs: Vec<RunRecord>,
     /// Byte length of the valid journal prefix (meta line + every intact
     /// record line). Anything past this is a torn tail, dropped on the next
     /// append.
     valid_len: u64,
     torn: bool,
+    /// One past the highest seq in `runs` (0 when empty).
+    next_seq: u64,
 }
 
 impl Store {
@@ -273,8 +294,8 @@ impl Store {
     ///
     /// A torn final line — the signature of a kill mid-append — is
     /// tolerated: the valid prefix loads and the tail is dropped on the
-    /// next append. Corruption anywhere else is a hard error. The index
-    /// sidecar is rebuilt whenever it is missing or stale.
+    /// next append. Corruption anywhere else is a hard error. Opening an
+    /// existing archive writes nothing.
     ///
     /// # Errors
     ///
@@ -289,82 +310,69 @@ impl Store {
             writeln!(f, "{}", meta_line_text()).map_err(io_err(&path))?;
             f.sync_all().map_err(io_err(&path))?;
         }
-        let text = std::fs::read_to_string(&path).map_err(io_err(&path))?;
+        let bytes = std::fs::read(&path).map_err(io_err(&path))?;
         let mut store = Store {
             dir,
             runs: Vec::new(),
             valid_len: 0,
             torn: false,
+            next_seq: 0,
         };
-        store.parse_journal(&path, &text)?;
-        store.refresh_index()?;
+        store.parse_journal(&path, &bytes)?;
         Ok(store)
     }
 
-    fn parse_journal(&mut self, path: &Path, text: &str) -> Result<(), StoreError> {
-        // Split into newline-*terminated* lines; an unterminated final
-        // segment is a torn tail, never parsed.
-        let mut offset = 0usize;
-        let mut complete: Vec<(usize, &str)> = Vec::new(); // (offset, line without \n)
-        let bytes = text.as_bytes();
-        while offset < bytes.len() {
-            match bytes[offset..].iter().position(|&b| b == b'\n') {
-                Some(rel) => {
-                    complete.push((offset, &text[offset..offset + rel]));
-                    offset += rel + 1;
-                }
-                None => {
-                    self.torn = true;
-                    break;
-                }
-            }
-        }
-
-        let Some((_, first)) = complete.first() else {
+    fn parse_journal(&mut self, path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+        let (complete, torn) = journal_lines(bytes);
+        self.torn = torn;
+        let Some(&(_, first)) = complete.first() else {
             // Nothing complete on disk (fresh kill before the meta line
             // finished): treat as an empty archive; the torn tail — if any
             // — is dropped on the next append.
             self.valid_len = 0;
             return Ok(());
         };
-        let head: RawValue = serde_json::from_str(first).map_err(|e| StoreError::NotAnArchive {
+        let not_an_archive = |message: String| StoreError::NotAnArchive {
             path: path.display().to_string(),
-            message: e.to_string(),
-        })?;
+            message,
+        };
+        let head: RawValue = std::str::from_utf8(first)
+            .map_err(|e| e.to_string())
+            .and_then(|text| serde_json::from_str(text).map_err(|e| e.to_string()))
+            .map_err(not_an_archive)?;
         let magic: Option<String> = get_field(&head.0, "store").ok();
         if magic.as_deref() != Some(MAGIC) {
-            return Err(StoreError::NotAnArchive {
-                path: path.display().to_string(),
-                message: format!("missing `\"store\":\"{MAGIC}\"` tag"),
-            });
+            return Err(not_an_archive(format!(
+                "missing `\"store\":\"{MAGIC}\"` tag"
+            )));
         }
         let version: u32 = get_field(&head.0, "version").unwrap_or(0);
         if version != VERSION {
-            return Err(StoreError::NotAnArchive {
-                path: path.display().to_string(),
-                message: format!("unsupported archive version {version} (expected {VERSION})"),
-            });
+            return Err(not_an_archive(format!(
+                "unsupported archive version {version} (expected {VERSION})"
+            )));
         }
-        self.valid_len = (complete[0].0 + complete[0].1.len() + 1) as u64;
 
-        for (idx, (line_offset, line)) in complete.iter().enumerate().skip(1) {
-            if line.trim().is_empty() {
-                self.valid_len = (*line_offset + line.len() + 1) as u64;
-                continue;
-            }
-            let record = parse_record_line(line).map_err(|e| StoreError::Corrupt {
+        for (idx, &(offset, line)) in complete.iter().enumerate().skip(1) {
+            let corrupt = |message| StoreError::Corrupt {
                 line: idx + 1,
-                offset: *line_offset as u64,
-                message: e.to_string(),
-            })?;
-            self.runs.push(StoredRun {
-                record,
-                offset: *line_offset as u64,
-                bytes: (line.len() + 1) as u64,
-            });
-            self.valid_len = (*line_offset + line.len() + 1) as u64;
+                offset: offset as u64,
+                message,
+            };
+            if let Some(record) = parse_journal_line(line).map_err(corrupt)? {
+                self.push(record);
+            }
         }
+        // Every complete line checked out, so the valid prefix is all of them.
+        let (offset, line) = complete[complete.len() - 1];
+        self.valid_len = (offset + line.len() + 1) as u64;
         Ok(())
+    }
+
+    /// Adds a run to the in-memory state, keeping `next_seq` past it.
+    fn push(&mut self, record: RunRecord) {
+        self.next_seq = self.next_seq.max(record.seq.saturating_add(1));
+        self.runs.push(record);
     }
 
     /// The store directory.
@@ -394,19 +402,31 @@ impl Store {
 
     /// All archived runs, in append order.
     pub fn runs(&self) -> impl Iterator<Item = &RunRecord> {
-        self.runs.iter().map(|s| &s.record)
+        self.runs.iter()
     }
 
     /// The most recently archived run.
     pub fn latest(&self) -> Option<&RunRecord> {
-        self.runs.last().map(|s| &s.record)
+        self.runs.last()
+    }
+
+    /// The seq [`Store::append`] assigns next: one past the highest
+    /// archived seq. Campaign cells arrive out of grid order, so this is
+    /// not always one past the latest run's.
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
     }
 
     /// The last `n` archived runs (fewer when the archive is shorter), in
     /// append order.
     pub fn last_n(&self, n: usize) -> Vec<&RunRecord> {
         let start = self.runs.len().saturating_sub(n.max(1));
-        self.runs[start..].iter().map(|s| &s.record).collect()
+        self.runs[start..].iter().collect()
+    }
+
+    /// The run labelled exactly `label`, if any.
+    pub fn find_label(&self, label: &str) -> Option<&RunRecord> {
+        self.runs.iter().find(|r| r.label.as_deref() == Some(label))
     }
 
     /// Finds a run by id prefix (at least one hex character) or exact
@@ -417,17 +437,12 @@ impl Store {
     /// [`StoreError::UnknownRun`] when nothing matches,
     /// [`StoreError::AmbiguousRun`] when an id prefix matches several runs.
     pub fn get(&self, reference: &str) -> Result<&RunRecord, StoreError> {
-        if let Some(run) = self
-            .runs
-            .iter()
-            .find(|s| s.record.label.as_deref() == Some(reference))
-        {
-            return Ok(&run.record);
+        if let Some(run) = self.find_label(reference) {
+            return Ok(run);
         }
         let matches: Vec<&RunRecord> = self
             .runs
             .iter()
-            .map(|s| &s.record)
             .filter(|r| r.id.starts_with(reference))
             .collect();
         match matches.as_slice() {
@@ -442,9 +457,9 @@ impl Store {
         }
     }
 
-    /// Archives one run: builds the content-addressed record, appends its
-    /// line (dropping any torn tail first), fsyncs, and refreshes the
-    /// index. Returns the stored record.
+    /// Archives one run under [`Store::next_seq`]: builds the
+    /// content-addressed record, appends its line (dropping any torn tail
+    /// first) and fsyncs. Returns the stored record.
     ///
     /// # Errors
     ///
@@ -455,8 +470,7 @@ impl Store {
         config: &ExperimentConfig,
         measurements: Vec<BenchmarkMeasurement>,
     ) -> Result<&RunRecord, StoreError> {
-        let seq = self.runs.last().map(|s| s.record.seq + 1).unwrap_or(0);
-        self.append_at_seq(seq, label, config, measurements)
+        self.append_at_seq(self.next_seq, label, config, measurements)
     }
 
     /// Archives one run under an explicit sequence number instead of the
@@ -483,7 +497,8 @@ impl Store {
     /// recomputed from its canonical payload when it was parsed
     /// ([`RunRecord::from_payload`]), so the line written here is
     /// byte-identical to the one the originating client would have written
-    /// locally.
+    /// locally. One line write plus one fsync, whatever the archive's
+    /// length.
     ///
     /// # Errors
     ///
@@ -515,37 +530,10 @@ impl Store {
         // fsync per append: the whole point is surviving a kill.
         file.sync_all().map_err(io_err(&path))?;
 
-        let stored = StoredRun {
-            record,
-            offset: self.valid_len,
-            bytes: (line.len() + 1) as u64,
-        };
-        self.valid_len += stored.bytes;
+        self.valid_len += (line.len() + 1) as u64;
         self.torn = false;
-        self.runs.push(stored);
-        self.refresh_index()?;
-        Ok(&self.runs.last().expect("just pushed").record)
-    }
-
-    /// The index the current in-memory state corresponds to.
-    fn index(&self) -> Index {
-        Index {
-            entries: self
-                .runs
-                .iter()
-                .map(|s| IndexEntry::of(&s.record, s.offset, s.bytes))
-                .collect(),
-        }
-    }
-
-    /// Rewrites the index sidecar if it is missing or disagrees with the
-    /// journal (the journal is always the source of truth).
-    fn refresh_index(&self) -> Result<(), StoreError> {
-        let want = self.index();
-        if Index::load(&self.dir).ok().as_ref() != Some(&want) {
-            want.write(&self.dir).map_err(io_err(&self.dir))?;
-        }
-        Ok(())
+        self.push(record);
+        Ok(self.runs.last().expect("just pushed"))
     }
 
     /// Re-reads the journal from disk and integrity-checks every line
@@ -570,44 +558,30 @@ impl Store {
     }
 
     fn verify_path(path: &Path) -> Result<VerifyReport, StoreError> {
-        let mut text = String::new();
-        std::fs::File::open(path)
-            .and_then(|mut f| f.read_to_string(&mut text))
-            .map_err(io_err(path))?;
-        let mut report = VerifyReport::default();
-        // The same newline-terminated scan as `parse_journal`, so line
-        // numbers and byte offsets agree between `open` errors and
-        // `verify` findings.
-        let bytes = text.as_bytes();
-        let mut offset = 0usize;
-        let mut idx = 0usize;
-        while offset < bytes.len() {
-            let Some(rel) = bytes[offset..].iter().position(|&b| b == b'\n') else {
-                report.torn_tail = true;
-                break;
-            };
-            let line = &text[offset..offset + rel];
-            if idx > 0 && !line.trim().is_empty() {
-                // The meta line's shape (idx 0) is checked at open.
-                match parse_record_line(line) {
-                    Ok(_) => report.intact += 1,
-                    Err(e) => report.corrupt.push(CorruptLine {
-                        line: idx + 1,
-                        offset: offset as u64,
-                        message: e.to_string(),
-                    }),
-                }
+        let bytes = std::fs::read(path).map_err(io_err(path))?;
+        let (lines, torn_tail) = journal_lines(&bytes);
+        let mut report = VerifyReport {
+            torn_tail,
+            ..VerifyReport::default()
+        };
+        // The meta line's shape (line 1) is checked at open.
+        for (idx, &(offset, line)) in lines.iter().enumerate().skip(1) {
+            match parse_journal_line(line) {
+                Ok(Some(_)) => report.intact += 1,
+                Ok(None) => {}
+                Err(message) => report.corrupt.push(CorruptLine {
+                    line: idx + 1,
+                    offset: offset as u64,
+                    message,
+                }),
             }
-            offset += rel + 1;
-            idx += 1;
         }
         Ok(report)
     }
 
     /// Rewrites the journal from the in-memory runs — dropping any torn
-    /// tail and, when `keep_last` is given, all but the newest N runs —
-    /// then rebuilds the index. Atomic: written to a temp file, fsynced,
-    /// renamed over the journal.
+    /// tail and, when `keep_last` is given, all but the newest N runs.
+    /// Atomic: written to a temp file, fsynced, renamed over the journal.
     ///
     /// # Errors
     ///
@@ -615,46 +589,38 @@ impl Store {
     pub fn compact(&mut self, keep_last: Option<usize>) -> Result<CompactionReport, StoreError> {
         let path = self.journal_path();
         let bytes_before = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-        let keep_from = keep_last
+        let dropped = keep_last
             .map(|n| self.runs.len().saturating_sub(n))
             .unwrap_or(0);
-        let dropped = keep_from;
 
         let tmp = self.dir.join(format!("{ARCHIVE_FILE}.tmp"));
-        let mut kept: Vec<StoredRun> = Vec::with_capacity(self.runs.len() - keep_from);
+        let mut valid_len = (meta_line_text().len() + 1) as u64;
         {
             let mut f = std::fs::File::create(&tmp).map_err(io_err(&tmp))?;
             writeln!(f, "{}", meta_line_text()).map_err(io_err(&tmp))?;
-            let mut offset = (meta_line_text().len() + 1) as u64;
-            for s in &self.runs[keep_from..] {
-                let line = record_line(&s.record);
+            for record in &self.runs[dropped..] {
+                let line = record_line(record);
                 writeln!(f, "{line}").map_err(io_err(&tmp))?;
-                let bytes = (line.len() + 1) as u64;
-                kept.push(StoredRun {
-                    record: s.record.clone(),
-                    offset,
-                    bytes,
-                });
-                offset += bytes;
+                valid_len += (line.len() + 1) as u64;
             }
             f.sync_all().map_err(io_err(&tmp))?;
         }
         std::fs::rename(&tmp, &path).map_err(io_err(&path))?;
 
-        self.runs = kept;
-        self.valid_len = self
+        self.runs.drain(..dropped);
+        self.next_seq = self
             .runs
-            .last()
-            .map(|s| s.offset + s.bytes)
-            .unwrap_or((meta_line_text().len() + 1) as u64);
+            .iter()
+            .map(|r| r.seq.saturating_add(1))
+            .max()
+            .unwrap_or(0);
+        self.valid_len = valid_len;
         self.torn = false;
-        self.refresh_index()?;
-        let bytes_after = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
         Ok(CompactionReport {
             kept: self.runs.len(),
             dropped,
             bytes_before,
-            bytes_after,
+            bytes_after: valid_len,
         })
     }
 }
@@ -926,7 +892,7 @@ mod tests {
     }
 
     #[test]
-    fn compact_drops_old_runs_and_rebuilds_index() {
+    fn compact_drops_old_runs_and_keeps_seqs() {
         let dir = temp_store("compact");
         let mut store = Store::open(&dir).unwrap();
         for i in 0..5 {
@@ -951,24 +917,118 @@ mod tests {
         let reopened = Store::open(&dir).unwrap();
         assert_eq!(reopened.len(), 3);
         assert!(reopened.verify().unwrap().is_clean());
-        let index = Index::load(&dir).unwrap();
-        assert_eq!(index.entries.len(), 3);
-        assert_eq!(index.entries[0].seq, 3);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Names of the entries in a store directory, sorted.
+    fn dir_entries(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn the_journal_is_the_only_file_and_open_writes_nothing() {
+        let dir = temp_store("onlyjournal");
+        let mut store = Store::open(&dir).unwrap();
+        for i in 0..3 {
+            store
+                .append(None, &config(), vec![measurement("a", 1.0 + f64::from(i))])
+                .unwrap();
+            assert_eq!(dir_entries(&dir), vec![ARCHIVE_FILE]);
+        }
+        store.compact(Some(2)).unwrap();
+        assert_eq!(dir_entries(&dir), vec![ARCHIVE_FILE]);
+
+        // Opening an existing store, clean or with a torn tail, leaves the
+        // directory exactly as it was.
+        let path = dir.join(ARCHIVE_FILE);
+        let clean = std::fs::read(&path).unwrap();
+        for bytes in [&clean[..], &clean[..clean.len() - 7]] {
+            std::fs::write(&path, bytes).unwrap();
+            let modified = std::fs::metadata(&path).unwrap().modified().unwrap();
+            Store::open(&dir).unwrap();
+            assert_eq!(dir_entries(&dir), vec![ARCHIVE_FILE]);
+            assert_eq!(std::fs::read(&path).unwrap(), bytes);
+            let after = std::fs::metadata(&path).unwrap().modified().unwrap();
+            assert_eq!(after, modified);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn stale_index_is_rebuilt_on_open() {
-        let dir = temp_store("staleindex");
+    fn append_after_out_of_order_cells_takes_a_fresh_seq() {
+        let dir = temp_store("nextseq");
         let mut store = Store::open(&dir).unwrap();
+        // Campaign cells land in completion order, not grid order.
         store
-            .append(None, &config(), vec![measurement("a", 1.0)])
+            .append_at_seq(1, None, &config(), vec![measurement("a", 1.0)])
             .unwrap();
-        // Sabotage the sidecar; the journal stays authoritative.
-        std::fs::write(dir.join("index.json"), "{\"entries\":[]}\n").unwrap();
-        let _ = Store::open(&dir).unwrap();
-        let index = Index::load(&dir).unwrap();
-        assert_eq!(index.entries.len(), 1);
+        store
+            .append_at_seq(0, None, &config(), vec![measurement("a", 2.0)])
+            .unwrap();
+        assert_eq!(store.next_seq(), 2);
+        let seq = store
+            .append(None, &config(), vec![measurement("a", 3.0)])
+            .unwrap()
+            .seq;
+        assert_eq!(seq, 2);
+        let seqs: Vec<u64> = store.runs().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![1, 0, 2]);
+
+        // Reopening recovers the same next seq from the journal...
+        assert_eq!(Store::open(&dir).unwrap().next_seq(), 3);
+        // ...and compaction recomputes it from the runs it keeps.
+        store.compact(Some(2)).unwrap();
+        assert_eq!(store.next_seq(), 3);
+        store.compact(Some(1)).unwrap();
+        assert_eq!(store.next_seq(), 3);
+        store
+            .append_at_seq(7, None, &config(), vec![measurement("a", 4.0)])
+            .unwrap();
+        store.compact(Some(1)).unwrap();
+        assert_eq!(store.next_seq(), 8);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_flipped_bit_outside_utf8_is_located() {
+        let dir = temp_store("bitrot");
+        let mut store = Store::open(&dir).unwrap();
+        for level in [1.0, 2.0] {
+            store
+                .append(None, &config(), vec![measurement("a", level)])
+                .unwrap();
+        }
+        let path = dir.join(ARCHIVE_FILE);
+        let mut bytes = std::fs::read(&path).unwrap();
+        // Set the high bit of one byte inside line 2, the first record:
+        // the line stays complete but is no longer UTF-8.
+        let meta_len = meta_line_text().len() + 1;
+        bytes[meta_len + 40] |= 0x80;
+        std::fs::write(&path, &bytes).unwrap();
+
+        match Store::open(&dir) {
+            Err(StoreError::Corrupt {
+                line,
+                offset,
+                message,
+            }) => {
+                assert_eq!(line, 2);
+                assert_eq!(offset, meta_len as u64);
+                assert!(message.contains("UTF-8"), "{message}");
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        let report = Store::verify_dir(&dir).unwrap();
+        assert_eq!(report.intact, 1);
+        assert!(!report.torn_tail);
+        assert_eq!(report.corrupt.len(), 1);
+        assert_eq!(report.corrupt[0].line, 2);
+        assert_eq!(report.corrupt[0].offset, meta_len as u64);
         std::fs::remove_dir_all(&dir).ok();
     }
 

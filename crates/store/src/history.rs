@@ -11,7 +11,7 @@
 use rigor::measurement::BenchmarkMeasurement;
 use rigor::pool_measurements;
 use rigor::steady::SteadyStateDetector;
-use rigor::trend::{analyze_trends, TrendConfig, TrendPoint, TrendReport, TrendStatus};
+use rigor::trend::{analyze_trends, current_segment, TrendConfig, TrendPoint, TrendReport};
 
 use crate::archive::Store;
 use crate::record::RunRecord;
@@ -71,8 +71,8 @@ pub fn trend_report(
 }
 
 /// Pools, per benchmark, the measurements of the runs in the *current
-/// segment* — the final constant-level stretch of that benchmark's trend —
-/// into one baseline sample.
+/// segment* ([`current_segment`]) — the final constant-level stretch of
+/// that benchmark's trend — into one baseline sample.
 ///
 /// This is the `--baseline segment` source for the regression gate: it
 /// widens the baseline to every run since the benchmark's level last
@@ -96,16 +96,10 @@ pub fn segment_baseline(
                 measurements.push(run.benchmark(&name).expect("point implies measurement"));
             }
         }
-        let trend = analyze_trends(&[(name.clone(), points)], config)
-            .benchmarks
-            .pop()
-            .expect("one history in, one trend out");
-        let current = match (trend.status, trend.segments.last()) {
-            (TrendStatus::InsufficientData, _) | (_, None) => &measurements[..],
-            (_, Some(seg)) => &measurements[seg.start..seg.end],
-        };
-        let slices: Vec<&[BenchmarkMeasurement]> =
-            current.iter().map(|m| std::slice::from_ref(*m)).collect();
+        let slices: Vec<&[BenchmarkMeasurement]> = measurements[current_segment(&points, config)]
+            .iter()
+            .map(|m| std::slice::from_ref(*m))
+            .collect();
         baseline.extend(pool_measurements(&slices));
     }
     baseline

@@ -45,7 +45,6 @@ pub mod archive;
 pub mod baseline;
 pub mod hash;
 pub mod history;
-pub mod index;
 pub mod record;
 pub mod shared;
 
@@ -56,6 +55,5 @@ pub use archive::{
 pub use baseline::BaselineRef;
 pub use hash::content_hash;
 pub use history::{benchmark_history, benchmark_names, segment_baseline, trend_report};
-pub use index::{Index, IndexEntry, INDEX_FILE};
 pub use record::{ConfigFingerprint, HostMeta, RunRecord, RECORD_SCHEMA_VERSION};
 pub use shared::SharedStore;

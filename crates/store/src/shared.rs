@@ -76,10 +76,7 @@ impl CellSink for SharedStore {
         let label = cell.id.canonical();
         // Check-then-append under one lock: replays return the original
         // receipt instead of duplicating the run.
-        if let Some(existing) = store
-            .runs()
-            .find(|r| r.label.as_deref() == Some(label.as_str()))
-        {
+        if let Some(existing) = store.find_label(&label) {
             return Ok(receipt(existing));
         }
         store
@@ -95,12 +92,7 @@ impl CellSink for SharedStore {
 
     fn completed_cell(&self, cell: &Cell) -> Result<Option<CellReceipt>, String> {
         let store = self.store.lock().expect("store lock poisoned");
-        let label = cell.id.canonical();
-        let found = store
-            .runs()
-            .find(|r| r.label.as_deref() == Some(label.as_str()))
-            .map(receipt);
-        Ok(found)
+        Ok(store.find_label(&cell.id.canonical()).map(receipt))
     }
 
     fn archive_cell_precise(
@@ -111,10 +103,7 @@ impl CellSink for SharedStore {
     ) -> Result<CellReceipt, String> {
         let mut store = self.store.lock().expect("store lock poisoned");
         let label = cell.id.canonical();
-        if let Some(existing) = store
-            .runs()
-            .find(|r| r.label.as_deref() == Some(label.as_str()))
-        {
+        if let Some(existing) = store.find_label(&label) {
             return Ok(receipt(existing));
         }
         let record = RunRecord::new(
@@ -132,12 +121,9 @@ impl CellSink for SharedStore {
 
     fn completed_precision(&self, cell: &Cell) -> Result<Option<CellPrecision>, String> {
         let store = self.store.lock().expect("store lock poisoned");
-        let label = cell.id.canonical();
-        let found = store
-            .runs()
-            .find(|r| r.label.as_deref() == Some(label.as_str()))
-            .and_then(|r| r.precision.clone());
-        Ok(found)
+        Ok(store
+            .find_label(&cell.id.canonical())
+            .and_then(|r| r.precision.clone()))
     }
 }
 

@@ -16,7 +16,11 @@ use std::path::PathBuf;
 
 use rigor::measurement::{BenchmarkMeasurement, InvocationRecord};
 use rigor::trend::synth::{detected_shift_index, null_alert_rate, Shape, SynthHistory};
-use rigor::trend::{analyze_trend, TrendConfig, TrendStatus};
+use rigor::trend::{
+    analyze_trend, analyze_trends, current_segment, Penalty, TrendConfig, TrendPoint, TrendStatus,
+};
+use rigor::{pool_measurements, SteadyStateDetector};
+use rigor_store::{benchmark_names, segment_baseline, Store};
 
 fn argv(s: &str) -> Vec<String> {
     s.split_whitespace().map(String::from).collect()
@@ -371,4 +375,182 @@ fn trend_report_matches_the_golden_fixture() {
     let run = store.get(id_field).expect("run id resolves in the archive");
     assert_eq!(run.seq, 5);
     assert_eq!(run.label.as_deref(), Some("first-shifted-run"));
+}
+
+// ---------------------------------------------------------------------------
+// The segment fast path: `current_segment` and `segment_baseline` against
+// the full trend analysis they stand in for
+// ---------------------------------------------------------------------------
+
+/// Every synthetic shape, with and without heteroscedastic noise, over a
+/// history too short for `min_segment` 3 and a long one: (name, generator)
+/// pairs for one seed.
+fn fast_path_histories(seed: u64) -> Vec<(String, SynthHistory)> {
+    let mut out = Vec::new();
+    for runs in [5, 30] {
+        for heteroscedastic in [false, true] {
+            let base = SynthHistory {
+                runs,
+                heteroscedastic,
+                seed,
+                ..SynthHistory::default()
+            };
+            let step = 8.0 * base.value_sigma() / base.level;
+            for (shape_name, shape) in [
+                ("null", Shape::Null),
+                (
+                    "step",
+                    Shape::Step {
+                        at: runs * 2 / 3,
+                        frac: step,
+                    },
+                ),
+                ("drift", Shape::Drift { total_frac: 0.05 }),
+            ] {
+                let name = format!("{shape_name}-{runs}-hetero{heteroscedastic}");
+                out.push((name, base.clone().with_shape(shape)));
+            }
+        }
+    }
+    out
+}
+
+/// `min_segment` 1–3 under each kind of penalty.
+fn fast_path_configs() -> Vec<TrendConfig> {
+    let mut out = Vec::new();
+    for min_segment in 1..=3 {
+        for penalty in [Penalty::Auto, Penalty::Bic, Penalty::Factor(2.5)] {
+            out.push(
+                TrendConfig::default()
+                    .with_min_segment(min_segment)
+                    .with_penalty(penalty),
+            );
+        }
+    }
+    out
+}
+
+/// The current segment as read off the full analysis: its last segment, or
+/// the whole history when it reports insufficient data.
+fn last_analyzed_segment(points: &[TrendPoint], config: &TrendConfig) -> std::ops::Range<usize> {
+    let trend = analyze_trends(&[("reference".to_string(), points.to_vec())], config)
+        .benchmarks
+        .pop()
+        .expect("one history in, one trend out");
+    match (trend.status, trend.segments.last()) {
+        (TrendStatus::InsufficientData, _) | (_, None) => 0..points.len(),
+        (_, Some(seg)) => seg.start..seg.end,
+    }
+}
+
+#[test]
+fn current_segment_is_the_last_segment_of_the_full_analysis() {
+    let (mut shifted, mut whole) = (0, 0);
+    for seed in [1, 2, 3] {
+        for (name, history) in fast_path_histories(seed) {
+            let points = history.generate();
+            for config in fast_path_configs() {
+                let expected = last_analyzed_segment(&points, &config);
+                assert_eq!(
+                    current_segment(&points, &config),
+                    expected,
+                    "{name}, seed {seed}, {config:?}"
+                );
+                if expected.start > 0 {
+                    shifted += 1;
+                } else {
+                    whole += 1;
+                }
+            }
+        }
+    }
+    // The sweep reaches both outcomes, so the equality above is not vacuous.
+    assert!(shifted > 0 && whole > 0, "shifted {shifted}, whole {whole}");
+}
+
+/// `segment_baseline` built the way it was before `current_segment`
+/// existed: the full trend analysis of every benchmark, then its last
+/// segment pooled.
+fn reference_segment_baseline(
+    store: &Store,
+    detector: &SteadyStateDetector,
+    config: &TrendConfig,
+) -> Vec<BenchmarkMeasurement> {
+    let mut baseline = Vec::new();
+    for name in benchmark_names(store) {
+        let mut measurements: Vec<&BenchmarkMeasurement> = Vec::new();
+        let mut points: Vec<TrendPoint> = Vec::new();
+        for run in store.runs() {
+            let Some(m) = run.benchmark(&name) else {
+                continue;
+            };
+            if let Some(p) =
+                TrendPoint::from_measurement(run.seq, &run.id, run.label.as_deref(), m, detector)
+            {
+                points.push(p);
+                measurements.push(m);
+            }
+        }
+        let slices: Vec<&[BenchmarkMeasurement]> = measurements
+            [last_analyzed_segment(&points, config)]
+        .iter()
+        .map(|m| std::slice::from_ref(*m))
+        .collect();
+        baseline.extend(pool_measurements(&slices));
+    }
+    baseline
+}
+
+#[test]
+fn segment_baseline_pools_what_the_full_analysis_pools() {
+    let detector = SteadyStateDetector::default();
+    let run_config = rigor::ExperimentConfig::interp()
+        .with_invocations(4)
+        .with_iterations(12);
+    let mut narrowed = 0;
+    for seed in [1, 2, 3] {
+        let dir = std::env::temp_dir().join(format!(
+            "rigor-segment-fast-path-{}-{seed}",
+            std::process::id()
+        ));
+        fs::remove_dir_all(&dir).ok();
+        let mut store = Store::open(&dir).expect("open scratch store");
+        // One benchmark per synthetic history; run r archives every
+        // history that is longer than r.
+        let histories: Vec<(String, Vec<TrendPoint>)> = fast_path_histories(seed)
+            .into_iter()
+            .map(|(name, h)| (name, h.generate()))
+            .collect();
+        let longest = histories.iter().map(|(_, p)| p.len()).max().unwrap_or(0);
+        for r in 0..longest {
+            let run: Vec<BenchmarkMeasurement> = histories
+                .iter()
+                .filter_map(|(name, points)| points.get(r).map(|p| measurement(name, p.value, 4)))
+                .collect();
+            store.append(None, &run_config, run).expect("append");
+        }
+        for config in fast_path_configs() {
+            let fast = segment_baseline(&store, &detector, &config);
+            assert_eq!(
+                fast,
+                reference_segment_baseline(&store, &detector, &config),
+                "seed {seed}, {config:?}"
+            );
+            narrowed += fast
+                .iter()
+                .filter(|m| {
+                    let (_, points) = histories
+                        .iter()
+                        .find(|(name, _)| *name == m.benchmark)
+                        .expect("pooled benchmark was archived");
+                    m.invocations.len() < 4 * points.len()
+                })
+                .count();
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+    assert!(
+        narrowed > 0,
+        "no baseline was narrowed to a current segment"
+    );
 }
