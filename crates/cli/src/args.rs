@@ -196,7 +196,7 @@ pub enum Command {
     /// history (exit 0 = stable, 1 = significant shift at HEAD).
     Trend { benchmark: Option<String> },
     /// `rigor campaign` — execute a benchmarks × engines × variants × seeds
-    /// cell grid on a work-stealing worker pool, streaming each cell into
+    /// cell grid on a worker pool in grid order, streaming each cell into
     /// the results archive.
     Campaign,
     /// `rigor plan` — precision-attainment report over an archived
@@ -711,7 +711,9 @@ CAMPAIGN ORCHESTRATION:
     --arrival <spec>          inter-cell arrival process: immediate (default),
                               uniform:MS, or poisson:MS mean delay
     --plan                    print the cell grid without executing it
-    --max-cells <N>           stop after N cells (campaign stays resumable)
+    --max-cells <N>           execute exactly the first N pending cells in
+                              grid order, on any worker count (campaign
+                              stays resumable)
     --resume <file>           resume a torn campaign from its journal
 
 ADAPTIVE PRECISION:

@@ -1688,7 +1688,7 @@ fn planner_config(opts: &GlobalOpts) -> Option<PlannerConfig> {
 }
 
 /// `rigor campaign`: execute a benchmarks × engines × variants × seeds
-/// grid on a work-stealing worker pool, streaming every completed cell
+/// grid on a worker pool in grid order, streaming every completed cell
 /// into the results archive as its own labeled run. A killed campaign is
 /// resumed with `--resume <journal>`: cells already archived are skipped
 /// and the final archive holds the same content-id set as an uninterrupted
@@ -1994,13 +1994,12 @@ fn print_campaign_summary(
 ) {
     println!(
         "campaign {}: {} of {} cell(s) archived in {dest} \
-         ({} skipped as already archived, {} executed, {} stolen between workers)",
+         ({} skipped as already archived, {} executed)",
         report.fingerprint,
         report.completed(),
         report.total,
         report.skipped,
         report.executed,
-        report.stolen,
     );
     if report.rounds > 0 {
         println!(

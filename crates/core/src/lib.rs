@@ -38,7 +38,7 @@
 //!    benchmarks × changepoints, alerting when HEAD just shifted.
 //! 9. **Orchestrate fleets** — a [`CampaignSpec`] names an explicit cell
 //!    grid (benchmarks × engines × config variants × seeds) that
-//!    [`Campaign`] executes on a work-stealing worker pool, streaming every
+//!    [`Campaign`] executes on a worker pool in grid order, streaming every
 //!    completed [`Cell`] into a [`CellSink`] (the `rigor-store` archive)
 //!    and a per-cell journal, so a killed campaign resumes exactly at its
 //!    first incomplete cell; see the [`campaign`] and [`orchestrator`]
@@ -72,6 +72,7 @@ pub mod measurement;
 pub mod naive;
 pub mod orchestrator;
 pub mod planner;
+mod pool;
 pub mod regress;
 pub mod report;
 pub mod runner;

@@ -1,18 +1,19 @@
-//! The campaign orchestrator: executes a cell grid on a work-stealing
-//! scheduler of std worker threads, streaming each completed cell into a
-//! [`CellSink`] and a campaign journal as it finishes.
+//! The campaign orchestrator: executes a cell grid on the crate's in-order
+//! worker pool, streaming each completed cell into a [`CellSink`] and a
+//! campaign journal as it finishes.
 //!
-//! Scheduling model: the pending cells are dealt round-robin onto per-worker
-//! deques (worker *w* gets pending cells *w*, *w*+W, …). A worker pops from
-//! the **front** of its own deque; when empty it steals from the **back** of
-//! the longest other deque (emitting `cell_stolen`), so cells migrate from
-//! loaded workers to idle ones without a central queue lock on the hot path.
+//! Scheduling model: workers take pending cells in grid order from one
+//! shared index, each after claiming one of the run's execution tickets
+//! ([`Campaign::max_cells`], unlimited by default), so a capped run
+//! executes exactly the first N pending cells whatever the worker count or
+//! timing. A cell takes milliseconds, so a shared counter never contends
+//! and per-worker deques with stealing would buy nothing.
 //!
 //! Each cell runs through [`crate::Runner::measure`] — the cell-execution
 //! primitive — under the cell's own validated config, with the campaign's
 //! observers attached, so per-cell experiment streams arrive alongside the
 //! campaign-level events (`campaign_started`, `campaign_resumed`,
-//! `cell_completed`, `cell_stolen`).
+//! `cell_completed`).
 //!
 //! Resume: the **archive is authoritative** — on [`Campaign::resume`] every
 //! cell the sink already holds is skipped; the campaign journal only
@@ -25,8 +26,8 @@
 //! walk becomes a feedback-driven scheduler. A pilot round measures every
 //! cell at the planner's floor; [`compute_plan`] then grants more
 //! invocations where the predicted CI is still too wide, the worker pool
-//! drains the round's [`crate::planner::RefineTask`]s (widest CI first, the
-//! same stealing discipline), and the loop re-plans until every cell meets
+//! runs the round's [`crate::planner::RefineTask`]s (widest CI first, on
+//! the same pool and tickets), and the loop re-plans until every cell meets
 //! its target relative half-width or nothing more can be granted. Rounds
 //! are barriers, so the estimate set each plan sees — and therefore the
 //! whole refinement trajectory — is independent of the worker count. Only
@@ -35,11 +36,9 @@
 //! killed-and-resumed adaptive campaign re-pilots its unarchived cells and
 //! converges to the same archive.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
 
 use crate::campaign::{
@@ -48,23 +47,10 @@ use crate::campaign::{
 };
 use crate::measurement::BenchmarkMeasurement;
 use crate::planner::{compute_plan, CellEstimate, PlannerConfig};
+use crate::pool;
 use crate::runner::Runner;
 use crate::steady::SteadyStateDetector;
-use crate::telemetry::{ExperimentEvent, ExperimentObserver};
-
-/// A cloneable event outlet handed to workers; a no-op with no observers
-/// (same shape as the runner's sink, so telemetry costs nothing unless
-/// asked for).
-#[derive(Clone)]
-struct EventSink(Option<Sender<ExperimentEvent>>);
-
-impl EventSink {
-    fn send(&self, event: ExperimentEvent) {
-        if let Some(tx) = &self.0 {
-            let _ = tx.send(event);
-        }
-    }
-}
+use crate::telemetry::{with_events, EventSink, ExperimentEvent, ExperimentObserver};
 
 /// What a finished campaign run did, cell by cell.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -78,8 +64,6 @@ pub struct CampaignReport {
     pub skipped: usize,
     /// Cells executed and archived by this run.
     pub executed: usize,
-    /// Cells stolen between workers by this run.
-    pub stolen: usize,
     /// Canonical ids of executed cells whose measurement was quarantined.
     pub quarantined: Vec<String>,
     /// Cells that failed (canonical id, error) — compile-class measurement
@@ -110,7 +94,7 @@ impl CampaignReport {
     }
 }
 
-/// Executes a [`CampaignSpec`] on a work-stealing worker pool. Builder
+/// Executes a [`CampaignSpec`] on a worker pool in grid order. Builder
 /// style: configure, then [`Campaign::run`].
 pub struct Campaign {
     spec: CampaignSpec,
@@ -165,9 +149,12 @@ impl Campaign {
         self
     }
 
-    /// Caps how many cells this run may execute (builder style) — the rest
-    /// stay pending for a later `--resume`. Used to interrupt
-    /// deterministically in tests and CI smoke runs.
+    /// Caps how many cells this run may execute (builder style): the run
+    /// executes exactly the first `max_cells` pending cells in grid order,
+    /// whatever the worker count, and the rest stay pending for a later
+    /// `--resume`. On the adaptive path the cap counts measurement jobs
+    /// across all rounds. Used to interrupt deterministically in tests and
+    /// CI smoke runs.
     pub fn max_cells(mut self, max_cells: usize) -> Campaign {
         self.max_cells = Some(max_cells);
         self
@@ -196,8 +183,8 @@ impl Campaign {
         if self.workers == 0 {
             return Err(CampaignError::ZeroWorkers);
         }
-        if let Some(planner) = self.spec.planner {
-            return self.run_adaptive(planner, sink);
+        if let Some(planner) = &self.spec.planner {
+            planner.validate().map_err(CampaignError::Planner)?;
         }
         let cells = self.spec.cells()?;
         let fingerprint = self.spec.fingerprint();
@@ -226,13 +213,17 @@ impl Campaign {
         } else {
             pending = cells;
         }
-
-        let meta = CampaignJournalMeta {
-            fingerprint: fingerprint.clone(),
-            cells: total as u32,
+        let ledger = match self.spec.planner {
+            Some(_) => resumed_ledger(sink, &skipped)?,
+            None => (0, Vec::new()),
         };
-        let writer = match &self.journal_path {
+
+        let journal = match &self.journal_path {
             Some(path) => {
+                let meta = CampaignJournalMeta {
+                    fingerprint: fingerprint.clone(),
+                    cells: total as u32,
+                };
                 let mut w = CampaignJournalWriter::create(path, &meta)
                     .map_err(|e| CampaignError::Journal(e.to_string()))?;
                 // Re-journal replayed cells first: the journal must end up
@@ -250,749 +241,355 @@ impl Campaign {
             None => None,
         };
 
-        // Deal pending cells round-robin onto per-worker deques.
-        let workers = self.workers.clamp(1, pending.len().max(1));
-        let mut deques: Vec<VecDeque<Cell>> = (0..workers).map(|_| VecDeque::new()).collect();
-        for (i, cell) in pending.drain(..).enumerate() {
-            deques[i % workers].push_back(cell);
-        }
-        let queues: Vec<Mutex<VecDeque<Cell>>> = deques.into_iter().map(Mutex::new).collect();
-
-        let completed = AtomicU32::new(skipped.len() as u32);
-        let executed = AtomicUsize::new(0);
-        let stolen = AtomicUsize::new(0);
-        // Execution budget: claiming a ticket is the only gate, so the cap
-        // is exact even under contention.
-        let budget = AtomicUsize::new(self.max_cells.unwrap_or(usize::MAX));
-        let quarantined: Mutex<Vec<String>> = Mutex::new(Vec::new());
-        let failures: Mutex<Vec<(String, String)>> = Mutex::new(Vec::new());
-
-        std::thread::scope(|scope| {
-            // Telemetry drain, exactly as in the runner: a dedicated thread
-            // fans events out, a panicking observer is disabled once.
-            let sink_events = if self.observers.is_empty() {
-                EventSink(None)
-            } else {
-                let (tx, rx) = channel::<ExperimentEvent>();
-                let observers = &self.observers;
-                scope.spawn(move || {
-                    let mut disabled = vec![false; observers.len()];
-                    for event in rx {
-                        for (idx, obs) in observers.iter().enumerate() {
-                            if disabled[idx] {
-                                continue;
-                            }
-                            let outcome = catch_unwind(AssertUnwindSafe(|| obs.on_event(&event)));
-                            if outcome.is_err() {
-                                disabled[idx] = true;
-                                eprintln!(
-                                    "rigor: observer #{idx} panicked on `{}`; \
-                                     disabling it for the rest of the campaign",
-                                    event.name()
-                                );
-                            }
-                        }
-                    }
-                });
-                EventSink(Some(tx))
-            };
-
-            sink_events.send(ExperimentEvent::CampaignStarted {
+        let report = with_events(&self.observers, "campaign", |events| {
+            events.send(ExperimentEvent::CampaignStarted {
                 campaign: fingerprint.clone(),
                 cells: total as u32,
-                workers: workers as u32,
+                workers: self.workers.min(pending.len()) as u32,
                 arrival: self.spec.arrival.to_string(),
             });
             if self.resume {
-                sink_events.send(ExperimentEvent::CampaignResumed {
+                events.send(ExperimentEvent::CampaignResumed {
                     campaign: fingerprint.clone(),
                     completed: skipped.len() as u32,
                     cells: total as u32,
                 });
             }
-
-            for me in 0..workers {
-                let sink_events = sink_events.clone();
-                let queues = &queues;
-                let completed = &completed;
-                let executed = &executed;
-                let stolen = &stolen;
-                let budget = &budget;
-                let quarantined = &quarantined;
-                let failures = &failures;
-                let writer = &writer;
-                let observers = &self.observers;
-                let spec = &self.spec;
-                scope.spawn(move || loop {
-                    // Claim an execution ticket before touching any queue.
-                    if budget
-                        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| b.checked_sub(1))
-                        .is_err()
-                    {
-                        break;
-                    }
-                    // Own deque first (front) …
-                    let mut cell = queues[me].lock().expect("queue poisoned").pop_front();
-                    // … then steal from the back of the longest other deque.
-                    if cell.is_none() {
-                        let victim = (0..queues.len())
-                            .filter(|&v| v != me)
-                            .map(|v| (v, queues[v].lock().expect("queue poisoned").len()))
-                            .filter(|&(_, len)| len > 0)
-                            .max_by_key(|&(_, len)| len)
-                            .map(|(v, _)| v);
-                        if let Some(v) = victim {
-                            cell = queues[v].lock().expect("queue poisoned").pop_back();
-                            if let Some(c) = &cell {
-                                stolen.fetch_add(1, Ordering::Relaxed);
-                                sink_events.send(ExperimentEvent::CellStolen {
-                                    cell: c.id.canonical(),
-                                    index: c.index as u32,
-                                    from_worker: v as u32,
-                                    to_worker: me as u32,
-                                });
-                            }
-                        }
-                    }
-                    let Some(cell) = cell else { break };
-
-                    // Seeded arrival pacing: a pure function of (campaign
-                    // seed, cell index), so the pattern replays under the
-                    // same seed whatever the worker count.
-                    let delay = spec
-                        .arrival
-                        .delay(spec.base.experiment_seed, cell.index as u64);
-                    if !delay.is_zero() {
-                        std::thread::sleep(delay);
-                    }
-
-                    execute_cell(
-                        &cell,
-                        me,
-                        total,
-                        observers,
-                        sink,
-                        writer,
-                        &sink_events,
-                        completed,
-                        executed,
-                        quarantined,
-                        failures,
-                    );
-                });
+            let run = CampaignRun {
+                sink,
+                events,
+                total,
+                journal,
+                tickets: AtomicUsize::new(self.max_cells.unwrap_or(usize::MAX)),
+                completed: AtomicU32::new(skipped.len() as u32),
+                quarantined: Mutex::new(Vec::new()),
+                failures: Mutex::new(Vec::new()),
+            };
+            let report = match self.spec.planner {
+                Some(planner) => self.run_adaptive(&run, planner, pending, ledger),
+                None => self.run_fixed(&run, &pending),
+            };
+            CampaignReport {
+                executed: run.completed.into_inner() as usize - skipped.len(),
+                quarantined: run
+                    .quarantined
+                    .into_inner()
+                    .expect("quarantine list poisoned"),
+                failures: run.failures.into_inner().expect("failure list poisoned"),
+                ..report
             }
-            // `scope` joins the workers, then the drain (its channel closes
-            // when the last worker's sink clone drops with this binding).
-            drop(sink_events);
         });
-
-        let remaining = queues
-            .into_iter()
-            .map(|q| q.into_inner().expect("queue poisoned").len())
-            .sum();
         Ok(CampaignReport {
             fingerprint,
             total,
             skipped: skipped.len(),
-            executed: executed.into_inner(),
-            stolen: stolen.into_inner(),
-            quarantined: quarantined.into_inner().expect("quarantine list poisoned"),
-            failures: failures.into_inner().expect("failure list poisoned"),
-            remaining,
-            rounds: 0,
-            invocations: 0,
-            unmet: Vec::new(),
+            ..report
         })
+    }
+
+    /// The fixed-grid path: every pending cell is measured once and archived
+    /// from the worker that measured it.
+    fn run_fixed(&self, run: &CampaignRun, pending: &[Cell]) -> CampaignReport {
+        let slots = pool::run(
+            pending,
+            self.workers,
+            &run.tickets,
+            |worker, cell| match self.measure(cell, cell.config.invocations) {
+                Ok(m) => run.archive(cell, &m, None, worker),
+                Err(e) => run.fail(cell, e),
+            },
+        );
+        CampaignReport {
+            remaining: slots.iter().filter(|slot| slot.is_none()).count(),
+            ..CampaignReport::default()
+        }
     }
 
     /// The adaptive-precision path: pilot every pending cell, then re-plan
     /// and refine round by round until every cell meets the target relative
-    /// half-width or nothing more can be granted. See the module docs for
-    /// the scheduling and determinism argument.
+    /// half-width or nothing more can be granted. The ledger starts at what
+    /// resumed cells already spent and which of them are short of target.
+    /// See the module docs for the scheduling and determinism argument.
     fn run_adaptive(
         &self,
+        run: &CampaignRun,
         cfg: PlannerConfig,
-        sink: &dyn CellSink,
-    ) -> Result<CampaignReport, CampaignError> {
-        cfg.validate().map_err(CampaignError::Planner)?;
-        let cells = self.spec.cells()?;
+        pending: Vec<Cell>,
+        (mut spent, mut unmet): (u64, Vec<String>),
+    ) -> CampaignReport {
         let fingerprint = self.spec.fingerprint();
-        let total = cells.len();
         let target = cfg.target_rel_half_width;
         let detector = SteadyStateDetector::default();
         let confidence = self.spec.base.confidence;
-
-        // Resume: archived cells are final at their archived size; their
-        // precision records reconstruct the invocations already spent.
-        let mut skipped: Vec<(Cell, String)> = Vec::new();
-        let mut pending: Vec<Cell> = Vec::new();
-        let mut spent_final: u64 = 0;
-        let mut unmet_ids: Vec<String> = Vec::new();
-        if self.resume {
-            if let Some(path) = &self.journal_path {
-                if let Some(journal) = CampaignJournal::load_tolerant(path)
-                    .map_err(|e| CampaignError::Journal(e.to_string()))?
-                {
-                    journal
-                        .check_matches(&fingerprint, total as u32)
-                        .map_err(CampaignError::JournalMismatch)?;
+        // Archives a cell nothing more will be granted to, under the config
+        // it actually ran at (its final sample size, so the archive
+        // describes the measurement bytes exactly), with its precision.
+        let finalize =
+            |spent: &mut u64,
+             unmet: &mut Vec<String>,
+             (mut cell, m, est): (Cell, BenchmarkMeasurement, CellEstimate)| {
+                *spent += u64::from(est.invocations);
+                if !est.target_met(target) {
+                    unmet.push(cell.id.canonical());
                 }
-            }
-            for cell in cells {
-                match sink.completed_cell(&cell).map_err(CampaignError::Sink)? {
-                    Some(receipt) => {
-                        match sink
-                            .completed_precision(&cell)
-                            .map_err(CampaignError::Sink)?
-                        {
-                            Some(p) => {
-                                spent_final += u64::from(p.invocations_used);
-                                if !p.target_met {
-                                    unmet_ids.push(cell.id.canonical());
-                                }
-                            }
-                            // Archived without a precision record (a sink
-                            // without the side-channel): count the cell's
-                            // configured size.
-                            None => spent_final += u64::from(cell.config.invocations),
-                        }
-                        skipped.push((cell, receipt.run_id));
-                    }
-                    None => pending.push(cell),
-                }
-            }
-        } else {
-            pending = cells;
-        }
-
-        let meta = CampaignJournalMeta {
-            fingerprint: fingerprint.clone(),
-            cells: total as u32,
-        };
-        let writer = match &self.journal_path {
-            Some(path) => {
-                let mut w = CampaignJournalWriter::create(path, &meta)
-                    .map_err(|e| CampaignError::Journal(e.to_string()))?;
-                for (cell, run_id) in &skipped {
-                    w.append_cell(&CellDone {
-                        index: cell.index as u32,
-                        id: cell.id.canonical(),
-                        run_id: run_id.clone(),
-                    })
-                    .map_err(|e| CampaignError::Journal(e.to_string()))?;
-                }
-                Some(Mutex::new(w))
-            }
-            None => None,
-        };
-
-        let completed = AtomicU32::new(skipped.len() as u32);
-        let executed = AtomicUsize::new(0);
-        let stolen = AtomicUsize::new(0);
-        // Measurement-ticket budget shared across all rounds, so
-        // `max_cells` interrupts an adaptive run mid-refinement too.
-        let tickets = AtomicUsize::new(self.max_cells.unwrap_or(usize::MAX));
-        let quarantined: Mutex<Vec<String>> = Mutex::new(Vec::new());
-        let failures: Mutex<Vec<(String, String)>> = Mutex::new(Vec::new());
-        let mut rounds: u32 = 0;
-        let mut remaining: usize = 0;
-
-        std::thread::scope(|scope| {
-            let sink_events = if self.observers.is_empty() {
-                EventSink(None)
-            } else {
-                let (tx, rx) = channel::<ExperimentEvent>();
-                let observers = &self.observers;
-                scope.spawn(move || {
-                    let mut disabled = vec![false; observers.len()];
-                    for event in rx {
-                        for (idx, obs) in observers.iter().enumerate() {
-                            if disabled[idx] {
-                                continue;
-                            }
-                            let outcome = catch_unwind(AssertUnwindSafe(|| obs.on_event(&event)));
-                            if outcome.is_err() {
-                                disabled[idx] = true;
-                                eprintln!(
-                                    "rigor: observer #{idx} panicked on `{}`; \
-                                     disabling it for the rest of the campaign",
-                                    event.name()
-                                );
-                            }
-                        }
-                    }
-                });
-                EventSink(Some(tx))
+                let precision = CellPrecision {
+                    invocations_used: est.invocations,
+                    rel_half_width: est.rel_half_width,
+                    target_rel_half_width: target,
+                    target_met: est.target_met(target),
+                };
+                cell.config = cell.config.with_invocations(est.invocations);
+                run.archive(&cell, &m, Some(&precision), 0);
             };
 
-            sink_events.send(ExperimentEvent::CampaignStarted {
-                campaign: fingerprint.clone(),
-                cells: total as u32,
-                workers: self.workers as u32,
-                arrival: self.spec.arrival.to_string(),
+        // Live cells: latest measurement + estimate, keyed by grid index.
+        // The pilot is round 0; every later round's jobs come from the plan.
+        let mut estimates: BTreeMap<usize, (Cell, BenchmarkMeasurement, CellEstimate)> =
+            BTreeMap::new();
+        let mut jobs: Vec<(Cell, u32)> = pending.into_iter().map(|c| (c, cfg.pilot())).collect();
+        let mut round: u32 = 0;
+        let remaining = loop {
+            let slots = pool::run(&jobs, self.workers, &run.tickets, |_, (cell, n)| {
+                self.measure(cell, *n)
             });
-            if self.resume {
-                sink_events.send(ExperimentEvent::CampaignResumed {
-                    campaign: fingerprint.clone(),
-                    completed: skipped.len() as u32,
-                    cells: total as u32,
-                });
-            }
-
-            // Live cells: latest measurement + estimate, keyed by grid
-            // index. The pilot is round 0; every later round's jobs come
-            // from the plan.
-            let mut estimates: BTreeMap<usize, (Cell, BenchmarkMeasurement, CellEstimate)> =
-                BTreeMap::new();
-            let mut jobs: Vec<(Cell, u32)> = pending.drain(..).map(|c| (c, cfg.pilot())).collect();
-            let mut round: u32 = 0;
-            loop {
-                let outcome = run_refinement_round(
-                    jobs,
-                    self.workers,
-                    &self.spec,
-                    &self.observers,
-                    &sink_events,
-                    &tickets,
-                    &stolen,
-                    &failures,
-                );
-                for (cell, m) in outcome.measured {
-                    let est = CellEstimate::from_measurement(cell.index, &m, &detector, confidence);
-                    sink_events.send(ExperimentEvent::CellRefined {
-                        cell: cell.id.canonical(),
-                        index: cell.index as u32,
-                        round,
-                        invocations: est.invocations,
-                        rel_half_width: est.rel_half_width,
-                        target_met: est.target_met(target),
-                    });
-                    estimates.insert(cell.index, (cell, m, est));
-                }
-                for idx in outcome.failed {
-                    // A failed re-measurement drops the cell from the
-                    // campaign (recorded in `failures`); a rerun retries it.
-                    estimates.remove(&idx);
-                }
-
-                // Finalize what is done: target met, or ceiling reached.
-                let done: Vec<usize> = estimates
-                    .iter()
-                    .filter(|(_, (_, _, e))| {
-                        e.target_met(target) || e.invocations >= cfg.max_invocations
-                    })
-                    .map(|(&i, _)| i)
-                    .collect();
-                for idx in done {
-                    let (cell, m, est) = estimates.remove(&idx).expect("just listed");
-                    spent_final += u64::from(est.invocations);
-                    if !est.target_met(target) {
-                        unmet_ids.push(cell.id.canonical());
+            let mut measured = Vec::new();
+            let mut leftover = Vec::new();
+            for ((cell, _), slot) in jobs.into_iter().zip(slots) {
+                match slot {
+                    None => leftover.push(cell.index),
+                    Some(Err(e)) => {
+                        // A failed re-measurement drops the cell from the
+                        // campaign (recorded in `failures`); a rerun
+                        // retries it.
+                        run.fail(&cell, e);
+                        estimates.remove(&cell.index);
                     }
-                    finalize_cell(
-                        &cell,
-                        &m,
-                        &est,
-                        target,
-                        total,
-                        sink,
-                        &writer,
-                        &sink_events,
-                        &completed,
-                        &executed,
-                        &quarantined,
-                        &failures,
-                    );
+                    Some(Ok(m)) => measured.push((cell, m)),
                 }
-
-                if !outcome.leftover.is_empty() {
-                    // The ticket budget ran out mid-round: stop re-planning.
-                    // Cells not yet final stay unarchived for a resume. A
-                    // leftover refinement job's cell is usually already in
-                    // `estimates` (measured by the pilot) — count each
-                    // unfinished cell once.
-                    remaining = estimates.len()
-                        + outcome
-                            .leftover
-                            .iter()
-                            .filter(|i| !estimates.contains_key(i))
-                            .count();
-                    break;
-                }
-
-                round += 1;
-                let ests: Vec<CellEstimate> = estimates.values().map(|(_, _, e)| *e).collect();
-                let plan = compute_plan(&ests, spent_final, &cfg, round);
-                sink_events.send(ExperimentEvent::PlanComputed {
-                    campaign: fingerprint.clone(),
+            }
+            measured.sort_by_key(|(cell, _)| cell.index);
+            for (cell, m) in measured {
+                let est = CellEstimate::from_measurement(cell.index, &m, &detector, confidence);
+                run.events.send(ExperimentEvent::CellRefined {
+                    cell: cell.id.canonical(),
+                    index: cell.index as u32,
                     round,
-                    unmet: plan.unmet as u32,
-                    tasks: plan.tasks.len() as u32,
-                    planned: plan.planned,
-                    spent: plan.spent,
-                    budget_remaining: plan.budget_remaining,
+                    invocations: est.invocations,
+                    rel_half_width: est.rel_half_width,
+                    target_met: est.target_met(target),
                 });
-                if plan.tasks.is_empty() {
-                    if plan.exhausted {
-                        sink_events.send(ExperimentEvent::BudgetExhausted {
-                            campaign: fingerprint.clone(),
-                            round,
-                            spent: plan.spent,
-                            budget: cfg.budget.unwrap_or(0),
-                            unmet: plan.unmet as u32,
-                        });
-                    }
-                    // Final sweep: cells nothing more can be granted to are
-                    // archived at their current size, short of target.
-                    for (_, (cell, m, est)) in std::mem::take(&mut estimates) {
-                        spent_final += u64::from(est.invocations);
-                        if !est.target_met(target) {
-                            unmet_ids.push(cell.id.canonical());
-                        }
-                        finalize_cell(
-                            &cell,
-                            &m,
-                            &est,
-                            target,
-                            total,
-                            sink,
-                            &writer,
-                            &sink_events,
-                            &completed,
-                            &executed,
-                            &quarantined,
-                            &failures,
-                        );
-                    }
-                    break;
-                }
-                // The plan orders tasks widest CI first; dealing preserves
-                // that priority across the worker deques.
-                jobs = plan
-                    .tasks
-                    .iter()
-                    .filter_map(|t| {
-                        estimates
-                            .get(&t.index)
-                            .map(|(c, _, _)| (c.clone(), t.invocations))
-                    })
-                    .collect();
+                estimates.insert(cell.index, (cell, m, est));
             }
-            rounds = round;
-            drop(sink_events);
-        });
 
-        Ok(CampaignReport {
-            fingerprint,
-            total,
-            skipped: skipped.len(),
-            executed: executed.into_inner(),
-            stolen: stolen.into_inner(),
-            quarantined: quarantined.into_inner().expect("quarantine list poisoned"),
-            failures: failures.into_inner().expect("failure list poisoned"),
-            remaining,
-            rounds,
-            invocations: spent_final,
-            unmet: unmet_ids,
-        })
-    }
-}
+            // Finalize what is done: target met, or ceiling reached.
+            let done: Vec<usize> = estimates
+                .iter()
+                .filter(|(_, (_, _, e))| {
+                    e.target_met(target) || e.invocations >= cfg.max_invocations
+                })
+                .map(|(&i, _)| i)
+                .collect();
+            for idx in done {
+                let entry = estimates.remove(&idx).expect("just listed");
+                finalize(&mut spent, &mut unmet, entry);
+            }
 
-/// Measures one cell and streams it to the sink + journal, recording the
-/// outcome in the shared campaign state. Never panics the worker: every
-/// failure becomes a `failures` entry.
-#[allow(clippy::too_many_arguments)]
-fn execute_cell(
-    cell: &Cell,
-    worker: usize,
-    total: usize,
-    observers: &[Arc<dyn ExperimentObserver>],
-    sink: &dyn CellSink,
-    writer: &Option<Mutex<CampaignJournalWriter>>,
-    sink_events: &EventSink,
-    completed: &AtomicU32,
-    executed: &AtomicUsize,
-    quarantined: &Mutex<Vec<String>>,
-    failures: &Mutex<Vec<(String, String)>>,
-) {
-    let id = cell.id.canonical();
-    // The config was validated at grid expansion; a rejection here would be
-    // a logic error, but record it rather than panicking a worker.
-    let mut runner = match Runner::new(cell.config.clone()) {
-        Ok(r) => r,
-        Err(e) => {
-            record_failure(failures, &id, format!("invalid config: {e}"));
-            return;
-        }
-    };
-    for obs in observers {
-        runner = runner.observer(obs.clone());
-    }
-    let measurement = match runner.measure(&cell.workload) {
-        Ok(m) => m,
-        Err(e) => {
-            record_failure(failures, &id, e.to_string());
-            return;
-        }
-    };
-    if measurement.quarantined {
-        quarantined
-            .lock()
-            .expect("quarantine list poisoned")
-            .push(id.clone());
-    }
-    let receipt = match sink.archive_cell(cell, &measurement) {
-        Ok(r) => r,
-        Err(e) => {
-            record_failure(failures, &id, format!("sink: {e}"));
-            return;
-        }
-    };
-    if let Some(writer) = writer {
-        let done = CellDone {
-            index: cell.index as u32,
-            id: id.clone(),
-            run_id: receipt.run_id.clone(),
-        };
-        // Journal failures are reported, not fatal: losing the journal must
-        // not lose the archived cell.
-        if let Err(e) = writer
-            .lock()
-            .expect("journal writer poisoned")
-            .append_cell(&done)
-        {
-            eprintln!("rigor: campaign journal write failed (cell {id}): {e}");
-        }
-    }
-    executed.fetch_add(1, Ordering::Relaxed);
-    let done_so_far = completed.fetch_add(1, Ordering::Relaxed) + 1;
-    sink_events.send(ExperimentEvent::CellCompleted {
-        cell: id,
-        index: cell.index as u32,
-        worker: worker as u32,
-        run_id: receipt.run_id,
-        completed: done_so_far,
-        cells: total as u32,
-    });
-}
+            if !leftover.is_empty() {
+                // The ticket budget ran out mid-round: stop re-planning.
+                // Cells not yet final stay unarchived for a resume. A
+                // leftover refinement job's cell is usually already in
+                // `estimates` (measured by the pilot) — count each
+                // unfinished cell once.
+                break estimates.len()
+                    + leftover
+                        .iter()
+                        .filter(|i| !estimates.contains_key(i))
+                        .count();
+            }
 
-/// What one adaptive round's worker pool produced.
-struct RoundOutcome {
-    /// Successfully measured jobs, in grid-index order.
-    measured: Vec<(Cell, BenchmarkMeasurement)>,
-    /// Grid indices whose measurement failed (already in `failures`).
-    failed: Vec<usize>,
-    /// Grid indices of jobs left unscheduled because the ticket budget ran
-    /// out.
-    leftover: Vec<usize>,
-}
-
-/// Runs one adaptive round's jobs — (cell, sample size) pairs — on the
-/// work-stealing pool: same dealing, stealing and ticket discipline as the
-/// fixed path, but each job re-measures its cell at the job's own
-/// invocation count and the results come back to the coordinator instead
-/// of going straight to the sink.
-#[allow(clippy::too_many_arguments)]
-fn run_refinement_round(
-    jobs: Vec<(Cell, u32)>,
-    workers: usize,
-    spec: &CampaignSpec,
-    observers: &[Arc<dyn ExperimentObserver>],
-    sink_events: &EventSink,
-    tickets: &AtomicUsize,
-    stolen: &AtomicUsize,
-    failures: &Mutex<Vec<(String, String)>>,
-) -> RoundOutcome {
-    if jobs.is_empty() {
-        return RoundOutcome {
-            measured: Vec::new(),
-            failed: Vec::new(),
-            leftover: Vec::new(),
-        };
-    }
-    let workers = workers.clamp(1, jobs.len());
-    let mut deques: Vec<VecDeque<(Cell, u32)>> = (0..workers).map(|_| VecDeque::new()).collect();
-    for (i, job) in jobs.into_iter().enumerate() {
-        deques[i % workers].push_back(job);
-    }
-    let queues: Vec<Mutex<VecDeque<(Cell, u32)>>> = deques.into_iter().map(Mutex::new).collect();
-    let measured: Mutex<Vec<(Cell, BenchmarkMeasurement)>> = Mutex::new(Vec::new());
-    let failed: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-
-    std::thread::scope(|scope| {
-        for me in 0..workers {
-            let sink_events = sink_events.clone();
-            let queues = &queues;
-            let measured = &measured;
-            let failed = &failed;
-            scope.spawn(move || loop {
-                if tickets
-                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| b.checked_sub(1))
-                    .is_err()
-                {
-                    break;
-                }
-                let mut job = queues[me].lock().expect("queue poisoned").pop_front();
-                if job.is_none() {
-                    let victim = (0..queues.len())
-                        .filter(|&v| v != me)
-                        .map(|v| (v, queues[v].lock().expect("queue poisoned").len()))
-                        .filter(|&(_, len)| len > 0)
-                        .max_by_key(|&(_, len)| len)
-                        .map(|(v, _)| v);
-                    if let Some(v) = victim {
-                        job = queues[v].lock().expect("queue poisoned").pop_back();
-                        if let Some((c, _)) = &job {
-                            stolen.fetch_add(1, Ordering::Relaxed);
-                            sink_events.send(ExperimentEvent::CellStolen {
-                                cell: c.id.canonical(),
-                                index: c.index as u32,
-                                from_worker: v as u32,
-                                to_worker: me as u32,
-                            });
-                        }
-                    }
-                }
-                let Some((cell, invocations)) = job else {
-                    // Hand the unused ticket back: rounds are barriers, so
-                    // each worker drains an empty queue once per round and
-                    // losing a ticket each time would shrink `max_cells`.
-                    tickets.fetch_add(1, Ordering::Relaxed);
-                    break;
-                };
-
-                let delay = spec
-                    .arrival
-                    .delay(spec.base.experiment_seed, cell.index as u64);
-                if !delay.is_zero() {
-                    std::thread::sleep(delay);
-                }
-
-                let id = cell.id.canonical();
-                let config = cell.config.clone().with_invocations(invocations);
-                let mut runner = match Runner::new(config) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        record_failure(failures, &id, format!("invalid config: {e}"));
-                        failed
-                            .lock()
-                            .expect("failed list poisoned")
-                            .push(cell.index);
-                        continue;
-                    }
-                };
-                for obs in observers {
-                    runner = runner.observer(obs.clone());
-                }
-                match runner.measure(&cell.workload) {
-                    Ok(m) => measured
-                        .lock()
-                        .expect("measured list poisoned")
-                        .push((cell, m)),
-                    Err(e) => {
-                        record_failure(failures, &id, e.to_string());
-                        failed
-                            .lock()
-                            .expect("failed list poisoned")
-                            .push(cell.index);
-                    }
-                }
+            round += 1;
+            let ests: Vec<CellEstimate> = estimates.values().map(|(_, _, e)| *e).collect();
+            let plan = compute_plan(&ests, spent, &cfg, round);
+            run.events.send(ExperimentEvent::PlanComputed {
+                campaign: fingerprint.clone(),
+                round,
+                unmet: plan.unmet as u32,
+                tasks: plan.tasks.len() as u32,
+                planned: plan.planned,
+                spent: plan.spent,
+                budget_remaining: plan.budget_remaining,
             });
-        }
-    });
-
-    let leftover: Vec<usize> = queues
-        .into_iter()
-        .flat_map(|q| q.into_inner().expect("queue poisoned"))
-        .map(|(cell, _)| cell.index)
-        .collect();
-    let mut measured = measured.into_inner().expect("measured list poisoned");
-    measured.sort_by_key(|(c, _)| c.index);
-    RoundOutcome {
-        measured,
-        failed: failed.into_inner().expect("failed list poisoned"),
-        leftover,
-    }
-}
-
-/// Archives a cell that reached its final adaptive state, together with its
-/// precision record, then journals it and emits `cell_completed`. The cell
-/// is archived under the config it actually ran at (its final sample size),
-/// so the archive describes the measurement bytes exactly.
-#[allow(clippy::too_many_arguments)]
-fn finalize_cell(
-    cell: &Cell,
-    measurement: &BenchmarkMeasurement,
-    est: &CellEstimate,
-    target: f64,
-    total: usize,
-    sink: &dyn CellSink,
-    writer: &Option<Mutex<CampaignJournalWriter>>,
-    sink_events: &EventSink,
-    completed: &AtomicU32,
-    executed: &AtomicUsize,
-    quarantined: &Mutex<Vec<String>>,
-    failures: &Mutex<Vec<(String, String)>>,
-) {
-    let id = cell.id.canonical();
-    if measurement.quarantined {
-        quarantined
-            .lock()
-            .expect("quarantine list poisoned")
-            .push(id.clone());
-    }
-    let precision = CellPrecision {
-        invocations_used: est.invocations,
-        rel_half_width: est.rel_half_width,
-        target_rel_half_width: target,
-        target_met: est.target_met(target),
-    };
-    let mut archived = cell.clone();
-    archived.config = cell.config.clone().with_invocations(est.invocations);
-    let receipt = match sink.archive_cell_precise(&archived, measurement, &precision) {
-        Ok(r) => r,
-        Err(e) => {
-            record_failure(failures, &id, format!("sink: {e}"));
-            return;
-        }
-    };
-    if let Some(writer) = writer {
-        let done = CellDone {
-            index: cell.index as u32,
-            id: id.clone(),
-            run_id: receipt.run_id.clone(),
+            if plan.tasks.is_empty() {
+                if plan.exhausted {
+                    run.events.send(ExperimentEvent::BudgetExhausted {
+                        campaign: fingerprint.clone(),
+                        round,
+                        spent: plan.spent,
+                        budget: cfg.budget.unwrap_or(0),
+                        unmet: plan.unmet as u32,
+                    });
+                }
+                // Final sweep: cells nothing more can be granted to are
+                // archived at their current size, short of target.
+                for (_, entry) in std::mem::take(&mut estimates) {
+                    finalize(&mut spent, &mut unmet, entry);
+                }
+                break 0;
+            }
+            // The plan orders tasks widest CI first, and the pool takes
+            // jobs in order, so that priority holds across the workers.
+            jobs = plan
+                .tasks
+                .iter()
+                .filter_map(|t| {
+                    estimates
+                        .get(&t.index)
+                        .map(|(c, _, _)| (c.clone(), t.invocations))
+                })
+                .collect();
         };
-        if let Err(e) = writer
-            .lock()
-            .expect("journal writer poisoned")
-            .append_cell(&done)
-        {
-            eprintln!("rigor: campaign journal write failed (cell {id}): {e}");
+        CampaignReport {
+            remaining,
+            rounds: round,
+            invocations: spent,
+            unmet,
+            ..CampaignReport::default()
         }
     }
-    executed.fetch_add(1, Ordering::Relaxed);
-    let done_so_far = completed.fetch_add(1, Ordering::Relaxed) + 1;
-    sink_events.send(ExperimentEvent::CellCompleted {
-        cell: id,
-        index: cell.index as u32,
-        worker: 0,
-        run_id: receipt.run_id,
-        completed: done_so_far,
-        cells: total as u32,
-    });
+
+    /// Paces `cell` by its seeded arrival delay, then measures it at
+    /// `invocations` with the campaign's observers attached.
+    fn measure(&self, cell: &Cell, invocations: u32) -> Result<BenchmarkMeasurement, String> {
+        // Seeded arrival pacing: a pure function of (campaign seed, cell
+        // index), so the pattern replays under the same seed whatever the
+        // worker count.
+        let delay = self
+            .spec
+            .arrival
+            .delay(self.spec.base.experiment_seed, cell.index as u64);
+        if !delay.is_zero() {
+            std::thread::sleep(delay);
+        }
+        // The config was validated at grid expansion; a rejection here would
+        // be a logic error, but record it rather than panicking a worker.
+        let config = cell.config.clone().with_invocations(invocations);
+        let mut runner = Runner::new(config).map_err(|e| format!("invalid config: {e}"))?;
+        for obs in &self.observers {
+            runner = runner.observer(obs.clone());
+        }
+        runner.measure(&cell.workload).map_err(|e| e.to_string())
+    }
 }
 
-fn record_failure(failures: &Mutex<Vec<(String, String)>>, id: &str, error: String) {
-    failures
-        .lock()
-        .expect("failure list poisoned")
-        .push((id.to_string(), error));
+/// The adaptive ledger of a resume — invocations spent, ids short of
+/// target — over the cells an earlier run archived. Archived cells are
+/// final at their archived size; their precision records reconstruct the
+/// invocations already spent.
+fn resumed_ledger(
+    sink: &dyn CellSink,
+    skipped: &[(Cell, String)],
+) -> Result<(u64, Vec<String>), CampaignError> {
+    let mut spent = 0;
+    let mut unmet = Vec::new();
+    for (cell, _) in skipped {
+        match sink
+            .completed_precision(cell)
+            .map_err(CampaignError::Sink)?
+        {
+            Some(p) => {
+                spent += u64::from(p.invocations_used);
+                if !p.target_met {
+                    unmet.push(cell.id.canonical());
+                }
+            }
+            // Archived without a precision record (a sink without the
+            // side-channel): count the cell's configured size.
+            None => spent += u64::from(cell.config.invocations),
+        }
+    }
+    Ok((spent, unmet))
+}
+
+/// The state one campaign run shares between its workers and its report.
+struct CampaignRun<'a> {
+    sink: &'a dyn CellSink,
+    events: &'a EventSink,
+    /// Cells in the grid.
+    total: usize,
+    journal: Option<Mutex<CampaignJournalWriter>>,
+    /// Measurement jobs this run may still start, across adaptive rounds.
+    tickets: AtomicUsize,
+    /// Cells archived so far, resumed ones included.
+    completed: AtomicU32,
+    quarantined: Mutex<Vec<String>>,
+    failures: Mutex<Vec<(String, String)>>,
+}
+
+impl CampaignRun<'_> {
+    /// Streams a measured cell to the sink (with its precision record on
+    /// the adaptive path) and the journal, then emits `cell_completed`.
+    /// Never panics the worker: every failure becomes a `failures` entry.
+    fn archive(
+        &self,
+        cell: &Cell,
+        measurement: &BenchmarkMeasurement,
+        precision: Option<&CellPrecision>,
+        worker: usize,
+    ) {
+        let id = cell.id.canonical();
+        if measurement.quarantined {
+            self.quarantined
+                .lock()
+                .expect("quarantine list poisoned")
+                .push(id.clone());
+        }
+        let archived = match precision {
+            Some(p) => self.sink.archive_cell_precise(cell, measurement, p),
+            None => self.sink.archive_cell(cell, measurement),
+        };
+        let receipt = match archived {
+            Ok(r) => r,
+            Err(e) => return self.fail(cell, format!("sink: {e}")),
+        };
+        if let Some(journal) = &self.journal {
+            let done = CellDone {
+                index: cell.index as u32,
+                id: id.clone(),
+                run_id: receipt.run_id.clone(),
+            };
+            // Journal failures are reported, not fatal: losing the journal
+            // must not lose the archived cell.
+            if let Err(e) = journal
+                .lock()
+                .expect("journal writer poisoned")
+                .append_cell(&done)
+            {
+                eprintln!("rigor: campaign journal write failed (cell {id}): {e}");
+            }
+        }
+        let completed = self.completed.fetch_add(1, Ordering::Relaxed) + 1;
+        self.events.send(ExperimentEvent::CellCompleted {
+            cell: id,
+            index: cell.index as u32,
+            worker: worker as u32,
+            run_id: receipt.run_id,
+            completed,
+            cells: self.total as u32,
+        });
+    }
+
+    fn fail(&self, cell: &Cell, error: String) {
+        self.failures
+            .lock()
+            .expect("failure list poisoned")
+            .push((cell.id.canonical(), error));
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{ArrivalProcess, ConfigVariant, MemorySink};
+    use crate::campaign::{ArrivalProcess, CellReceipt, ConfigVariant, MemorySink};
     use crate::config::ExperimentConfig;
     use crate::telemetry::CollectingObserver;
     use minipy::EngineKind;
@@ -1351,13 +948,7 @@ mod tests {
     }
 
     #[test]
-    fn work_stealing_fires_on_imbalanced_queues() {
-        // 8 cells dealt onto 8 workers would give 1 each; instead deal onto
-        // 2 queues but run 8 workers by over-asking: workers clamp to
-        // pending, so force imbalance via many cells and few initial deals.
-        // Simplest observable: with workers > 1 and stealing possible, a
-        // campaign over enough cells records either perfectly local pops or
-        // some steals — assert the accounting stays consistent either way.
+    fn twelve_cells_on_three_workers_each_run_once() {
         let spec = small_spec().with_seeds(vec![1, 2, 3, 4, 5, 6]);
         let obs = Arc::new(CollectingObserver::new());
         let sink = MemorySink::new();
@@ -1367,11 +958,142 @@ mod tests {
             .run(&sink)
             .unwrap();
         assert_eq!(report.executed, 12);
-        let stolen_events = obs
+        let mut indices: Vec<u32> = obs
             .events()
             .iter()
-            .filter(|e| matches!(e, ExperimentEvent::CellStolen { .. }))
+            .filter_map(|e| match e {
+                ExperimentEvent::CellCompleted { index, .. } => Some(*index),
+                _ => None,
+            })
+            .collect();
+        indices.sort_unstable();
+        assert_eq!(indices, (0..12).collect::<Vec<u32>>());
+    }
+
+    /// Holds cell 0 inside `archive_cell` until two other cells are
+    /// archived, so the other worker runs on while cell 0's worker waits.
+    #[derive(Default)]
+    struct HoldsCellZero {
+        inner: MemorySink,
+        others: Mutex<usize>,
+        archived: std::sync::Condvar,
+    }
+
+    impl CellSink for HoldsCellZero {
+        fn archive_cell(
+            &self,
+            cell: &Cell,
+            measurement: &BenchmarkMeasurement,
+        ) -> Result<CellReceipt, String> {
+            if cell.index == 0 {
+                let others = self.others.lock().unwrap();
+                let timeout = std::time::Duration::from_secs(30);
+                drop(
+                    self.archived
+                        .wait_timeout_while(others, timeout, |n| *n < 2),
+                );
+            }
+            let receipt = self.inner.archive_cell(cell, measurement);
+            if cell.index != 0 {
+                *self.others.lock().unwrap() += 1;
+                self.archived.notify_all();
+            }
+            receipt
+        }
+
+        fn completed_cell(&self, cell: &Cell) -> Result<Option<CellReceipt>, String> {
+            self.inner.completed_cell(cell)
+        }
+    }
+
+    #[test]
+    fn max_cells_runs_the_first_pending_cells_whatever_the_timing() {
+        let sink = HoldsCellZero::default();
+        let report = Campaign::new(small_spec())
+            .workers(2)
+            .max_cells(3)
+            .run(&sink)
+            .unwrap();
+        assert_eq!((report.executed, report.remaining), (3, 1));
+        let archived: Vec<usize> = sink.inner.cells().into_iter().map(|(i, _, _)| i).collect();
+        assert_eq!(archived, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn campaign_started_reports_the_workers_the_pool_can_use() {
+        for spec in [small_spec(), adaptive_spec(planner())] {
+            let adaptive = spec.planner.is_some();
+            let obs = Arc::new(CollectingObserver::new());
+            Campaign::new(spec)
+                .workers(8)
+                .observer(obs.clone())
+                .run(&MemorySink::new())
+                .unwrap();
+            let workers: Vec<u32> = obs
+                .events()
+                .iter()
+                .filter_map(|e| match e {
+                    ExperimentEvent::CampaignStarted { workers, .. } => Some(*workers),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(
+                workers,
+                vec![4],
+                "8 workers over 4 cells (adaptive: {adaptive})"
+            );
+        }
+    }
+
+    #[test]
+    fn cell_refined_events_keep_grid_order_within_a_round() {
+        let obs = Arc::new(CollectingObserver::new());
+        Campaign::new(adaptive_spec(planner()))
+            .workers(4)
+            .observer(obs.clone())
+            .run(&MemorySink::new())
+            .unwrap();
+        let refined: Vec<(u32, u32)> = obs
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                ExperimentEvent::CellRefined { round, index, .. } => Some((*round, *index)),
+                _ => None,
+            })
+            .collect();
+        assert!(refined.len() >= 4, "the pilot refines every cell");
+        assert!(
+            refined.windows(2).all(|w| w[0] < w[1]),
+            "rounds in order, grid order within a round: {refined:?}"
+        );
+    }
+
+    #[test]
+    fn panicking_observer_does_not_stop_the_campaign() {
+        struct Grenade;
+        impl ExperimentObserver for Grenade {
+            fn on_event(&self, _event: &ExperimentEvent) {
+                panic!("observer bug");
+            }
+        }
+        let collector = Arc::new(CollectingObserver::new());
+        let sink = MemorySink::new();
+        let report = Campaign::new(small_spec())
+            .workers(2)
+            .observer(Arc::new(Grenade))
+            .observer(collector.clone())
+            .run(&sink)
+            .unwrap();
+        assert!(report.is_complete(), "{report:?}");
+        assert_eq!(sink.len(), 4);
+        let completed = collector
+            .events()
+            .iter()
+            .filter(|e| matches!(e, ExperimentEvent::CellCompleted { .. }))
             .count();
-        assert_eq!(report.stolen, stolen_events);
+        assert_eq!(
+            completed, 4,
+            "the healthy observer sees every cell_completed"
+        );
     }
 }

@@ -39,8 +39,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Sender};
+use std::sync::atomic::AtomicUsize;
 use std::sync::{Arc, Mutex};
 
 use minipy::{invocation_seed, CompiledProgram, MpError, MpResult, RuntimeErrorKind, Session};
@@ -50,23 +49,8 @@ use crate::checkpoint::{Journal, JournalMeta, JournalWriter};
 use crate::config::{ConfigError, ExperimentConfig};
 use crate::fault::{FaultPlan, InjectedFault};
 use crate::measurement::{BenchmarkMeasurement, CensoredInvocation, FailureKind, InvocationRecord};
-use crate::telemetry::{ExperimentEvent, ExperimentObserver};
-
-/// A cloneable event outlet handed to worker threads; a no-op when the
-/// runner has no observers, so telemetry costs nothing unless asked for.
-#[derive(Clone)]
-struct EventSink(Option<Sender<ExperimentEvent>>);
-
-impl EventSink {
-    fn send(&self, event: ExperimentEvent) {
-        if let Some(tx) = &self.0 {
-            // The drain finishes only when every sender is dropped; a send
-            // cannot fail while the experiment runs, but measurement must
-            // proceed regardless either way.
-            let _ = tx.send(event);
-        }
-    }
-}
+use crate::pool;
+use crate::telemetry::{with_events, EventSink, ExperimentEvent, ExperimentObserver};
 
 /// The seed for one attempt of one invocation. Attempt 0 is the canonical
 /// per-invocation seed (identical to pre-retry behavior, so existing
@@ -359,7 +343,6 @@ impl Runner {
     pub fn measure_source(&self, source: &str, benchmark: &str) -> MpResult<BenchmarkMeasurement> {
         let config = &self.config;
         let n = config.invocations as usize;
-        let threads = config.threads.clamp(1, n.max(1));
 
         // Parse once, evaluate many: the workload is compiled a single time
         // and every invocation (and retry) instantiates a cheap VM over the
@@ -383,51 +366,13 @@ impl Runner {
                 }
             }
         }
-        let replayed: Vec<bool> = slots.iter().map(|s| s.is_some()).collect();
 
         let writer = match &self.journal_path {
             Some(path) => Some(Mutex::new(open_journal(path, config, benchmark)?)),
             None => None,
         };
 
-        let slots = Mutex::new(slots);
-        let next = AtomicUsize::new(0);
-        let mut quarantined = false;
-
-        std::thread::scope(|scope| {
-            // Telemetry drain: a dedicated thread fans events out to the
-            // observers so `on_event` never runs on a timing thread. With no
-            // observers there is no channel and no drain at all.
-            let sink = if self.observers.is_empty() {
-                EventSink(None)
-            } else {
-                let (tx, rx) = channel::<ExperimentEvent>();
-                let observers = &self.observers;
-                scope.spawn(move || {
-                    let mut disabled = vec![false; observers.len()];
-                    for event in rx {
-                        for (idx, obs) in observers.iter().enumerate() {
-                            if disabled[idx] {
-                                continue;
-                            }
-                            let outcome = catch_unwind(AssertUnwindSafe(|| obs.on_event(&event)));
-                            if outcome.is_err() {
-                                // Disable the observer so the panic is
-                                // reported exactly once and the drain (and
-                                // the measurement) survive.
-                                disabled[idx] = true;
-                                eprintln!(
-                                    "rigor: observer #{idx} panicked on `{}`; \
-                                     disabling it for the rest of the experiment",
-                                    event.name()
-                                );
-                            }
-                        }
-                    }
-                });
-                EventSink(Some(tx))
-            };
-
+        let quarantined = with_events(&self.observers, "experiment", |sink| {
             sink.send(ExperimentEvent::ExperimentStarted {
                 benchmark: benchmark.to_string(),
                 engine: config.engine.name().to_string(),
@@ -438,60 +383,42 @@ impl Runner {
             // Re-journal replayed outcomes first so a journaled resume ends
             // with a complete, self-contained file.
             if let Some(writer) = &writer {
-                let slots_guard = slots.lock().expect("result slots poisoned");
-                for (i, slot) in slots_guard.iter().enumerate() {
+                for (i, slot) in slots.iter().enumerate() {
                     if let Some(outcome) = slot {
-                        journal_outcome(writer, outcome, benchmark, i as u32, &sink);
+                        journal_outcome(writer, outcome, benchmark, i as u32, sink);
                     }
                 }
             }
 
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
-                    let sink = sink.clone();
-                    let slots = &slots;
-                    let next = &next;
-                    let replayed = &replayed;
-                    let writer = &writer;
-                    let faults = self.fault_plan.as_ref();
-                    let program = &program;
-                    scope.spawn(move || loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        if replayed[i] {
-                            continue;
-                        }
-                        let outcome =
-                            run_with_retries(program, benchmark, i as u32, config, &sink, faults);
-                        if let Some(writer) = writer {
-                            journal_outcome(writer, &outcome, benchmark, i as u32, &sink);
-                        }
-                        slots.lock().expect("result slots poisoned")[i] = Some(outcome);
-                    })
-                })
+            let pending: Vec<u32> = (0..config.invocations)
+                .filter(|&i| slots[i as usize].is_none())
                 .collect();
-            for w in workers {
-                // A worker loop itself cannot panic (invocations are
-                // guarded), but join defensively rather than unwinding
-                // through the scope.
-                let _ = w.join();
+            let faults = self.fault_plan.as_ref();
+            let outcomes = pool::run(
+                &pending,
+                config.threads,
+                &AtomicUsize::new(usize::MAX),
+                |_, &i| {
+                    let outcome = run_with_retries(&program, benchmark, i, config, sink, faults);
+                    if let Some(writer) = &writer {
+                        journal_outcome(writer, &outcome, benchmark, i, sink);
+                    }
+                    outcome
+                },
+            );
+            for (i, outcome) in pending.into_iter().zip(outcomes) {
+                slots[i as usize] = outcome;
             }
 
             let failed = slots
-                .lock()
-                .expect("result slots poisoned")
                 .iter()
                 .filter(|s| matches!(s, Some(Outcome::Censored(_)) | Some(Outcome::Fatal(_))))
                 .count() as u32;
             let censored = slots
-                .lock()
-                .expect("result slots poisoned")
                 .iter()
                 .filter(|s| matches!(s, Some(Outcome::Censored(_))))
                 .count() as u32;
-            quarantined = n > 0 && f64::from(censored) / n as f64 > config.quarantine_threshold;
+            let quarantined = n > 0 && f64::from(censored) / n as f64 > config.quarantine_threshold;
             if quarantined {
                 sink.send(ExperimentEvent::BenchmarkQuarantined {
                     benchmark: benchmark.to_string(),
@@ -504,16 +431,13 @@ impl Runner {
                 engine: config.engine.name().to_string(),
                 failed_invocations: failed,
             });
-            // Dropping the last sender ends the drain loop; the scope then
-            // joins the drain thread, so observers have seen every event
-            // before measure_source returns.
-            drop(sink);
+            quarantined
         });
 
         let mut invocations = Vec::new();
         let mut censored = Vec::new();
-        for slot in slots.into_inner().expect("result slots poisoned") {
-            match slot.expect("every index visited") {
+        for slot in slots {
+            match slot.expect("an unlimited budget runs every invocation") {
                 Outcome::Measured(record) => invocations.push(record),
                 Outcome::Censored(c) => censored.push(c),
                 Outcome::Fatal(e) => return Err(e),

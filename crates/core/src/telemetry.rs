@@ -25,8 +25,8 @@
 //! and `ExperimentFinished`.
 //!
 //! Campaign orchestration (see `rigor::campaign`) wraps many such streams:
-//! the run-level events `CampaignStarted`, `CellCompleted`, `CellStolen` and
-//! `CampaignResumed` bracket the per-cell experiment streams, all flowing to
+//! the run-level events `CampaignStarted`, `CampaignResumed` and
+//! `CellCompleted` bracket the per-cell experiment streams, all flowing to
 //! the same observers.
 //!
 //! Observers receive events on a dedicated drain thread — never on the
@@ -34,7 +34,9 @@
 //! parallel invocations. Implementations must therefore be `Send + Sync`.
 
 use std::io::Write;
-use std::sync::Mutex;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use serde::json::{DeError, JsonValue};
@@ -243,7 +245,10 @@ pub enum ExperimentEvent {
         cells: u32,
     },
     /// An idle worker stole a queued cell from another worker's deque.
-    /// A *run-level* event.
+    /// A *run-level* event. No longer emitted: campaign workers take cells
+    /// in grid order from one shared queue, so nothing is stolen. The
+    /// variant stays so that `--trace` files written by earlier versions
+    /// still parse.
     CellStolen {
         /// Canonical cell id of the stolen cell.
         cell: String,
@@ -862,6 +867,66 @@ impl Deserialize for ExperimentEvent {
 pub trait ExperimentObserver: Send + Sync {
     /// Handles one event.
     fn on_event(&self, event: &ExperimentEvent);
+}
+
+/// Where workers send events: a no-op without observers, so telemetry costs
+/// nothing unless asked for.
+pub(crate) struct EventSink(Option<Sender<ExperimentEvent>>);
+
+impl EventSink {
+    /// Queues `event` for the observers.
+    pub(crate) fn send(&self, event: ExperimentEvent) {
+        if let Some(tx) = &self.0 {
+            // The drain outlives every sender, so a send cannot fail; the
+            // measurement must proceed regardless either way.
+            let _ = tx.send(event);
+        }
+    }
+}
+
+/// Runs `body` with an [`EventSink`] whose events a dedicated drain thread
+/// fans out to `observers`, so `on_event` never runs on a timing thread, and
+/// returns once the observers have seen every event. With no observers there
+/// is no channel and no drain at all.
+///
+/// A panicking observer is caught, disabled for the rest of the `scope` (the
+/// `"experiment"` or `"campaign"` its one stderr note names) and cannot kill
+/// the drain, the other observers or the measurement.
+pub(crate) fn with_events<T>(
+    observers: &[Arc<dyn ExperimentObserver>],
+    scope: &str,
+    body: impl FnOnce(&EventSink) -> T,
+) -> T {
+    if observers.is_empty() {
+        return body(&EventSink(None));
+    }
+    let (tx, rx) = channel::<ExperimentEvent>();
+    std::thread::scope(|threads| {
+        threads.spawn(move || {
+            let mut disabled = vec![false; observers.len()];
+            for event in rx {
+                for (idx, obs) in observers.iter().enumerate() {
+                    if disabled[idx] {
+                        continue;
+                    }
+                    if catch_unwind(AssertUnwindSafe(|| obs.on_event(&event))).is_err() {
+                        disabled[idx] = true;
+                        eprintln!(
+                            "rigor: observer #{idx} panicked on `{}`; \
+                             disabling it for the rest of the {scope}",
+                            event.name()
+                        );
+                    }
+                }
+            }
+        });
+        let events = EventSink(Some(tx));
+        let out = body(&events);
+        // Dropping the last sender ends the drain loop; the scope then joins
+        // the drain, so the observers have seen every event by the return.
+        drop(events);
+        out
+    })
 }
 
 /// Ignores every event. Useful as an explicit "no telemetry" default and in

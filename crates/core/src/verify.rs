@@ -1,23 +1,17 @@
 //! Parallel driver for the differential verification grid.
 //!
 //! `rigor verify` expands the (workload × size × engine × seed) grid via
-//! [`rigor_workloads::verify::grid`] and this module runs it on the same
-//! work-stealing discipline as the campaign orchestrator: cells are dealt
-//! round-robin onto per-worker deques, each worker pops its own deque from
-//! the front, and an idle worker steals from the back of the longest
-//! victim deque. An atomic ticket budget bounds total executions so a
-//! panicking worker can never strand cells in a queue another worker
-//! could have drained.
-//!
-//! The driver is deterministic in its *results* (cells are index-addressed
-//! so report order never depends on scheduling), though which worker runs
-//! which cell is not.
+//! [`rigor_workloads::verify::grid`] and this module runs it on the
+//! crate's one in-order worker pool, the one the campaign orchestrator
+//! uses: workers take cells in grid order from a shared index, and each
+//! result lands in its cell's slot, so the report never depends on which
+//! worker ran which cell or in what order they finished.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::AtomicUsize;
 
 use rigor_workloads::verify::{build_report, CellError, Manifest, VerifyCell, VerifyReport};
+
+use crate::pool;
 
 /// Runs every cell of the grid across `workers` threads and folds the
 /// outcomes against `manifest` into a [`VerifyReport`].
@@ -38,74 +32,13 @@ pub fn execute_all(
     cells: Vec<VerifyCell>,
     workers: usize,
 ) -> Vec<(VerifyCell, Result<String, CellError>)> {
-    if cells.is_empty() {
-        return Vec::new();
-    }
-    let workers = workers.clamp(1, cells.len());
-    let total = cells.len();
-
-    // Deal cells round-robin onto per-worker deques, tagged with their
-    // grid index so results land in a stable order.
-    let queues: Vec<Mutex<VecDeque<(usize, VerifyCell)>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    let mut originals: Vec<Option<VerifyCell>> = Vec::with_capacity(total);
-    for (i, cell) in cells.into_iter().enumerate() {
-        originals.push(Some(cell.clone()));
-        queues[i % workers]
-            .lock()
-            .expect("queue poisoned")
-            .push_back((i, cell));
-    }
-
-    let budget = AtomicUsize::new(total);
-    let slots: Vec<Mutex<Option<Result<String, CellError>>>> =
-        (0..total).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for me in 0..workers {
-            let queues = &queues;
-            let budget = &budget;
-            let slots = &slots;
-            scope.spawn(move || loop {
-                // Claim an execution ticket before touching any queue.
-                if budget
-                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| b.checked_sub(1))
-                    .is_err()
-                {
-                    break;
-                }
-                // Own deque first (front) …
-                let mut work = queues[me].lock().expect("queue poisoned").pop_front();
-                // … then steal from the back of the longest other deque.
-                if work.is_none() {
-                    let victim = (0..queues.len())
-                        .filter(|&v| v != me)
-                        .map(|v| (v, queues[v].lock().expect("queue poisoned").len()))
-                        .filter(|&(_, len)| len > 0)
-                        .max_by_key(|&(_, len)| len)
-                        .map(|(v, _)| v);
-                    if let Some(v) = victim {
-                        work = queues[v].lock().expect("queue poisoned").pop_back();
-                    }
-                }
-                let Some((index, cell)) = work else { break };
-                let outcome = cell.execute();
-                *slots[index].lock().expect("slot poisoned") = Some(outcome);
-            });
-        }
+    let results = pool::run(&cells, workers, &AtomicUsize::new(usize::MAX), |_, cell| {
+        cell.execute()
     });
-
-    originals
+    cells
         .into_iter()
-        .zip(slots)
-        .map(|(cell, slot)| {
-            let cell = cell.expect("cell recorded at deal time");
-            let result = slot
-                .into_inner()
-                .expect("slot poisoned")
-                .unwrap_or_else(|| Err(CellError::Vm("cell was never executed".to_string())));
-            (cell, result)
-        })
+        .zip(results)
+        .map(|(cell, result)| (cell, result.expect("an unlimited budget runs every cell")))
         .collect()
 }
 

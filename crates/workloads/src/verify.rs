@@ -10,9 +10,8 @@
 //! exact cell and the expected/actual checksums.
 //!
 //! Execution of the grid is the driver's job (`rigor::verify` runs it on
-//! the campaign scheduler's work-stealing discipline); everything here is
-//! pure: grid expansion, single-cell execution, manifest I/O, report
-//! construction.
+//! the campaign scheduler's worker pool); everything here is pure: grid
+//! expansion, single-cell execution, manifest I/O, report construction.
 
 use std::collections::BTreeMap;
 
