@@ -50,16 +50,6 @@ pub fn dispatch(parsed: &(Command, GlobalOpts)) -> CliResult {
     }
 }
 
-/// Serialize adapter for a borrowed raw [`JsonValue`] (the vendored serde
-/// has no blanket impl on the value type itself).
-struct RawJson<'a>(&'a JsonValue);
-
-impl serde::Serialize for RawJson<'_> {
-    fn to_value(&self) -> JsonValue {
-        self.0.clone()
-    }
-}
-
 fn lookup(benchmark: &str) -> Result<Workload, CliError> {
     Ok(rigor_workloads::lookup(benchmark)?)
 }
@@ -1152,7 +1142,7 @@ fn response_names(v: &JsonValue, name: &str) -> Vec<String> {
 fn export_response_report(response: &JsonValue, opts: &GlobalOpts) -> CliResult {
     if let Some(path) = &opts.json_out {
         let report = response.get("report").cloned().unwrap_or(JsonValue::Null);
-        fs::write(path, serde_json::to_string_pretty(&RawJson(&report))?).map_err(io_err(path))?;
+        fs::write(path, serde_json::to_string_pretty(&report)?).map_err(io_err(path))?;
         println!("wrote {path}");
     }
     Ok(())

@@ -684,24 +684,6 @@ fn meta_line(meta: &CampaignJournalMeta) -> JsonValue {
     JsonValue::Object(fields)
 }
 
-// `to_string` needs a `Serialize` value; wraps the journal line shapes.
-struct JournalLine(JsonValue);
-
-impl Serialize for JournalLine {
-    fn to_value(&self) -> JsonValue {
-        self.0.clone()
-    }
-}
-
-// Raw-value passthrough for shape dispatch before typed parsing.
-struct RawValue(JsonValue);
-
-impl Deserialize for RawValue {
-    fn from_value(v: &JsonValue) -> Result<RawValue, DeError> {
-        Ok(RawValue(v.clone()))
-    }
-}
-
 /// One completed-cell line of a campaign journal.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CellDone {
@@ -730,7 +712,7 @@ impl CampaignJournalWriter {
     /// When the file cannot be created or written.
     pub fn create(path: &Path, meta: &CampaignJournalMeta) -> io::Result<CampaignJournalWriter> {
         let mut file = std::fs::File::create(path)?;
-        let line = serde_json::to_string(&JournalLine(meta_line(meta)))
+        let line = serde_json::to_string(&meta_line(meta))
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         writeln!(file, "{line}")?;
         file.flush()?;
@@ -744,7 +726,7 @@ impl CampaignJournalWriter {
     /// When the write fails.
     pub fn append_cell(&mut self, done: &CellDone) -> io::Result<u32> {
         let line = JsonValue::Object(vec![("cell".to_string(), done.to_value())]);
-        let text = serde_json::to_string(&JournalLine(line))
+        let text = serde_json::to_string(&line)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         writeln!(self.file, "{text}")?;
         // Flush per cell: the whole point is surviving a kill mid-campaign.
@@ -793,7 +775,7 @@ impl CampaignJournal {
         let first = lines
             .first()
             .ok_or_else(|| parse_err("empty journal: no meta line"))?;
-        let RawValue(head) = serde_json::from_str(first)
+        let head: JsonValue = serde_json::from_str(first)
             .map_err(|e| parse_err(format!("campaign meta line: {e}")))?;
         let magic: Option<String> = get_field(&head, "campaign").ok();
         if magic.as_deref() != Some(MAGIC) {
@@ -833,7 +815,7 @@ impl CampaignJournal {
     }
 
     fn parse_line(line: &str) -> Result<CellDone, DeError> {
-        let RawValue(v) = serde_json::from_str(line).map_err(|e| DeError::new(e.to_string()))?;
+        let v: JsonValue = serde_json::from_str(line).map_err(|e| DeError::new(e.to_string()))?;
         if v.get("cell").is_some() {
             get_field(&v, "cell")
         } else {
@@ -1078,7 +1060,7 @@ mod tests {
             fingerprint: "abcd".into(),
             cells: 2,
         };
-        let head = serde_json::to_string(&JournalLine(meta_line(&meta))).unwrap();
+        let head = serde_json::to_string(&meta_line(&meta)).unwrap();
         let text = format!("{head}\nnot json\n{head}\n");
         assert!(CampaignJournal::parse(&text).is_err());
     }

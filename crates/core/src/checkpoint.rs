@@ -75,25 +75,6 @@ fn meta_line(meta: &JournalMeta) -> JsonValue {
     JsonValue::Object(fields)
 }
 
-// `to_string` needs a `Serialize` value; wrap the three line shapes.
-struct JournalLine(JsonValue);
-
-impl Serialize for JournalLine {
-    fn to_value(&self) -> JsonValue {
-        self.0.clone()
-    }
-}
-
-// `from_str` needs a `Deserialize` target; this one just keeps the raw
-// value so journal lines can be shape-dispatched before typed parsing.
-struct RawValue(JsonValue);
-
-impl Deserialize for RawValue {
-    fn from_value(v: &JsonValue) -> Result<RawValue, DeError> {
-        Ok(RawValue(v.clone()))
-    }
-}
-
 /// Appends completed invocations to a journal file, one flushed line each.
 #[derive(Debug)]
 pub struct JournalWriter {
@@ -109,7 +90,7 @@ impl JournalWriter {
     /// When the file cannot be created or written.
     pub fn create(path: &Path, meta: &JournalMeta) -> io::Result<JournalWriter> {
         let mut file = std::fs::File::create(path)?;
-        let line = serde_json::to_string(&JournalLine(meta_line(meta)))
+        let line = serde_json::to_string(&meta_line(meta))
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         writeln!(file, "{line}")?;
         file.flush()?;
@@ -118,7 +99,7 @@ impl JournalWriter {
 
     fn append(&mut self, tag: &str, value: JsonValue) -> io::Result<u32> {
         let line = JsonValue::Object(vec![(tag.to_string(), value)]);
-        let text = serde_json::to_string(&JournalLine(line))
+        let text = serde_json::to_string(&line)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         writeln!(self.file, "{text}")?;
         // Flush per line: the whole point is surviving a kill mid-run.
@@ -187,7 +168,7 @@ impl Journal {
         let first = lines
             .first()
             .ok_or_else(|| parse_err("empty journal: no meta line"))?;
-        let RawValue(head) = serde_json::from_str(first)
+        let head: JsonValue = serde_json::from_str(first)
             .map_err(|e| parse_err(format!("journal meta line: {e}")))?;
         let magic: Option<String> = get_field(&head, "journal").ok();
         if magic.as_deref() != Some(MAGIC) {
@@ -231,7 +212,7 @@ impl Journal {
     }
 
     fn parse_line(line: &str) -> Result<ParsedLine, DeError> {
-        let RawValue(v) = serde_json::from_str(line).map_err(|e| DeError::new(e.to_string()))?;
+        let v: JsonValue = serde_json::from_str(line).map_err(|e| DeError::new(e.to_string()))?;
         if v.get("record").is_some() {
             Ok(ParsedLine::Record(get_field(&v, "record")?))
         } else if v.get("censored").is_some() {
@@ -376,14 +357,14 @@ mod tests {
 
     #[test]
     fn garbage_in_the_middle_is_an_error() {
-        let mut text = serde_json::to_string(&JournalLine(meta_line(&meta()))).unwrap();
+        let mut text = serde_json::to_string(&meta_line(&meta())).unwrap();
         text.push('\n');
         text.push_str("not json\n");
         text.push_str(
-            &serde_json::to_string(&JournalLine(JsonValue::Object(vec![(
+            &serde_json::to_string(&JsonValue::Object(vec![(
                 "record".into(),
                 record(0).to_value(),
-            )])))
+            )]))
             .unwrap(),
         );
         text.push('\n');

@@ -274,16 +274,6 @@ impl Serialize for Envelope<'_> {
     }
 }
 
-// `from_str` needs a `Deserialize` target; keep the raw value so the
-// envelope can be shape-dispatched (v0 array vs. versioned object).
-struct RawValue(JsonValue);
-
-impl Deserialize for RawValue {
-    fn from_value(v: &JsonValue) -> Result<RawValue, DeError> {
-        Ok(RawValue(v.clone()))
-    }
-}
-
 /// Serializes measurements to pretty JSON under a `schema_version`
 /// envelope (see [`SCHEMA_VERSION`]).
 ///
@@ -304,12 +294,22 @@ pub fn to_json(measurements: &[BenchmarkMeasurement]) -> serde_json::Result<Stri
 ///
 /// Malformed JSON, or a `schema_version` newer than this build understands.
 pub fn from_json(json: &str) -> serde_json::Result<Vec<BenchmarkMeasurement>> {
-    let RawValue(v) = serde_json::from_str(json)?;
+    from_json_value(&serde_json::from_str(json)?)
+}
+
+/// [`from_json`] over an already-parsed document, such as a field of a
+/// larger request body: the same envelope and bare-array handling.
+///
+/// # Errors
+///
+/// A shape mismatch, or a `schema_version` newer than this build
+/// understands.
+pub fn from_json_value(v: &JsonValue) -> serde_json::Result<Vec<BenchmarkMeasurement>> {
     if let JsonValue::Array(_) = v {
         // v0: a bare array, no envelope.
-        return Deserialize::from_value(&v).map_err(serde_json::Error::from);
+        return Deserialize::from_value(v).map_err(serde_json::Error::from);
     }
-    let version = get_field::<Option<u32>>(&v, "schema_version")
+    let version = get_field::<Option<u32>>(v, "schema_version")
         .map_err(serde_json::Error::from)?
         .unwrap_or(0);
     if version > SCHEMA_VERSION {
@@ -318,7 +318,7 @@ pub fn from_json(json: &str) -> serde_json::Result<Vec<BenchmarkMeasurement>> {
              only understands versions up to {SCHEMA_VERSION}"
         ))));
     }
-    get_field(&v, "measurements").map_err(serde_json::Error::from)
+    get_field(v, "measurements").map_err(serde_json::Error::from)
 }
 
 #[cfg(test)]

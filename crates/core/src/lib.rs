@@ -92,7 +92,7 @@ pub use campaign::{
 pub use checkpoint::{Journal, JournalMeta, JournalWriter};
 pub use compare::{compare, compare_suite, CompareError, SpeedupResult, SuiteComparison};
 pub use config::{ConfigError, ExperimentConfig};
-pub use export::{from_csv, from_json, to_csv, to_json, SCHEMA_VERSION};
+pub use export::{from_csv, from_json, from_json_value, to_csv, to_json, SCHEMA_VERSION};
 pub use fault::{FaultPlan, InjectedFault, NetFault, NetFaultPlan};
 pub use measurement::{
     BenchmarkMeasurement, CensoredInvocation, FailureKind, InvocationRecord, IterationCounters,

@@ -30,7 +30,7 @@ use rigor::measurement::BenchmarkMeasurement;
 use rigor::{ExperimentConfig, ExperimentEvent, ExperimentObserver};
 use rigor_store::{parse_record_line, record_line, RunRecord, Store, StoreError};
 use serde::json::JsonValue;
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 
 use crate::http::{read_response, write_request};
 
@@ -154,15 +154,6 @@ struct SeqAck {
 #[derive(Deserialize)]
 struct HealthAck {
     runs: u64,
-}
-
-/// Deserialize adapter capturing a raw [`JsonValue`].
-struct RawValue(JsonValue);
-
-impl Deserialize for RawValue {
-    fn from_value(v: &JsonValue) -> Result<RawValue, serde::json::DeError> {
-        Ok(RawValue(v.clone()))
-    }
 }
 
 /// Mutable client state: breaker bookkeeping plus the spool.
@@ -394,9 +385,9 @@ impl RemoteStore {
 
     /// Pulls the server's `{"error": ...}` message out of an error body.
     fn error_message(body: &str) -> String {
-        serde_json::from_str::<RawValue>(body)
+        serde_json::from_str::<JsonValue>(body)
             .ok()
-            .and_then(|RawValue(v)| v.get("error").and_then(|e| e.as_str().map(String::from)))
+            .and_then(|v| v.get("error").and_then(|e| e.as_str().map(String::from)))
             .unwrap_or_else(|| body.trim().to_string())
     }
 
@@ -596,9 +587,9 @@ impl RemoteStore {
     /// Transport failures after retries and server-reported errors (e.g.
     /// an empty server archive → 404).
     pub fn check(&self, request: &JsonValue) -> Result<JsonValue, RemoteError> {
-        let body = serde_json::to_string(&RawRef(request)).expect("plain data");
+        let body = serde_json::to_string(request).expect("plain data");
         let resp = self.expect_ok("check", "POST", "/check", &body)?;
-        self.parse::<RawValue>(&resp).map(|RawValue(v)| v)
+        self.parse(&resp)
     }
 
     /// Runs changepoint analysis server-side (`POST /trend`).
@@ -607,9 +598,9 @@ impl RemoteStore {
     ///
     /// Transport failures after retries and server-reported errors.
     pub fn trend(&self, request: &JsonValue) -> Result<JsonValue, RemoteError> {
-        let body = serde_json::to_string(&RawRef(request)).expect("plain data");
+        let body = serde_json::to_string(request).expect("plain data");
         let resp = self.expect_ok("trend", "POST", "/trend", &body)?;
-        self.parse::<RawValue>(&resp).map(|RawValue(v)| v)
+        self.parse(&resp)
     }
 
     /// Appends `record` to the spool unless a record with the same label
@@ -672,15 +663,6 @@ impl RemoteStore {
             });
         }
         Ok((replayed, remaining))
-    }
-}
-
-/// Serialize adapter for a borrowed [`JsonValue`].
-struct RawRef<'a>(&'a JsonValue);
-
-impl Serialize for RawRef<'_> {
-    fn to_value(&self) -> JsonValue {
-        self.0.clone()
     }
 }
 
@@ -852,6 +834,24 @@ mod tests {
         assert_eq!(history[0].id, record.id);
         assert_eq!(history[0].label.as_deref(), Some("a/b"));
 
+        handle.stop();
+        join.join().unwrap();
+        std::fs::remove_dir_all(&store_dir).ok();
+    }
+
+    #[test]
+    fn a_body_nested_too_deep_is_rejected_and_the_server_keeps_serving() {
+        let store_dir = temp_dir("server-deep-body");
+        let (url, handle, join) = start_server(&store_dir, None);
+        let hostile = "[".repeat(200_000);
+        for (method, path) in [("PUT", "/runs"), ("POST", "/check"), ("POST", "/trend")] {
+            let mut stream = TcpStream::connect(&url).unwrap();
+            write_request(&mut stream, method, path, &hostile).unwrap();
+            let (status, body) = read_response(&mut stream).unwrap();
+            assert_eq!(status, 400, "{method} {path}: {body}");
+            assert!(body.contains("nesting"), "{method} {path}: {body}");
+        }
+        assert_eq!(fast_client(&url).ping().unwrap(), 0);
         handle.stop();
         join.join().unwrap();
         std::fs::remove_dir_all(&store_dir).ok();

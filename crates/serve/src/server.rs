@@ -40,25 +40,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::http::{read_request, write_response, Request};
 
-/// Serialize adapter for a raw [`JsonValue`] (the vendored serde has no
-/// blanket impl on the value type itself).
-struct Raw(JsonValue);
-
-impl Serialize for Raw {
-    fn to_value(&self) -> JsonValue {
-        self.0.clone()
-    }
-}
-
-/// Deserialize adapter capturing a raw [`JsonValue`].
-struct RawValue(JsonValue);
-
-impl Deserialize for RawValue {
-    fn from_value(v: &JsonValue) -> Result<RawValue, DeError> {
-        Ok(RawValue(v.clone()))
-    }
-}
-
 /// Reads an optional body field, treating `null` and absence alike.
 fn opt_field<T: Deserialize>(v: &JsonValue, name: &str) -> Result<Option<T>, DeError> {
     match v.get(name) {
@@ -70,7 +51,7 @@ fn opt_field<T: Deserialize>(v: &JsonValue, name: &str) -> Result<Option<T>, DeE
 }
 
 fn json_str(fields: Vec<(String, JsonValue)>) -> String {
-    serde_json::to_string(&Raw(JsonValue::Object(fields))).expect("plain data")
+    serde_json::to_string(&JsonValue::Object(fields)).expect("plain data")
 }
 
 fn error_body(message: &str) -> String {
@@ -439,18 +420,13 @@ fn trend_config_from(v: &JsonValue) -> Result<rigor::TrendConfig, DeError> {
 /// `POST /check`: gate client-measured benchmarks against a baseline
 /// selected from the *server's* archive — the authoritative history.
 fn post_check(req: &Request, store: &Mutex<Store>) -> Response {
-    let body = match serde_json::from_str::<RawValue>(&req.body) {
-        Ok(RawValue(v)) => v,
+    let body = match serde_json::from_str::<JsonValue>(&req.body) {
+        Ok(v) => v,
         Err(e) => return bad_request(&format!("bad check request: {e}")),
     };
-    let current = match body.get("measurements") {
-        Some(m) => {
-            let text = serde_json::to_string(&Raw(m.clone())).expect("plain data");
-            match rigor::from_json(&text) {
-                Ok(ms) => ms,
-                Err(e) => return bad_request(&format!("bad measurements: {e}")),
-            }
-        }
+    let current = match body.get("measurements").map(rigor::from_json_value) {
+        Some(Ok(ms)) => ms,
+        Some(Err(e)) => return bad_request(&format!("bad measurements: {e}")),
         None => return bad_request("missing `measurements`"),
     };
     let policy = match policy_from(&body) {
@@ -498,8 +474,8 @@ fn post_check(req: &Request, store: &Mutex<Store>) -> Response {
 
 /// `POST /trend`: changepoint analysis over the server's archive.
 fn post_trend(req: &Request, store: &Mutex<Store>) -> Response {
-    let body = match serde_json::from_str::<RawValue>(&req.body) {
-        Ok(RawValue(v)) => v,
+    let body = match serde_json::from_str::<JsonValue>(&req.body) {
+        Ok(v) => v,
         Err(e) => return bad_request(&format!("bad trend request: {e}")),
     };
     let cfg = match trend_config_from(&body) {

@@ -22,10 +22,9 @@ use std::path::{Path, PathBuf};
 use rigor::measurement::BenchmarkMeasurement;
 use rigor::ExperimentConfig;
 use serde::json::{get_field, DeError, JsonValue};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
-use crate::hash::content_hash;
-use crate::record::{Payload, RunRecord};
+use crate::record::RunRecord;
 
 /// File name of the archive journal inside the store directory.
 pub const ARCHIVE_FILE: &str = "archive.jsonl";
@@ -127,22 +126,12 @@ fn io_err(path: &Path) -> impl Fn(io::Error) -> StoreError + '_ {
     }
 }
 
-/// `from_str` needs a `Deserialize` target; keeps the raw value for
-/// shape dispatch.
-struct RawValue(JsonValue);
-
-impl Deserialize for RawValue {
-    fn from_value(v: &JsonValue) -> Result<RawValue, DeError> {
-        Ok(RawValue(v.clone()))
-    }
-}
-
 fn meta_line_text() -> String {
     let meta = JsonValue::Object(vec![
         ("store".into(), JsonValue::Str(MAGIC.into())),
         ("version".into(), VERSION.to_value()),
     ]);
-    serde_json::to_string(&Payload(meta)).expect("meta is plain data")
+    serde_json::to_string(&meta).expect("meta is plain data")
 }
 
 /// Formats one record line — `{"len":N,"hash":"…","run":{…}}` — the unit of
@@ -166,17 +155,16 @@ pub fn record_line(record: &RunRecord) -> String {
 /// Malformed JSON, a missing field, or a length/content-hash mismatch
 /// between the header and the re-serialized payload.
 pub fn parse_record_line(line: &str) -> Result<RunRecord, DeError> {
-    let RawValue(v) = serde_json::from_str(line).map_err(|e| DeError::new(e.to_string()))?;
+    let v: JsonValue = serde_json::from_str(line).map_err(|e| DeError::new(e.to_string()))?;
     let len: u64 = get_field(&v, "len")?;
     let hash: String = get_field(&v, "hash")?;
     let run = v
         .get("run")
         .ok_or_else(|| DeError::new("missing `run` field"))?;
-    let record = RunRecord::from_payload(run)?;
-    // `record.id` was recomputed from the canonical re-serialization of the
-    // parsed payload, so comparing it against the stored hash (and length)
+    // The id is the hash of the canonical re-serialization of the parsed
+    // payload, so comparing it (and that text's length) against the header
     // verifies every byte that matters survived.
-    let payload = record.payload_json();
+    let (record, payload) = RunRecord::from_payload_canonical(run)?;
     if payload.len() as u64 != len {
         return Err(DeError::new(format!(
             "length mismatch: header says {len}, payload re-serializes to {}",
@@ -189,7 +177,6 @@ pub fn parse_record_line(line: &str) -> Result<RunRecord, DeError> {
             record.id
         )));
     }
-    debug_assert_eq!(record.id, content_hash(payload.as_bytes()));
     Ok(record)
 }
 
@@ -336,17 +323,17 @@ impl Store {
             path: path.display().to_string(),
             message,
         };
-        let head: RawValue = std::str::from_utf8(first)
+        let head: JsonValue = std::str::from_utf8(first)
             .map_err(|e| e.to_string())
             .and_then(|text| serde_json::from_str(text).map_err(|e| e.to_string()))
             .map_err(not_an_archive)?;
-        let magic: Option<String> = get_field(&head.0, "store").ok();
+        let magic: Option<String> = get_field(&head, "store").ok();
         if magic.as_deref() != Some(MAGIC) {
             return Err(not_an_archive(format!(
                 "missing `\"store\":\"{MAGIC}\"` tag"
             )));
         }
-        let version: u32 = get_field(&head.0, "version").unwrap_or(0);
+        let version: u32 = get_field(&head, "version").unwrap_or(0);
         if version != VERSION {
             return Err(not_an_archive(format!(
                 "unsupported archive version {version} (expected {VERSION})"
@@ -830,9 +817,7 @@ mod tests {
             .unwrap();
         // Ship the record as its wire payload and ingest it verbatim.
         let payload: JsonValue =
-            serde_json::from_str::<RawValue>(&local.latest().unwrap().payload_json())
-                .map(|RawValue(v)| v)
-                .unwrap();
+            serde_json::from_str(&local.latest().unwrap().payload_json()).unwrap();
         let parsed = RunRecord::from_payload(&payload).unwrap();
         let mut remote = Store::open(&dir_b).unwrap();
         remote.append_record(parsed).unwrap();

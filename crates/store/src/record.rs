@@ -170,7 +170,7 @@ impl RunRecord {
     /// The canonical payload as compact JSON text — the byte string the
     /// content id is computed over.
     pub fn payload_json(&self) -> String {
-        serde_json::to_string(&Payload(self.payload())).expect("payload is plain data")
+        serde_json::to_string(&self.payload()).expect("payload is plain data")
     }
 
     /// Rebuilds a record from a payload value, recomputing its id from the
@@ -181,6 +181,13 @@ impl RunRecord {
     /// Missing/mistyped fields, or a schema version this build does not
     /// understand.
     pub fn from_payload(v: &JsonValue) -> Result<RunRecord, DeError> {
+        RunRecord::from_payload_canonical(v).map(|(record, _)| record)
+    }
+
+    /// [`RunRecord::from_payload`], also returning the canonical payload
+    /// text the id was computed over, so a caller checking a stored length
+    /// does not serialize the record a second time.
+    pub(crate) fn from_payload_canonical(v: &JsonValue) -> Result<(RunRecord, String), DeError> {
         let schema_version: u32 = get_field(v, "schema_version")?;
         if schema_version > RECORD_SCHEMA_VERSION {
             return Err(DeError::new(format!(
@@ -198,8 +205,9 @@ impl RunRecord {
             measurements: get_field(v, "measurements")?,
             precision: get_field(v, "precision")?,
         };
-        record.id = content_hash(record.payload_json().as_bytes());
-        Ok(record)
+        let payload = record.payload_json();
+        record.id = content_hash(payload.as_bytes());
+        Ok((record, payload))
     }
 
     /// The first 12 hex characters of the id — what tables print.
@@ -218,15 +226,6 @@ impl RunRecord {
             .iter()
             .map(|m| m.benchmark.as_str())
             .collect()
-    }
-}
-
-/// `serde_json::to_string` needs a `Serialize` value; wraps a raw payload.
-pub(crate) struct Payload(pub JsonValue);
-
-impl Serialize for Payload {
-    fn to_value(&self) -> JsonValue {
-        self.0.clone()
     }
 }
 
