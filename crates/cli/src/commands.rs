@@ -10,11 +10,11 @@ use rigor::{
     ExperimentConfig, ExperimentEvent, ExperimentObserver, FaultPlan, Journal, JsonlTraceObserver,
     PlannerConfig, ProgressObserver, SteadyStateDetector, Table, WarmupClassifier,
 };
-use rigor_serve::{ArchiveServer, RemoteStore, ServeError};
+use rigor_serve::{ArchiveServer, CheckResponse, RemoteStore, ServeError, TrendResponse};
 use rigor_store::{BaselineRef, ConfigFingerprint, RunRecord, Store};
 use rigor_workloads::{characterize, find, suite, verify, Size, Workload};
 use serde::json::JsonValue;
-use serde::Serialize as _;
+use serde::{Deserialize, Serialize as _};
 
 use crate::args::{Command, GlobalOpts, ParseError, USAGE};
 use crate::error::{io_err, CliError};
@@ -987,14 +987,65 @@ fn cmd_trend(benchmark: Option<&str>, opts: &GlobalOpts) -> CliResult {
         Some(b) => vec![b.to_string()],
         None => rigor_store::benchmark_names(&store),
     };
-    if names.is_empty() {
-        println!("no archived runs in {} — nothing to analyze", opts.store);
+    let det = SteadyStateDetector::default();
+    let report = rigor_store::trend_report(&store, &names, &det, &trend_config(opts));
+    print_trend(&report, &opts.store, store.len(), &observers(opts)?, opts)
+}
+
+/// The trend-shape fields of a server request body, from whichever flags
+/// were given; unset flags stay at the server's defaults.
+fn trend_request_fields(opts: &GlobalOpts) -> Vec<(String, JsonValue)> {
+    let mut fields: Vec<(String, JsonValue)> =
+        vec![("confidence".into(), opts.confidence.to_value())];
+    if let Some(m) = opts.min_segment {
+        fields.push(("min_segment".into(), m.to_value()));
+    }
+    if let Some(p) = opts.penalty {
+        // `Penalty` round-trips through its display form ("auto", "bic",
+        // or a factor), which is what the server parses back.
+        fields.push(("penalty".into(), p.to_string().to_value()));
+    }
+    if let Some(q) = opts.fdr {
+        fields.push(("fdr".into(), q.to_value()));
+    }
+    if let Some(c) = &opts.correction {
+        fields.push(("correction".into(), c.to_value()));
+    }
+    fields
+}
+
+/// `rigor trend --store-url`: the same analysis, executed server-side over
+/// the service's authoritative archive and printed as the local form
+/// prints it.
+fn cmd_trend_remote(benchmark: Option<&str>, opts: &GlobalOpts, url: &str) -> CliResult {
+    let obs = observers(opts)?;
+    let client = remote_client(url, opts, &obs);
+    let mut fields = trend_request_fields(opts);
+    if let Some(b) = benchmark {
+        fields.push(("benchmark".into(), b.to_value()));
+    }
+    let response = client
+        .trend(&JsonValue::Object(fields))
+        .map_err(remote_err(url))?;
+    let response: TrendResponse = decode_response(url, response)?;
+    print_trend(&response.report, url, response.runs, &obs, opts)
+}
+
+/// Prints a trend report's tables and summary, writes `--json`, emits the
+/// `changepoint_detected` and `trend_analyzed` events, and turns alerts
+/// into the exit-1 error. `source` names the archive of `runs` runs.
+fn print_trend(
+    report: &rigor::TrendReport,
+    source: &str,
+    runs: usize,
+    obs: &[Arc<dyn ExperimentObserver>],
+    opts: &GlobalOpts,
+) -> CliResult {
+    if report.benchmarks.is_empty() {
+        println!("no archived runs in {source} — nothing to analyze");
         return Ok(());
     }
-    let det = SteadyStateDetector::default();
-    let config = trend_config(opts);
-    let report = rigor_store::trend_report(&store, &names, &det, &config);
-
+    let config = &report.config;
     let mut table = Table::new(vec![
         "benchmark",
         "runs",
@@ -1005,13 +1056,8 @@ fn cmd_trend(benchmark: Option<&str>, opts: &GlobalOpts) -> CliResult {
         "note",
     ])
     .with_title(format!(
-        "trend analysis of {} ({} run(s), min-segment {}, penalty {}, correction {}, q {})",
-        opts.store,
-        store.len(),
-        config.min_segment,
-        config.penalty,
-        config.correction,
-        config.fdr_q
+        "trend analysis of {source} ({runs} run(s), min-segment {}, penalty {}, correction {}, q {})",
+        config.min_segment, config.penalty, config.correction, config.fdr_q
     ));
     for b in &report.benchmarks {
         table.row(vec![
@@ -1063,9 +1109,8 @@ fn cmd_trend(benchmark: Option<&str>, opts: &GlobalOpts) -> CliResult {
         .map(|b| b.benchmark.clone())
         .collect();
     println!(
-        "analyzed {} benchmark(s) over {} archived run(s): {} changepoint(s), {} significant, {}",
+        "analyzed {} benchmark(s) over {runs} archived run(s): {} changepoint(s), {} significant, {}",
         report.benchmarks.len(),
-        store.len(),
         report.changepoint_count(),
         report.significant_count(),
         if alerts.is_empty() {
@@ -1078,11 +1123,10 @@ fn cmd_trend(benchmark: Option<&str>, opts: &GlobalOpts) -> CliResult {
     // `--json` exports the full typed report — what a dashboard or CI
     // pipeline consumes.
     if let Some(path) = &opts.json_out {
-        fs::write(path, serde_json::to_string_pretty(&report)?).map_err(io_err(path))?;
+        fs::write(path, serde_json::to_string_pretty(report)?).map_err(io_err(path))?;
         println!("wrote {path}");
     }
 
-    let obs = observers(opts)?;
     for b in &report.benchmarks {
         for cp in b.significant_shifts() {
             let event = ExperimentEvent::ChangepointDetected {
@@ -1098,19 +1142,19 @@ fn cmd_trend(benchmark: Option<&str>, opts: &GlobalOpts) -> CliResult {
                 p_adjusted: cp.p_adjusted.unwrap_or(cp.p_raw),
                 at_head: cp.at_head,
             };
-            for o in &obs {
+            for o in obs {
                 o.on_event(&event);
             }
         }
     }
     let event = ExperimentEvent::TrendAnalyzed {
-        store: opts.store.clone(),
+        store: source.to_string(),
         benchmarks: report.benchmarks.len() as u32,
-        runs: store.len() as u32,
+        runs: runs as u32,
         changepoints: report.changepoint_count() as u32,
         alerts: alerts.len() as u32,
     };
-    for o in &obs {
+    for o in obs {
         o.on_event(&event);
     }
 
@@ -1121,104 +1165,21 @@ fn cmd_trend(benchmark: Option<&str>, opts: &GlobalOpts) -> CliResult {
     }
 }
 
-/// Reads a `u64`-ish field out of a server response, defaulting to 0.
-fn response_u64(v: &JsonValue, name: &str) -> u64 {
-    v.get(name).and_then(|x| x.as_u64()).unwrap_or(0)
-}
-
-/// Reads a string-array field out of a server response.
-fn response_names(v: &JsonValue, name: &str) -> Vec<String> {
-    match v.get(name) {
-        Some(JsonValue::Array(xs)) => xs
-            .iter()
-            .filter_map(|x| x.as_str().map(String::from))
-            .collect(),
-        _ => Vec::new(),
-    }
-}
-
-/// Writes a raw server-side report (`"report"` in the response) to the
-/// `--json` path.
-fn export_response_report(response: &JsonValue, opts: &GlobalOpts) -> CliResult {
-    if let Some(path) = &opts.json_out {
-        let report = response.get("report").cloned().unwrap_or(JsonValue::Null);
-        fs::write(path, serde_json::to_string_pretty(&report)?).map_err(io_err(path))?;
-        println!("wrote {path}");
-    }
-    Ok(())
-}
-
-/// The trend-shape fields of a server request body, from whichever flags
-/// were given; unset flags stay at the server's defaults.
-fn trend_request_fields(opts: &GlobalOpts) -> Vec<(String, JsonValue)> {
-    let mut fields: Vec<(String, JsonValue)> =
-        vec![("confidence".into(), opts.confidence.to_value())];
-    if let Some(m) = opts.min_segment {
-        fields.push(("min_segment".into(), m.to_value()));
-    }
-    if let Some(p) = opts.penalty {
-        // `Penalty` round-trips through its display form ("auto", "bic",
-        // or a factor), which is what the server parses back.
-        fields.push(("penalty".into(), p.to_string().to_value()));
-    }
-    if let Some(q) = opts.fdr {
-        fields.push(("fdr".into(), q.to_value()));
-    }
-    if let Some(c) = &opts.correction {
-        fields.push(("correction".into(), c.to_value()));
-    }
-    fields
-}
-
-/// `rigor trend --store-url`: changepoint analysis executed server-side
-/// over the service's authoritative archive.
-fn cmd_trend_remote(benchmark: Option<&str>, opts: &GlobalOpts, url: &str) -> CliResult {
-    let obs = observers(opts)?;
-    let client = remote_client(url, opts, &obs);
-    let mut fields = trend_request_fields(opts);
-    if let Some(b) = benchmark {
-        fields.push(("benchmark".into(), b.to_value()));
-    }
-    let response = client
-        .trend(&JsonValue::Object(fields))
-        .map_err(remote_err(url))?;
-
-    let alerts = response_names(&response, "alerts");
-    println!(
-        "analyzed {} benchmark(s) over {} archived run(s) at {url}: \
-         {} changepoint(s), {} significant, {}",
-        response_u64(&response, "benchmarks"),
-        response_u64(&response, "runs"),
-        response_u64(&response, "changepoints"),
-        response_u64(&response, "significant"),
-        if alerts.is_empty() {
-            "no shift at HEAD".to_string()
-        } else {
-            format!("{} ALERT(S) ({})", alerts.len(), alerts.join(", "))
-        }
-    );
-    export_response_report(&response, opts)?;
-
-    let event = ExperimentEvent::TrendAnalyzed {
-        store: url.to_string(),
-        benchmarks: response_u64(&response, "benchmarks") as u32,
-        runs: response_u64(&response, "runs") as u32,
-        changepoints: response_u64(&response, "changepoints") as u32,
-        alerts: alerts.len() as u32,
-    };
-    for o in &obs {
-        o.on_event(&event);
-    }
-    if alerts.is_empty() {
-        Ok(())
-    } else {
-        Err(CliError::TrendShift { benchmarks: alerts })
-    }
+/// Decodes a `rigor serve` response body into its shared type.
+fn decode_response<T: Deserialize>(url: &str, body: JsonValue) -> Result<T, CliError> {
+    T::from_owned_value(body).map_err(|e| CliError::Remote {
+        url: url.to_string(),
+        source: rigor_serve::RemoteError::Protocol {
+            url: url.to_string(),
+            message: format!("bad response payload: {e}"),
+        },
+    })
 }
 
 /// `rigor check --store-url`: measure locally, gate server-side. The
 /// service's archive is the authoritative baseline, so everyone gating
-/// against it agrees on what `last` means.
+/// against it agrees on what `last` means. Prints what a local check
+/// prints.
 fn cmd_check_remote(benchmark: Option<&str>, opts: &GlobalOpts, url: &str) -> CliResult {
     let obs = observers(opts)?;
     let client = remote_client(url, opts, &obs);
@@ -1226,34 +1187,21 @@ fn cmd_check_remote(benchmark: Option<&str>, opts: &GlobalOpts, url: &str) -> Cl
     // not after minutes of measurement.
     client.ping().map_err(remote_err(url))?;
 
-    // What to measure: the named benchmark, or every benchmark in the
-    // server's history still present in the suite.
-    let names: Vec<String> = match benchmark {
-        Some(b) => vec![b.to_string()],
+    let cfg = experiment_config(opts);
+    let workloads = match benchmark {
+        Some(_) => gate_workloads(benchmark, [], opts)?,
+        // Resolve the baseline the server will gate against over its
+        // history, with the selection a local check runs, to measure only
+        // the benchmarks it holds.
         None => {
-            let records = client.history(None).map_err(remote_err(url))?;
-            let mut names: Vec<String> = Vec::new();
-            for r in &records {
-                for n in r.benchmark_names() {
-                    if !names.iter().any(|have| have == n) {
-                        names.push(n.to_string());
-                    }
-                }
-            }
-            let (known, unknown): (Vec<String>, Vec<String>) =
-                names.into_iter().partition(|n| find(n).is_some());
-            if !unknown.is_empty() && !opts.quiet {
-                eprintln!(
-                    "note: skipping archived benchmark(s) no longer in the suite: {}",
-                    unknown.join(", ")
-                );
-            }
-            known
+            let history = client.history(None).map_err(remote_err(url))?;
+            let base_ref = BaselineRef::parse(opts.baseline.as_deref().unwrap_or("last"));
+            let runs = base_ref.select_in(&history).map_err(store_err(url))?;
+            warn_shape_mismatch(&runs, &cfg, opts);
+            gate_workloads(None, runs.iter().flat_map(|r| r.benchmark_names()), opts)?
         }
     };
-    let workloads: Result<Vec<Workload>, CliError> = names.iter().map(|n| lookup(n)).collect();
-    let cfg = experiment_config(opts);
-    let current = measure_all(&workloads?, &cfg, &obs, opts.quiet)?;
+    let current = measure_all(&workloads, &cfg, &obs, opts.quiet)?;
 
     let mut fields = trend_request_fields(opts);
     fields.push(("measurements".into(), current.to_value()));
@@ -1270,96 +1218,74 @@ fn cmd_check_remote(benchmark: Option<&str>, opts: &GlobalOpts, url: &str) -> Cl
     let response = client
         .check(&JsonValue::Object(fields))
         .map_err(remote_err(url))?;
+    let response: CheckResponse = decode_response(url, response)?;
+    finish_check(
+        &response.report,
+        format!(
+            "regression gate vs baseline `{}` in {url} ({} run(s), {})",
+            response.baseline,
+            response.baseline_runs,
+            policy_summary(&response.report.policy)
+        ),
+        (url.to_string(), response.baseline.clone()),
+        &current,
+        &obs,
+        opts,
+    )
+}
 
-    // The verdict table, rebuilt from the server's report (the typed
-    // report is serialize-only, so the response is read generically).
-    let baseline = response
-        .get("baseline")
-        .and_then(|v| v.as_str())
-        .unwrap_or("last")
-        .to_string();
-    let mut table = Table::new(vec![
-        "benchmark",
-        "verdict",
-        "speedup (base/cur)",
-        "p (adj)",
-        "note",
-    ])
-    .with_title(format!(
-        "regression gate vs baseline `{baseline}` at {url} ({} run(s) pooled server-side)",
-        response_u64(&response, "baseline_runs")
-    ));
-    if let Some(JsonValue::Array(gates)) = response.get("report").and_then(|r| r.get("benchmarks"))
-    {
-        for g in gates {
-            let speedup = g
-                .get("result")
-                .and_then(|r| r.get("speedup"))
-                .and_then(|s| {
-                    Some(format!(
-                        "{:.3} [{:.3}, {:.3}]",
-                        s.get("estimate")?.as_f64()?,
-                        s.get("lower")?.as_f64()?,
-                        s.get("upper")?.as_f64()?
-                    ))
-                })
-                .unwrap_or_default();
-            table.row(vec![
-                g.get("benchmark")
-                    .and_then(|v| v.as_str())
-                    .unwrap_or_default()
-                    .to_string(),
-                g.get("status")
-                    .and_then(|v| v.as_str())
-                    .unwrap_or_default()
-                    .to_string(),
-                speedup,
-                g.get("p_adjusted")
-                    .and_then(|v| v.as_f64())
-                    .map(|p| format!("{p:.3}"))
-                    .unwrap_or_default(),
-                g.get("note")
-                    .and_then(|v| v.as_str())
-                    .unwrap_or_default()
-                    .to_string(),
-            ]);
+/// Warns about each baseline run measured with a different experiment
+/// shape than `cfg`: its samples estimate a different quantity.
+fn warn_shape_mismatch(baseline_runs: &[&RunRecord], cfg: &ExperimentConfig, opts: &GlobalOpts) {
+    if opts.quiet {
+        return;
+    }
+    let fp = ConfigFingerprint::of(cfg);
+    for r in baseline_runs {
+        if !r.fingerprint.shape_matches(&fp) {
+            eprintln!(
+                "warning: baseline run {} was measured with shape {}x{} {} seed {}, \
+                 current shape is {}x{} {} seed {} — the samples estimate \
+                 different quantities",
+                r.short_id(),
+                r.fingerprint.invocations,
+                r.fingerprint.iterations,
+                r.fingerprint.size,
+                r.fingerprint.seed,
+                fp.invocations,
+                fp.iterations,
+                fp.size,
+                fp.seed
+            );
         }
     }
-    println!("{table}");
+}
 
-    let regressed = response_names(&response, "regressed");
-    println!(
-        "checked {} benchmark(s): {}",
-        response_u64(&response, "checked"),
-        if regressed.is_empty() {
-            "no significant regression".to_string()
-        } else {
-            format!("{} REGRESSED ({})", regressed.len(), regressed.join(", "))
+/// What a gate measures: the named benchmark, or every `baseline`
+/// benchmark still present in the suite (in order of first appearance).
+fn gate_workloads<'a>(
+    benchmark: Option<&str>,
+    baseline: impl IntoIterator<Item = &'a str>,
+    opts: &GlobalOpts,
+) -> Result<Vec<Workload>, CliError> {
+    if let Some(b) = benchmark {
+        return Ok(vec![lookup(b)?]);
+    }
+    let mut names: Vec<&str> = Vec::new();
+    for n in baseline {
+        if !names.contains(&n) {
+            names.push(n);
         }
-    );
-    export_response_report(&response, opts)?;
-    if let Some(path) = &opts.csv_out {
-        fs::write(path, rigor::to_csv(&current)).map_err(io_err(path))?;
-        println!("wrote {path}");
     }
-
-    let event = ExperimentEvent::RegressionChecked {
-        store: url.to_string(),
-        baseline,
-        checked: response_u64(&response, "checked") as u32,
-        regressed: regressed.len() as u32,
-        passed: regressed.is_empty(),
-    };
-    for o in &obs {
-        o.on_event(&event);
+    let (known, unknown): (Vec<&str>, Vec<&str>) =
+        names.into_iter().partition(|n| find(n).is_some());
+    if !unknown.is_empty() && !opts.quiet {
+        eprintln!(
+            "note: skipping baseline benchmark(s) no longer in the suite: {}",
+            unknown.join(", ")
+        );
     }
-    if regressed.is_empty() {
-        Ok(())
-    } else {
-        Err(CliError::Regression {
-            benchmarks: regressed,
-        })
-    }
+    known.into_iter().map(lookup).collect()
 }
 
 /// `rigor check [benchmark]`: measure the current engine and gate it
@@ -1379,55 +1305,14 @@ fn cmd_check(benchmark: Option<&str>, opts: &GlobalOpts) -> CliResult {
     let baseline_runs = base_ref.select(&store).map_err(store_err(&opts.store))?;
 
     let cfg = experiment_config(opts);
-    let fp = ConfigFingerprint::of(&cfg);
-    if !opts.quiet {
-        for r in &baseline_runs {
-            if !r.fingerprint.shape_matches(&fp) {
-                eprintln!(
-                    "warning: baseline run {} was measured with shape {}x{} {} seed {}, \
-                     current shape is {}x{} {} seed {} — the samples estimate \
-                     different quantities",
-                    r.short_id(),
-                    r.fingerprint.invocations,
-                    r.fingerprint.iterations,
-                    r.fingerprint.size,
-                    r.fingerprint.seed,
-                    fp.invocations,
-                    fp.iterations,
-                    fp.size,
-                    fp.seed
-                );
-            }
-        }
-    }
-
-    // What to measure: the named benchmark, or every baseline benchmark
-    // still present in the suite (in baseline order, first appearance).
-    let names: Vec<String> = match benchmark {
-        Some(b) => vec![b.to_string()],
-        None => {
-            let mut names: Vec<String> = Vec::new();
-            for r in &baseline_runs {
-                for n in r.benchmark_names() {
-                    if !names.iter().any(|have| have == n) {
-                        names.push(n.to_string());
-                    }
-                }
-            }
-            let (known, unknown): (Vec<String>, Vec<String>) =
-                names.into_iter().partition(|n| find(n).is_some());
-            if !unknown.is_empty() && !opts.quiet {
-                eprintln!(
-                    "note: skipping archived benchmark(s) no longer in the suite: {}",
-                    unknown.join(", ")
-                );
-            }
-            known
-        }
-    };
-    let workloads: Result<Vec<Workload>, CliError> = names.iter().map(|n| lookup(n)).collect();
+    warn_shape_mismatch(&baseline_runs, &cfg, opts);
+    let workloads = gate_workloads(
+        benchmark,
+        baseline_runs.iter().flat_map(|r| r.benchmark_names()),
+        opts,
+    )?;
     let obs = observers(opts)?;
-    let current = measure_all(&workloads?, &cfg, &obs, opts.quiet)?;
+    let current = measure_all(&workloads, &cfg, &obs, opts.quiet)?;
 
     // `--baseline segment` pools, per benchmark, only the runs of the
     // current trend segment; every other reference pools its selected runs
@@ -1442,11 +1327,10 @@ fn cmd_check(benchmark: Option<&str>, opts: &GlobalOpts) -> CliResult {
     finish_check(
         &report,
         format!(
-            "regression gate vs baseline `{base_ref}` ({} run(s), correction {}, q {}, tolerance {:.1}%)",
+            "regression gate vs baseline `{base_ref}` in {} ({} run(s), {})",
+            opts.store,
             baseline_runs.len(),
-            policy.correction,
-            policy.fdr_q,
-            policy.max_regression * 100.0
+            policy_summary(&policy)
         ),
         (opts.store.clone(), base_ref.to_string()),
         &current,
@@ -1462,33 +1346,14 @@ fn cmd_check(benchmark: Option<&str>, opts: &GlobalOpts) -> CliResult {
 fn cmd_check_json(benchmark: Option<&str>, opts: &GlobalOpts, path: &str) -> CliResult {
     let text = fs::read_to_string(path).map_err(io_err(path))?;
     let baseline = rigor::from_json(&text)?;
-
-    // What to measure: the named benchmark, or every baseline benchmark
-    // still present in the suite (in file order, first appearance).
-    let names: Vec<String> = match benchmark {
-        Some(b) => vec![b.to_string()],
-        None => {
-            let mut names: Vec<String> = Vec::new();
-            for m in &baseline {
-                if !names.iter().any(|have| have == &m.benchmark) {
-                    names.push(m.benchmark.clone());
-                }
-            }
-            let (known, unknown): (Vec<String>, Vec<String>) =
-                names.into_iter().partition(|n| find(n).is_some());
-            if !unknown.is_empty() && !opts.quiet {
-                eprintln!(
-                    "note: skipping baseline benchmark(s) not in the suite: {}",
-                    unknown.join(", ")
-                );
-            }
-            known
-        }
-    };
-    let workloads: Result<Vec<Workload>, CliError> = names.iter().map(|n| lookup(n)).collect();
+    let workloads = gate_workloads(
+        benchmark,
+        baseline.iter().map(|m| m.benchmark.as_str()),
+        opts,
+    )?;
     let cfg = experiment_config(opts);
     let obs = observers(opts)?;
-    let current = measure_all(&workloads?, &cfg, &obs, opts.quiet)?;
+    let current = measure_all(&workloads, &cfg, &obs, opts.quiet)?;
 
     let policy = gate_policy(opts);
     let report = rigor::check_regressions(
@@ -1500,16 +1365,24 @@ fn cmd_check_json(benchmark: Option<&str>, opts: &GlobalOpts, path: &str) -> Cli
     finish_check(
         &report,
         format!(
-            "regression gate vs baseline file {path} ({} measurement(s), correction {}, q {}, tolerance {:.1}%)",
+            "regression gate vs baseline file {path} ({} measurement(s), {})",
             baseline.len(),
-            policy.correction,
-            policy.fdr_q,
-            policy.max_regression * 100.0
+            policy_summary(&policy)
         ),
         (path.to_string(), format!("json:{path}")),
         &current,
         &obs,
         opts,
+    )
+}
+
+/// How a gate policy reads in a verdict table's title.
+fn policy_summary(policy: &rigor::GatePolicy) -> String {
+    format!(
+        "correction {}, q {}, tolerance {:.1}%",
+        policy.correction,
+        policy.fdr_q,
+        policy.max_regression * 100.0
     )
 }
 

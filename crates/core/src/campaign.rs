@@ -319,7 +319,7 @@ pub struct CellPrecision {
 }
 
 /// Proof that a cell's measurement reached durable storage.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CellReceipt {
     /// Content-addressed id of the archived run.
     pub run_id: String,

@@ -5,7 +5,6 @@
 //! retries), and a benchmark whose censoring rate passes the quarantine
 //! threshold is flagged so its statistics are never silently trusted.
 
-use serde::json::{get_field, DeError, JsonValue};
 use serde::{Deserialize, Serialize};
 
 /// The VM events of one timed iteration: the counters that explain an
@@ -33,7 +32,8 @@ impl From<minipy::VmEventDeltas> for IterationCounters {
 /// Classification of why an invocation attempt failed — the error taxonomy
 /// exports carry so downstream analysis can distinguish a workload that
 /// diverged (budget exhaustion, a *censoring* event) from one that crashed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum FailureKind {
     /// The virtual-time deadline passed (`RuntimeErrorKind::Timeout`).
     Timeout,
@@ -92,20 +92,6 @@ impl std::fmt::Display for FailureKind {
     }
 }
 
-impl Serialize for FailureKind {
-    fn to_value(&self) -> JsonValue {
-        JsonValue::Str(self.name().to_string())
-    }
-}
-
-impl Deserialize for FailureKind {
-    fn from_value(v: &JsonValue) -> Result<FailureKind, DeError> {
-        let s: String = Deserialize::from_value(v)?;
-        FailureKind::from_name(&s)
-            .ok_or_else(|| DeError::new(format!("unknown failure kind `{s}`")))
-    }
-}
-
 /// An invocation that never produced a measurement: every attempt (initial
 /// plus retries) failed, so its slot in the experiment is censored rather
 /// than silently dropped — Traini et al.'s requirement that partial runs
@@ -123,7 +109,12 @@ pub struct CensoredInvocation {
 }
 
 /// Everything recorded about one VM invocation of a benchmark.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The wire format stays stable as fault-tolerance fields are added:
+/// `attempts` is omitted when 1 and defaults to 1 on read, so records
+/// written before retries existed stay readable and clean-run JSON is
+/// byte-identical to the pre-retry format.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct InvocationRecord {
     /// Invocation index within the experiment.
     pub invocation: u32,
@@ -147,55 +138,24 @@ pub struct InvocationRecord {
     pub iteration_counters: Option<Vec<IterationCounters>>,
     /// Attempts this measurement took (1 = first try; >1 = it was retried
     /// with fresh seeds after earlier failures).
+    #[serde(default = "one", skip_serializing_if = "is_one")]
     pub attempts: u32,
 }
 
-// Manual serde keeps the wire format stable as fault-tolerance fields are
-// added: `attempts` is omitted on serialize when 1 and defaults to 1 on
-// deserialize, so records written before retries existed stay readable and
-// clean-run JSON is byte-identical to the pre-retry format.
-impl Serialize for InvocationRecord {
-    fn to_value(&self) -> JsonValue {
-        let mut fields: Vec<(String, JsonValue)> = vec![
-            ("invocation".into(), self.invocation.to_value()),
-            ("seed".into(), self.seed.to_value()),
-            ("startup_ns".into(), self.startup_ns.to_value()),
-            ("iteration_ns".into(), self.iteration_ns.to_value()),
-            ("gc_cycles".into(), self.gc_cycles.to_value()),
-            ("jit_compiles".into(), self.jit_compiles.to_value()),
-            ("deopts".into(), self.deopts.to_value()),
-            ("checksum".into(), self.checksum.to_value()),
-        ];
-        let counters = self.iteration_counters.to_value();
-        if !counters.is_null() {
-            fields.push(("iteration_counters".into(), counters));
-        }
-        if self.attempts != 1 {
-            fields.push(("attempts".into(), self.attempts.to_value()));
-        }
-        JsonValue::Object(fields)
-    }
+fn one() -> u32 {
+    1
 }
 
-impl Deserialize for InvocationRecord {
-    fn from_value(v: &JsonValue) -> Result<InvocationRecord, DeError> {
-        Ok(InvocationRecord {
-            invocation: get_field(v, "invocation")?,
-            seed: get_field(v, "seed")?,
-            startup_ns: get_field(v, "startup_ns")?,
-            iteration_ns: get_field(v, "iteration_ns")?,
-            gc_cycles: get_field(v, "gc_cycles")?,
-            jit_compiles: get_field(v, "jit_compiles")?,
-            deopts: get_field(v, "deopts")?,
-            checksum: get_field(v, "checksum")?,
-            iteration_counters: get_field(v, "iteration_counters")?,
-            attempts: get_field::<Option<u32>>(v, "attempts")?.unwrap_or(1),
-        })
-    }
+fn is_one(n: &u32) -> bool {
+    *n == 1
 }
 
 /// All invocations of one benchmark on one engine, measured and censored.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Same stability contract as [`InvocationRecord`]: `censored` is omitted
+/// when empty and `quarantined` when false, so clean-run JSON matches the
+/// pre-fault-tolerance format and old files read back with the defaults.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchmarkMeasurement {
     /// Benchmark name.
     pub benchmark: String,
@@ -204,43 +164,12 @@ pub struct BenchmarkMeasurement {
     /// One record per *measured* invocation, in invocation order.
     pub invocations: Vec<InvocationRecord>,
     /// Invocations that exhausted their retries, in invocation order.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub censored: Vec<CensoredInvocation>,
     /// True when the censored fraction exceeded the configured quarantine
     /// threshold: the statistics below are computed but untrustworthy.
+    #[serde(default, skip_serializing_if = "std::ops::Not::not")]
     pub quarantined: bool,
-}
-
-// Same stability contract as `InvocationRecord`: `censored` is omitted when
-// empty and `quarantined` when false, so clean-run JSON matches the
-// pre-fault-tolerance format and old files deserialize with the defaults.
-impl Serialize for BenchmarkMeasurement {
-    fn to_value(&self) -> JsonValue {
-        let mut fields: Vec<(String, JsonValue)> = vec![
-            ("benchmark".into(), self.benchmark.to_value()),
-            ("engine".into(), self.engine.to_value()),
-            ("invocations".into(), self.invocations.to_value()),
-        ];
-        if !self.censored.is_empty() {
-            fields.push(("censored".into(), self.censored.to_value()));
-        }
-        if self.quarantined {
-            fields.push(("quarantined".into(), self.quarantined.to_value()));
-        }
-        JsonValue::Object(fields)
-    }
-}
-
-impl Deserialize for BenchmarkMeasurement {
-    fn from_value(v: &JsonValue) -> Result<BenchmarkMeasurement, DeError> {
-        Ok(BenchmarkMeasurement {
-            benchmark: get_field(v, "benchmark")?,
-            engine: get_field(v, "engine")?,
-            invocations: get_field(v, "invocations")?,
-            censored: get_field::<Option<Vec<CensoredInvocation>>>(v, "censored")?
-                .unwrap_or_default(),
-            quarantined: get_field::<Option<bool>>(v, "quarantined")?.unwrap_or(false),
-        })
-    }
 }
 
 impl BenchmarkMeasurement {

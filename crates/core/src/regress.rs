@@ -14,22 +14,23 @@
 //! `rigor-store` crate, which depends on this one.
 
 use rigor_stats::fdr;
-use serde::json::JsonValue;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 use crate::compare::{compare, SpeedupResult};
 use crate::measurement::BenchmarkMeasurement;
 use crate::steady::SteadyStateDetector;
 
 /// Which multiple-comparison correction the gate applies across the suite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum Correction {
     /// Benjamini–Hochberg: controls the false-discovery rate. The default —
     /// its power does not collapse as the suite grows.
     #[default]
+    #[serde(rename = "bh")]
     BenjaminiHochberg,
     /// Holm–Bonferroni: controls the family-wise error rate. Stricter;
     /// use when even one false rejection is unacceptable.
+    #[serde(rename = "holm")]
     HolmBonferroni,
 }
 
@@ -67,14 +68,8 @@ impl std::fmt::Display for Correction {
     }
 }
 
-impl Serialize for Correction {
-    fn to_value(&self) -> JsonValue {
-        JsonValue::Str(self.name().to_string())
-    }
-}
-
 /// Tuning of the regression gate.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GatePolicy {
     /// Confidence level for the per-benchmark speedup intervals.
     pub confidence: f64,
@@ -127,7 +122,8 @@ impl GatePolicy {
 }
 
 /// Per-benchmark verdict of the gate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum GateStatus {
     /// No significant change (or a significant slowdown inside the
     /// tolerance).
@@ -156,14 +152,8 @@ impl GateStatus {
     }
 }
 
-impl Serialize for GateStatus {
-    fn to_value(&self) -> JsonValue {
-        JsonValue::Str(self.name().to_string())
-    }
-}
-
 /// One benchmark's gate outcome.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BenchmarkGate {
     /// Benchmark name.
     pub benchmark: String,
@@ -204,7 +194,7 @@ impl BenchmarkGate {
 }
 
 /// The whole suite's gate outcome.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GateReport {
     /// The policy the gate ran under.
     pub policy: GatePolicy,

@@ -39,14 +39,19 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use serde::json::{DeError, JsonValue};
 use serde::{Deserialize, Serialize};
 
 use crate::measurement::IterationCounters;
 use crate::report::sparkline;
 
 /// One typed event in an experiment's telemetry stream.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Its JSON form is flat, tagged by an `"event"` field that holds
+/// [`ExperimentEvent::name`]:
+/// `{"event":"iteration_finished","benchmark":"sieve",...}`. An optional
+/// field is omitted when `None`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "event", rename_all = "snake_case")]
 pub enum ExperimentEvent {
     /// The experiment began: the runner is about to launch invocations.
     ExperimentStarted {
@@ -409,451 +414,6 @@ impl ExperimentEvent {
             | ExperimentEvent::PlanComputed { .. }
             | ExperimentEvent::CellRefined { .. }
             | ExperimentEvent::BudgetExhausted { .. } => "",
-        }
-    }
-}
-
-// The event's JSON form is flat, tagged by an `"event"` field:
-// `{"event":"iteration_finished","benchmark":"sieve",...}`. Implemented by
-// hand so the wire format stays stable and independent of the enum's shape.
-impl Serialize for ExperimentEvent {
-    fn to_value(&self) -> JsonValue {
-        let mut fields: Vec<(String, JsonValue)> =
-            vec![("event".into(), JsonValue::Str(self.name().into()))];
-        let mut put = |name: &str, v: JsonValue| {
-            if !v.is_null() {
-                fields.push((name.into(), v));
-            }
-        };
-        match self {
-            ExperimentEvent::ExperimentStarted {
-                benchmark,
-                engine,
-                invocations,
-                iterations,
-            } => {
-                put("benchmark", benchmark.to_value());
-                put("engine", engine.to_value());
-                put("invocations", invocations.to_value());
-                put("iterations", iterations.to_value());
-            }
-            ExperimentEvent::InvocationStarted {
-                benchmark,
-                invocation,
-                seed,
-            } => {
-                put("benchmark", benchmark.to_value());
-                put("invocation", invocation.to_value());
-                put("seed", seed.to_value());
-            }
-            ExperimentEvent::IterationFinished {
-                benchmark,
-                invocation,
-                iteration,
-                virtual_ns,
-                counters,
-            } => {
-                put("benchmark", benchmark.to_value());
-                put("invocation", invocation.to_value());
-                put("iteration", iteration.to_value());
-                put("virtual_ns", virtual_ns.to_value());
-                put("counters", counters.to_value());
-            }
-            ExperimentEvent::InvocationFinished {
-                benchmark,
-                invocation,
-                startup_ns,
-                iterations,
-                error,
-            } => {
-                put("benchmark", benchmark.to_value());
-                put("invocation", invocation.to_value());
-                put("startup_ns", startup_ns.to_value());
-                put("iterations", iterations.to_value());
-                put("error", error.to_value());
-            }
-            ExperimentEvent::InvocationRetried {
-                benchmark,
-                invocation,
-                attempt,
-                error,
-            } => {
-                put("benchmark", benchmark.to_value());
-                put("invocation", invocation.to_value());
-                put("attempt", attempt.to_value());
-                put("error", error.to_value());
-            }
-            ExperimentEvent::InvocationTimedOut {
-                benchmark,
-                invocation,
-                attempt,
-                kind,
-            } => {
-                put("benchmark", benchmark.to_value());
-                put("invocation", invocation.to_value());
-                put("attempt", attempt.to_value());
-                put("kind", kind.to_value());
-            }
-            ExperimentEvent::BenchmarkQuarantined {
-                benchmark,
-                censored,
-                invocations,
-            } => {
-                put("benchmark", benchmark.to_value());
-                put("censored", censored.to_value());
-                put("invocations", invocations.to_value());
-            }
-            ExperimentEvent::CheckpointWritten {
-                benchmark,
-                invocation,
-                records,
-            } => {
-                put("benchmark", benchmark.to_value());
-                put("invocation", invocation.to_value());
-                put("records", records.to_value());
-            }
-            ExperimentEvent::ExperimentFinished {
-                benchmark,
-                engine,
-                failed_invocations,
-            } => {
-                put("benchmark", benchmark.to_value());
-                put("engine", engine.to_value());
-                put("failed_invocations", failed_invocations.to_value());
-            }
-            ExperimentEvent::RunArchived {
-                store,
-                run_id,
-                seq,
-                benchmarks,
-            } => {
-                put("store", store.to_value());
-                put("run_id", run_id.to_value());
-                put("seq", seq.to_value());
-                put("benchmarks", benchmarks.to_value());
-            }
-            ExperimentEvent::RegressionChecked {
-                store,
-                baseline,
-                checked,
-                regressed,
-                passed,
-            } => {
-                put("store", store.to_value());
-                put("baseline", baseline.to_value());
-                put("checked", checked.to_value());
-                put("regressed", regressed.to_value());
-                put("passed", passed.to_value());
-            }
-            ExperimentEvent::TrendAnalyzed {
-                store,
-                benchmarks,
-                runs,
-                changepoints,
-                alerts,
-            } => {
-                put("store", store.to_value());
-                put("benchmarks", benchmarks.to_value());
-                put("runs", runs.to_value());
-                put("changepoints", changepoints.to_value());
-                put("alerts", alerts.to_value());
-            }
-            ExperimentEvent::ChangepointDetected {
-                benchmark,
-                run_id,
-                seq,
-                direction,
-                magnitude,
-                p_adjusted,
-                at_head,
-            } => {
-                put("benchmark", benchmark.to_value());
-                put("run_id", run_id.to_value());
-                put("seq", seq.to_value());
-                put("direction", direction.to_value());
-                put("magnitude", magnitude.to_value());
-                put("p_adjusted", p_adjusted.to_value());
-                put("at_head", at_head.to_value());
-            }
-            ExperimentEvent::CampaignStarted {
-                campaign,
-                cells,
-                workers,
-                arrival,
-            } => {
-                put("campaign", campaign.to_value());
-                put("cells", cells.to_value());
-                put("workers", workers.to_value());
-                put("arrival", arrival.to_value());
-            }
-            ExperimentEvent::CampaignResumed {
-                campaign,
-                completed,
-                cells,
-            } => {
-                put("campaign", campaign.to_value());
-                put("completed", completed.to_value());
-                put("cells", cells.to_value());
-            }
-            ExperimentEvent::CellCompleted {
-                cell,
-                index,
-                worker,
-                run_id,
-                completed,
-                cells,
-            } => {
-                put("cell", cell.to_value());
-                put("index", index.to_value());
-                put("worker", worker.to_value());
-                put("run_id", run_id.to_value());
-                put("completed", completed.to_value());
-                put("cells", cells.to_value());
-            }
-            ExperimentEvent::CellStolen {
-                cell,
-                index,
-                from_worker,
-                to_worker,
-            } => {
-                put("cell", cell.to_value());
-                put("index", index.to_value());
-                put("from_worker", from_worker.to_value());
-                put("to_worker", to_worker.to_value());
-            }
-            ExperimentEvent::UploadRetried {
-                label,
-                attempt,
-                backoff_ms,
-                error,
-            } => {
-                put("label", label.to_value());
-                put("attempt", attempt.to_value());
-                put("backoff_ms", backoff_ms.to_value());
-                put("error", error.to_value());
-            }
-            ExperimentEvent::CircuitOpened { failures, url } => {
-                put("failures", failures.to_value());
-                put("url", url.to_value());
-            }
-            ExperimentEvent::ServerDegraded { label, spooled } => {
-                put("label", label.to_value());
-                put("spooled", spooled.to_value());
-            }
-            ExperimentEvent::SpoolReplayed {
-                replayed,
-                remaining,
-                url,
-            } => {
-                put("replayed", replayed.to_value());
-                put("remaining", remaining.to_value());
-                put("url", url.to_value());
-            }
-            ExperimentEvent::PlanComputed {
-                campaign,
-                round,
-                unmet,
-                tasks,
-                planned,
-                spent,
-                budget_remaining,
-            } => {
-                put("campaign", campaign.to_value());
-                put("round", round.to_value());
-                put("unmet", unmet.to_value());
-                put("tasks", tasks.to_value());
-                put("planned", planned.to_value());
-                put("spent", spent.to_value());
-                put("budget_remaining", budget_remaining.to_value());
-            }
-            ExperimentEvent::CellRefined {
-                cell,
-                index,
-                round,
-                invocations,
-                rel_half_width,
-                target_met,
-            } => {
-                put("cell", cell.to_value());
-                put("index", index.to_value());
-                put("round", round.to_value());
-                put("invocations", invocations.to_value());
-                put("rel_half_width", rel_half_width.to_value());
-                put("target_met", target_met.to_value());
-            }
-            ExperimentEvent::BudgetExhausted {
-                campaign,
-                round,
-                spent,
-                budget,
-                unmet,
-            } => {
-                put("campaign", campaign.to_value());
-                put("round", round.to_value());
-                put("spent", spent.to_value());
-                put("budget", budget.to_value());
-                put("unmet", unmet.to_value());
-            }
-        }
-        JsonValue::Object(fields)
-    }
-}
-
-impl Deserialize for ExperimentEvent {
-    fn from_value(v: &JsonValue) -> Result<ExperimentEvent, DeError> {
-        use serde::json::get_field;
-        let tag: String = get_field(v, "event")?;
-        match tag.as_str() {
-            "experiment_started" => Ok(ExperimentEvent::ExperimentStarted {
-                benchmark: get_field(v, "benchmark")?,
-                engine: get_field(v, "engine")?,
-                invocations: get_field(v, "invocations")?,
-                iterations: get_field(v, "iterations")?,
-            }),
-            "invocation_started" => Ok(ExperimentEvent::InvocationStarted {
-                benchmark: get_field(v, "benchmark")?,
-                invocation: get_field(v, "invocation")?,
-                seed: get_field(v, "seed")?,
-            }),
-            "iteration_finished" => Ok(ExperimentEvent::IterationFinished {
-                benchmark: get_field(v, "benchmark")?,
-                invocation: get_field(v, "invocation")?,
-                iteration: get_field(v, "iteration")?,
-                virtual_ns: get_field(v, "virtual_ns")?,
-                counters: get_field(v, "counters")?,
-            }),
-            "invocation_finished" => Ok(ExperimentEvent::InvocationFinished {
-                benchmark: get_field(v, "benchmark")?,
-                invocation: get_field(v, "invocation")?,
-                startup_ns: get_field(v, "startup_ns")?,
-                iterations: get_field(v, "iterations")?,
-                error: get_field(v, "error")?,
-            }),
-            "invocation_retried" => Ok(ExperimentEvent::InvocationRetried {
-                benchmark: get_field(v, "benchmark")?,
-                invocation: get_field(v, "invocation")?,
-                attempt: get_field(v, "attempt")?,
-                error: get_field(v, "error")?,
-            }),
-            "invocation_timed_out" => Ok(ExperimentEvent::InvocationTimedOut {
-                benchmark: get_field(v, "benchmark")?,
-                invocation: get_field(v, "invocation")?,
-                attempt: get_field(v, "attempt")?,
-                kind: get_field(v, "kind")?,
-            }),
-            "benchmark_quarantined" => Ok(ExperimentEvent::BenchmarkQuarantined {
-                benchmark: get_field(v, "benchmark")?,
-                censored: get_field(v, "censored")?,
-                invocations: get_field(v, "invocations")?,
-            }),
-            "checkpoint_written" => Ok(ExperimentEvent::CheckpointWritten {
-                benchmark: get_field(v, "benchmark")?,
-                invocation: get_field(v, "invocation")?,
-                records: get_field(v, "records")?,
-            }),
-            "experiment_finished" => Ok(ExperimentEvent::ExperimentFinished {
-                benchmark: get_field(v, "benchmark")?,
-                engine: get_field(v, "engine")?,
-                failed_invocations: get_field(v, "failed_invocations")?,
-            }),
-            "run_archived" => Ok(ExperimentEvent::RunArchived {
-                store: get_field(v, "store")?,
-                run_id: get_field(v, "run_id")?,
-                seq: get_field(v, "seq")?,
-                benchmarks: get_field(v, "benchmarks")?,
-            }),
-            "regression_checked" => Ok(ExperimentEvent::RegressionChecked {
-                store: get_field(v, "store")?,
-                baseline: get_field(v, "baseline")?,
-                checked: get_field(v, "checked")?,
-                regressed: get_field(v, "regressed")?,
-                passed: get_field(v, "passed")?,
-            }),
-            "trend_analyzed" => Ok(ExperimentEvent::TrendAnalyzed {
-                store: get_field(v, "store")?,
-                benchmarks: get_field(v, "benchmarks")?,
-                runs: get_field(v, "runs")?,
-                changepoints: get_field(v, "changepoints")?,
-                alerts: get_field(v, "alerts")?,
-            }),
-            "changepoint_detected" => Ok(ExperimentEvent::ChangepointDetected {
-                benchmark: get_field(v, "benchmark")?,
-                run_id: get_field(v, "run_id")?,
-                seq: get_field(v, "seq")?,
-                direction: get_field(v, "direction")?,
-                magnitude: get_field(v, "magnitude")?,
-                p_adjusted: get_field(v, "p_adjusted")?,
-                at_head: get_field(v, "at_head")?,
-            }),
-            "campaign_started" => Ok(ExperimentEvent::CampaignStarted {
-                campaign: get_field(v, "campaign")?,
-                cells: get_field(v, "cells")?,
-                workers: get_field(v, "workers")?,
-                arrival: get_field(v, "arrival")?,
-            }),
-            "campaign_resumed" => Ok(ExperimentEvent::CampaignResumed {
-                campaign: get_field(v, "campaign")?,
-                completed: get_field(v, "completed")?,
-                cells: get_field(v, "cells")?,
-            }),
-            "cell_completed" => Ok(ExperimentEvent::CellCompleted {
-                cell: get_field(v, "cell")?,
-                index: get_field(v, "index")?,
-                worker: get_field(v, "worker")?,
-                run_id: get_field(v, "run_id")?,
-                completed: get_field(v, "completed")?,
-                cells: get_field(v, "cells")?,
-            }),
-            "cell_stolen" => Ok(ExperimentEvent::CellStolen {
-                cell: get_field(v, "cell")?,
-                index: get_field(v, "index")?,
-                from_worker: get_field(v, "from_worker")?,
-                to_worker: get_field(v, "to_worker")?,
-            }),
-            "upload_retried" => Ok(ExperimentEvent::UploadRetried {
-                label: get_field(v, "label")?,
-                attempt: get_field(v, "attempt")?,
-                backoff_ms: get_field(v, "backoff_ms")?,
-                error: get_field(v, "error")?,
-            }),
-            "circuit_opened" => Ok(ExperimentEvent::CircuitOpened {
-                failures: get_field(v, "failures")?,
-                url: get_field(v, "url")?,
-            }),
-            "server_degraded" => Ok(ExperimentEvent::ServerDegraded {
-                label: get_field(v, "label")?,
-                spooled: get_field(v, "spooled")?,
-            }),
-            "spool_replayed" => Ok(ExperimentEvent::SpoolReplayed {
-                replayed: get_field(v, "replayed")?,
-                remaining: get_field(v, "remaining")?,
-                url: get_field(v, "url")?,
-            }),
-            "plan_computed" => Ok(ExperimentEvent::PlanComputed {
-                campaign: get_field(v, "campaign")?,
-                round: get_field(v, "round")?,
-                unmet: get_field(v, "unmet")?,
-                tasks: get_field(v, "tasks")?,
-                planned: get_field(v, "planned")?,
-                spent: get_field(v, "spent")?,
-                budget_remaining: get_field(v, "budget_remaining")?,
-            }),
-            "cell_refined" => Ok(ExperimentEvent::CellRefined {
-                cell: get_field(v, "cell")?,
-                index: get_field(v, "index")?,
-                round: get_field(v, "round")?,
-                invocations: get_field(v, "invocations")?,
-                rel_half_width: get_field(v, "rel_half_width")?,
-                target_met: get_field(v, "target_met")?,
-            }),
-            "budget_exhausted" => Ok(ExperimentEvent::BudgetExhausted {
-                campaign: get_field(v, "campaign")?,
-                round: get_field(v, "round")?,
-                spent: get_field(v, "spent")?,
-                budget: get_field(v, "budget")?,
-                unmet: get_field(v, "unmet")?,
-            }),
-            other => Err(DeError::new(format!("unknown event kind `{other}`"))),
         }
     }
 }
@@ -1434,6 +994,25 @@ mod tests {
                 from_worker: 0,
                 to_worker: 1,
             },
+            ExperimentEvent::UploadRetried {
+                label: "sieve/jit/10x30/42".into(),
+                attempt: 1,
+                backoff_ms: 50,
+                error: "connection refused".into(),
+            },
+            ExperimentEvent::CircuitOpened {
+                failures: 3,
+                url: "127.0.0.1:7878".into(),
+            },
+            ExperimentEvent::ServerDegraded {
+                label: "sieve/jit/10x30/42".into(),
+                spooled: 1,
+            },
+            ExperimentEvent::SpoolReplayed {
+                replayed: 1,
+                remaining: 0,
+                url: "127.0.0.1:7878".into(),
+            },
             ExperimentEvent::PlanComputed {
                 campaign: "c0ffee12".into(),
                 round: 1,
@@ -1472,6 +1051,14 @@ mod tests {
     }
 
     #[test]
+    fn name_is_the_wire_tag() {
+        for ev in sample_events() {
+            let v = ev.to_value();
+            assert_eq!(v.get("event").and_then(|t| t.as_str()), Some(ev.name()));
+        }
+    }
+
+    #[test]
     fn error_field_is_omitted_when_none_but_roundtrips_when_set() {
         let ok = &sample_events()[3];
         assert!(!serde_json::to_string(ok).unwrap().contains("error"));
@@ -1504,6 +1091,10 @@ mod tests {
             "campaign_resumed",
             "cell_completed",
             "cell_stolen",
+            "upload_retried",
+            "circuit_opened",
+            "server_degraded",
+            "spool_replayed",
             "plan_computed",
             "cell_refined",
             "budget_exhausted",

@@ -30,8 +30,8 @@ use rigor_stats::{
     bootstrap_mean_ci, bootstrap_ratio_ci, mean, welch_t_test, ConfidenceInterval,
     DEFAULT_RESAMPLES,
 };
-use serde::json::JsonValue;
-use serde::Serialize;
+use serde::json::{DeError, JsonValue};
+use serde::{Deserialize, Serialize};
 
 use crate::measurement::BenchmarkMeasurement;
 use crate::regress::Correction;
@@ -94,12 +94,27 @@ impl fmt::Display for Penalty {
     }
 }
 
+// Untagged on the wire: `"auto"`, `"bic"`, or the factor as a number.
 impl Serialize for Penalty {
     fn to_value(&self) -> JsonValue {
         match self {
             Penalty::Auto => JsonValue::Str("auto".into()),
             Penalty::Bic => JsonValue::Str("bic".into()),
             Penalty::Factor(v) => v.to_value(),
+        }
+    }
+}
+
+impl Deserialize for Penalty {
+    fn from_value(v: &JsonValue) -> Result<Penalty, DeError> {
+        match v {
+            JsonValue::Str(s) if s == "auto" => Ok(Penalty::Auto),
+            JsonValue::Str(s) if s == "bic" => Ok(Penalty::Bic),
+            JsonValue::Num(_) => f64::from_value(v).map(Penalty::Factor),
+            other => Err(DeError::expected(
+                "\"auto\", \"bic\" or a penalty factor",
+                other,
+            )),
         }
     }
 }
@@ -156,7 +171,7 @@ impl TrendPoint {
 }
 
 /// Tuning of the trend analysis.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TrendConfig {
     /// Minimum runs per segment (`--min-segment`); also the "newly
     /// detected" window for shift-at-HEAD alerts.
@@ -231,7 +246,8 @@ impl TrendConfig {
 }
 
 /// Direction of a level shift, in *time* terms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum ShiftDirection {
     /// The new level is slower (larger times) — the alarming direction.
     Slower,
@@ -255,14 +271,9 @@ impl fmt::Display for ShiftDirection {
     }
 }
 
-impl Serialize for ShiftDirection {
-    fn to_value(&self) -> JsonValue {
-        JsonValue::Str(self.name().to_string())
-    }
-}
-
 /// A benchmark's overall trend verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "kebab-case")]
 pub enum TrendStatus {
     /// One level across the whole history (no significant shift).
     Stable,
@@ -283,14 +294,8 @@ impl TrendStatus {
     }
 }
 
-impl Serialize for TrendStatus {
-    fn to_value(&self) -> JsonValue {
-        JsonValue::Str(self.name().to_string())
-    }
-}
-
 /// One constant-level stretch of a benchmark's history.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TrendSegment {
     /// First run index of the segment (into the analyzed history).
     pub start: usize,
@@ -310,7 +315,7 @@ pub struct TrendSegment {
 }
 
 /// One detected level shift.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Changepoint {
     /// Run index (into the analyzed history) where the new level starts.
     pub index: usize,
@@ -341,7 +346,7 @@ pub struct Changepoint {
 }
 
 /// One benchmark's trend over its archived history.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BenchmarkTrend {
     /// Benchmark name.
     pub benchmark: String,
@@ -376,7 +381,7 @@ impl BenchmarkTrend {
 }
 
 /// The whole suite's trend report.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TrendReport {
     /// The configuration the analysis ran under.
     pub config: TrendConfig,

@@ -33,6 +33,7 @@ use serde::json::JsonValue;
 use serde::Deserialize;
 
 use crate::http::{read_response, write_request};
+use crate::server::{ErrorBody, Health, NextSeq, Uploaded};
 
 /// A client-side failure talking to the archive service.
 #[derive(Debug)]
@@ -138,22 +139,6 @@ impl RemoteError {
             _ => false,
         }
     }
-}
-
-#[derive(Deserialize)]
-struct ReceiptAck {
-    run_id: String,
-    seq: u64,
-}
-
-#[derive(Deserialize)]
-struct SeqAck {
-    next_seq: u64,
-}
-
-#[derive(Deserialize)]
-struct HealthAck {
-    runs: u64,
 }
 
 /// Mutable client state: breaker bookkeeping plus the spool.
@@ -383,12 +368,11 @@ impl RemoteStore {
         }
     }
 
-    /// Pulls the server's `{"error": ...}` message out of an error body.
+    /// Pulls the server's message out of an error body.
     fn error_message(body: &str) -> String {
-        serde_json::from_str::<JsonValue>(body)
-            .ok()
-            .and_then(|v| v.get("error").and_then(|e| e.as_str().map(String::from)))
-            .unwrap_or_else(|| body.trim().to_string())
+        serde_json::from_str::<ErrorBody>(body)
+            .map(|e| e.error)
+            .unwrap_or_else(|_| body.trim().to_string())
     }
 
     /// One *operation*: breaker gate, then the exchange with retry and
@@ -498,7 +482,7 @@ impl RemoteStore {
     /// Any transport or protocol failure after retries.
     pub fn ping(&self) -> Result<u64, RemoteError> {
         let body = self.expect_ok("health", "GET", "/health", "")?;
-        self.parse::<HealthAck>(&body).map(|a| a.runs)
+        self.parse::<Health>(&body).map(|a| a.runs)
     }
 
     /// The next free sequence number in the server archive.
@@ -508,7 +492,7 @@ impl RemoteStore {
     /// Any transport or protocol failure after retries.
     pub fn next_seq(&self) -> Result<u64, RemoteError> {
         let body = self.expect_ok("seq", "GET", "/seq", "")?;
-        self.parse::<SeqAck>(&body).map(|a| a.next_seq)
+        self.parse::<NextSeq>(&body).map(|a| a.next_seq)
     }
 
     /// Uploads one fully-formed record. Idempotent: re-uploading content
@@ -521,7 +505,7 @@ impl RemoteStore {
     pub fn upload(&self, record: &RunRecord) -> Result<CellReceipt, RemoteError> {
         let label = record.label.as_deref().unwrap_or("run");
         let body = self.expect_ok(label, "PUT", "/runs", record_line(record).trim_end())?;
-        let ack: ReceiptAck = self.parse(&body)?;
+        let ack: Uploaded = self.parse(&body)?;
         Ok(CellReceipt {
             run_id: ack.run_id,
             seq: ack.seq,
@@ -722,13 +706,7 @@ impl CellSink for RemoteStore {
             }
         }
         match self.exchange(&label, "GET", &format!("/completed?label={label}"), "") {
-            Ok((200, body)) => {
-                let ack: ReceiptAck = self.parse(&body).map_err(|e| e.to_string())?;
-                Ok(Some(CellReceipt {
-                    run_id: ack.run_id,
-                    seq: ack.seq,
-                }))
-            }
+            Ok((200, body)) => self.parse(&body).map(Some).map_err(|e| e.to_string()),
             Ok(_) => Ok(None),
             // Unknown is safe: cells re-execute idempotently.
             Err(_) => Ok(None),

@@ -27,4 +27,4 @@ pub mod http;
 pub mod server;
 
 pub use client::{RemoteError, RemoteStore};
-pub use server::{ArchiveServer, ServeError, ServerHandle};
+pub use server::{ArchiveServer, CheckResponse, ServeError, ServerHandle, TrendResponse};

@@ -33,7 +33,10 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use rigor::{check_regressions, NetFault, NetFaultPlan, SteadyStateDetector};
+use rigor::campaign::CellReceipt;
+use rigor::{
+    check_regressions, GateReport, NetFault, NetFaultPlan, SteadyStateDetector, TrendReport,
+};
 use rigor_store::{record_line, BaselineRef, Store, StoreError};
 use serde::json::{DeError, JsonValue};
 use serde::{Deserialize, Serialize};
@@ -50,12 +53,79 @@ fn opt_field<T: Deserialize>(v: &JsonValue, name: &str) -> Result<Option<T>, DeE
     }
 }
 
-fn json_str(fields: Vec<(String, JsonValue)>) -> String {
-    serde_json::to_string(&JsonValue::Object(fields)).expect("plain data")
+// ------------------------------------------------------------ response bodies
+//
+// One type per response body: the server serializes it and the client
+// decodes it. `GET /completed` answers with a [`CellReceipt`].
+
+/// `GET /health`.
+#[derive(Debug, Serialize, Deserialize)]
+pub struct Health {
+    /// Always `"rigor-serve"`.
+    pub service: String,
+    /// Runs in the archive.
+    pub runs: u64,
 }
 
-fn error_body(message: &str) -> String {
-    json_str(vec![("error".into(), message.to_value())])
+/// `GET /seq`.
+#[derive(Debug, Serialize, Deserialize)]
+pub struct NextSeq {
+    /// The next free sequence number.
+    pub next_seq: u64,
+}
+
+/// `PUT /runs`: the receipt of the stored (or already held) run.
+#[derive(Debug, Serialize, Deserialize)]
+pub struct Uploaded {
+    /// Content-addressed id of the run.
+    pub run_id: String,
+    /// Its sequence number in the archive.
+    pub seq: u64,
+    /// True when the archive already held this content.
+    pub deduped: bool,
+}
+
+/// `POST /check`: the gate report and its summary.
+#[derive(Debug, Serialize, Deserialize)]
+pub struct CheckResponse {
+    /// True when no benchmark regressed.
+    pub passed: bool,
+    /// Benchmarks gated.
+    pub checked: usize,
+    /// Benchmarks that regressed.
+    pub regressed: Vec<String>,
+    /// The baseline reference that was resolved.
+    pub baseline: String,
+    /// Archived runs the baseline was selected from.
+    pub baseline_runs: usize,
+    /// The full gate report.
+    pub report: GateReport,
+}
+
+/// `POST /trend`: the trend report and its summary.
+#[derive(Debug, Serialize, Deserialize)]
+pub struct TrendResponse {
+    /// Benchmarks with a significant shift at HEAD.
+    pub alerts: Vec<String>,
+    /// Benchmarks analyzed.
+    pub benchmarks: usize,
+    /// Runs in the archive.
+    pub runs: usize,
+    /// Detected changepoints, significant or not.
+    pub changepoints: usize,
+    /// Significant changepoints.
+    pub significant: usize,
+    /// The full trend report.
+    pub report: TrendReport,
+}
+
+/// Any failed request; a 409 also names the contested `seq`.
+#[derive(Debug, Serialize, Deserialize)]
+pub struct ErrorBody {
+    /// What went wrong.
+    pub error: String,
+    /// The sequence number already held by different content (409 only).
+    pub seq: Option<u64>,
 }
 
 /// A service failure at bind or accept time.
@@ -230,24 +300,16 @@ fn handle_connection(
     let req = match read_request(&mut stream) {
         Ok(r) => r,
         Err(e) => {
-            let _ = write_response(
-                &mut stream,
-                400,
-                "application/json",
-                &error_body(&e.to_string()),
-            );
+            let (status, content_type, body) = error(400, &e.to_string());
+            let _ = write_response(&mut stream, status, content_type, &body);
             return;
         }
     };
     match fault {
         NetFault::Stall => thread::sleep(stall),
         NetFault::ServerError => {
-            let _ = write_response(
-                &mut stream,
-                500,
-                "application/json",
-                &error_body("injected server error"),
-            );
+            let (status, content_type, body) = error(500, "injected server error");
+            let _ = write_response(&mut stream, status, content_type, &body);
             return;
         }
         NetFault::Garbage => {
@@ -268,26 +330,43 @@ fn handle_connection(
 
 type Response = (u16, &'static str, String);
 
-fn ok_json(fields: Vec<(String, JsonValue)>) -> Response {
-    (200, "application/json", json_str(fields))
+fn json_response(status: u16, body: &impl Serialize) -> Response {
+    let text = serde_json::to_string(body).expect("plain data");
+    (status, "application/json", text)
+}
+
+fn ok_json(body: &impl Serialize) -> Response {
+    json_response(200, body)
+}
+
+fn error(status: u16, message: &str) -> Response {
+    json_response(
+        status,
+        &ErrorBody {
+            error: message.to_string(),
+            seq: None,
+        },
+    )
 }
 
 fn bad_request(message: &str) -> Response {
-    (400, "application/json", error_body(message))
+    error(400, message)
 }
 
 fn route(req: &Request, store: &Mutex<Store>) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/health") => {
             let store = store.lock().expect("store lock");
-            ok_json(vec![
-                ("service".into(), "rigor-serve".to_value()),
-                ("runs".into(), store.len().to_value()),
-            ])
+            ok_json(&Health {
+                service: "rigor-serve".to_string(),
+                runs: store.len() as u64,
+            })
         }
         ("GET", "/seq") => {
             let store = store.lock().expect("store lock");
-            ok_json(vec![("next_seq".into(), store.next_seq().to_value())])
+            ok_json(&NextSeq {
+                next_seq: store.next_seq(),
+            })
         }
         ("GET", "/completed") => {
             let Some(label) = req.query_param("label") else {
@@ -295,15 +374,11 @@ fn route(req: &Request, store: &Mutex<Store>) -> Response {
             };
             let store = store.lock().expect("store lock");
             match store.find_label(label) {
-                Some(r) => ok_json(vec![
-                    ("run_id".into(), r.id.to_value()),
-                    ("seq".into(), r.seq.to_value()),
-                ]),
-                None => (
-                    404,
-                    "application/json",
-                    error_body("no run with that label"),
-                ),
+                Some(r) => ok_json(&CellReceipt {
+                    run_id: r.id.clone(),
+                    seq: r.seq,
+                }),
+                None => error(404, "no run with that label"),
             }
         }
         ("PUT", "/runs") => put_run(req, store),
@@ -320,8 +395,8 @@ fn route(req: &Request, store: &Mutex<Store>) -> Response {
         }
         ("POST", "/check") => post_check(req, store),
         ("POST", "/trend") => post_trend(req, store),
-        ("GET" | "PUT" | "POST", _) => (404, "application/json", error_body("no such endpoint")),
-        _ => (405, "application/json", error_body("method not allowed")),
+        ("GET" | "PUT" | "POST", _) => error(404, "no such endpoint"),
+        _ => error(405, "method not allowed"),
     }
 }
 
@@ -335,37 +410,32 @@ fn put_run(req: &Request, store: &Mutex<Store>) -> Response {
     // `SharedStore::archive_cell`.
     let mut store = store.lock().expect("store lock");
     if let Some(existing) = store.runs().find(|r| r.id == record.id) {
-        return ok_json(vec![
-            ("run_id".into(), existing.id.to_value()),
-            ("seq".into(), existing.seq.to_value()),
-            ("deduped".into(), true.to_value()),
-        ]);
+        return ok_json(&Uploaded {
+            run_id: existing.id.clone(),
+            seq: existing.seq,
+            deduped: true,
+        });
     }
     if let Some(clash) = store.runs().find(|r| r.seq == record.seq) {
-        return (
+        return json_response(
             409,
-            "application/json",
-            json_str(vec![
-                (
-                    "error".into(),
-                    format!(
-                        "seq {} is already held by run {} with different content",
-                        record.seq,
-                        clash.short_id()
-                    )
-                    .to_value(),
+            &ErrorBody {
+                error: format!(
+                    "seq {} is already held by run {} with different content",
+                    record.seq,
+                    clash.short_id()
                 ),
-                ("seq".into(), record.seq.to_value()),
-            ]),
+                seq: Some(record.seq),
+            },
         );
     }
     match store.append_record(record) {
-        Ok(r) => ok_json(vec![
-            ("run_id".into(), r.id.to_value()),
-            ("seq".into(), r.seq.to_value()),
-            ("deduped".into(), false.to_value()),
-        ]),
-        Err(e) => (500, "application/json", error_body(&e.to_string())),
+        Ok(r) => ok_json(&Uploaded {
+            run_id: r.id.clone(),
+            seq: r.seq,
+            deduped: false,
+        }),
+        Err(e) => error(500, &e.to_string()),
     }
 }
 
@@ -447,14 +517,14 @@ fn post_check(req: &Request, store: &Mutex<Store>) -> Response {
     let baseline_runs = match base_ref.select(&store) {
         Ok(runs) => runs.len(),
         Err(StoreError::Empty) | Err(StoreError::UnknownRun { .. }) => 0,
-        Err(e) => return (500, "application/json", error_body(&e.to_string())),
+        Err(e) => return error(500, &e.to_string()),
     };
     let pooled = match base_ref.pooled_measurements(&store, &det, &trend_cfg) {
         Ok(p) => p,
         Err(e @ (StoreError::Empty | StoreError::UnknownRun { .. })) => {
-            return (404, "application/json", error_body(&e.to_string()))
+            return error(404, &e.to_string())
         }
-        Err(e) => return (500, "application/json", error_body(&e.to_string())),
+        Err(e) => return error(500, &e.to_string()),
     };
     let report = check_regressions(&pooled, &current, &det, &policy);
     let regressed: Vec<String> = report
@@ -462,14 +532,14 @@ fn post_check(req: &Request, store: &Mutex<Store>) -> Response {
         .iter()
         .map(|g| g.benchmark.clone())
         .collect();
-    ok_json(vec![
-        ("passed".into(), regressed.is_empty().to_value()),
-        ("checked".into(), report.benchmarks.len().to_value()),
-        ("regressed".into(), regressed.to_value()),
-        ("baseline".into(), base_ref.to_string().to_value()),
-        ("baseline_runs".into(), baseline_runs.to_value()),
-        ("report".into(), report.to_value()),
-    ])
+    ok_json(&CheckResponse {
+        passed: regressed.is_empty(),
+        checked: report.benchmarks.len(),
+        regressed,
+        baseline: base_ref.to_string(),
+        baseline_runs,
+        report,
+    })
 }
 
 /// `POST /trend`: changepoint analysis over the server's archive.
@@ -491,17 +561,16 @@ fn post_trend(req: &Request, store: &Mutex<Store>) -> Response {
         None => rigor_store::benchmark_names(&store),
     };
     let report = rigor_store::trend_report(&store, &names, &det, &cfg);
-    let alerts: Vec<String> = report
-        .alerts()
-        .iter()
-        .map(|b| b.benchmark.clone())
-        .collect();
-    ok_json(vec![
-        ("alerts".into(), alerts.to_value()),
-        ("benchmarks".into(), report.benchmarks.len().to_value()),
-        ("runs".into(), store.len().to_value()),
-        ("changepoints".into(), report.changepoint_count().to_value()),
-        ("significant".into(), report.significant_count().to_value()),
-        ("report".into(), report.to_value()),
-    ])
+    ok_json(&TrendResponse {
+        alerts: report
+            .alerts()
+            .iter()
+            .map(|b| b.benchmark.clone())
+            .collect(),
+        benchmarks: report.benchmarks.len(),
+        runs: store.len(),
+        changepoints: report.changepoint_count(),
+        significant: report.significant_count(),
+        report,
+    })
 }

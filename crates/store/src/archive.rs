@@ -262,6 +262,30 @@ pub struct CompactionReport {
     pub bytes_after: u64,
 }
 
+/// [`Store::get`] over any run slice.
+pub(crate) fn find_run<'r>(
+    runs: &'r [RunRecord],
+    reference: &str,
+) -> Result<&'r RunRecord, StoreError> {
+    if let Some(run) = runs.iter().find(|r| r.label.as_deref() == Some(reference)) {
+        return Ok(run);
+    }
+    let matches: Vec<&RunRecord> = runs
+        .iter()
+        .filter(|r| r.id.starts_with(reference))
+        .collect();
+    match matches.as_slice() {
+        [] => Err(StoreError::UnknownRun {
+            reference: reference.to_string(),
+        }),
+        [one] => Ok(one),
+        many => Err(StoreError::AmbiguousRun {
+            reference: reference.to_string(),
+            matches: many.iter().map(|r| r.short_id().to_string()).collect(),
+        }),
+    }
+}
+
 /// An open results archive: the parsed journal plus its on-disk location.
 #[derive(Debug)]
 pub struct Store {
@@ -424,24 +448,12 @@ impl Store {
     /// [`StoreError::UnknownRun`] when nothing matches,
     /// [`StoreError::AmbiguousRun`] when an id prefix matches several runs.
     pub fn get(&self, reference: &str) -> Result<&RunRecord, StoreError> {
-        if let Some(run) = self.find_label(reference) {
-            return Ok(run);
-        }
-        let matches: Vec<&RunRecord> = self
-            .runs
-            .iter()
-            .filter(|r| r.id.starts_with(reference))
-            .collect();
-        match matches.as_slice() {
-            [] => Err(StoreError::UnknownRun {
-                reference: reference.to_string(),
-            }),
-            [one] => Ok(one),
-            many => Err(StoreError::AmbiguousRun {
-                reference: reference.to_string(),
-                matches: many.iter().map(|r| r.short_id().to_string()).collect(),
-            }),
-        }
+        find_run(&self.runs, reference)
+    }
+
+    /// All archived runs, in append order, as a slice.
+    pub(crate) fn records(&self) -> &[RunRecord] {
+        &self.runs
     }
 
     /// Archives one run under [`Store::next_seq`]: builds the

@@ -15,7 +15,7 @@ use rigor::pool_measurements;
 use rigor::steady::SteadyStateDetector;
 use rigor::trend::TrendConfig;
 
-use crate::archive::{Store, StoreError};
+use crate::archive::{find_run, Store, StoreError};
 use crate::history::segment_baseline;
 use crate::record::RunRecord;
 
@@ -68,14 +68,26 @@ impl BaselineRef {
     /// [`StoreError::Empty`] when the archive holds no runs, plus the
     /// lookup errors of [`Store::get`] for id references.
     pub fn select<'s>(&self, store: &'s Store) -> Result<Vec<&'s RunRecord>, StoreError> {
-        if store.is_empty() {
+        self.select_in(store.records())
+    }
+
+    /// [`BaselineRef::select`] over runs in archive order, such as the
+    /// history fetched from a shared archive service.
+    ///
+    /// # Errors
+    ///
+    /// As [`BaselineRef::select`].
+    pub fn select_in<'r>(&self, runs: &'r [RunRecord]) -> Result<Vec<&'r RunRecord>, StoreError> {
+        let Some(latest) = runs.last() else {
             return Err(StoreError::Empty);
-        }
+        };
         match self {
-            BaselineRef::Last => Ok(vec![store.latest().expect("non-empty")]),
-            BaselineRef::LastN(n) => Ok(store.last_n(*n)),
-            BaselineRef::Segment => Ok(store.runs().collect()),
-            BaselineRef::Id(reference) => Ok(vec![store.get(reference)?]),
+            BaselineRef::Last => Ok(vec![latest]),
+            BaselineRef::LastN(n) => Ok(runs[runs.len().saturating_sub((*n).max(1))..]
+                .iter()
+                .collect()),
+            BaselineRef::Segment => Ok(runs.iter().collect()),
+            BaselineRef::Id(reference) => Ok(vec![find_run(runs, reference)?]),
         }
     }
 

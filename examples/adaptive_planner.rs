@@ -114,7 +114,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ]);
         std::fs::write(
             "BENCH_planner.json",
-            serde_json::to_string_pretty(&Raw(envelope))?,
+            serde_json::to_string_pretty(&envelope)?,
         )?;
         println!(
             "wrote BENCH_planner.json ({} interp measurement(s))",
@@ -122,13 +122,4 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     Ok(())
-}
-
-// The vendored serde has no blanket `Serialize` on its own value type.
-struct Raw(JsonValue);
-
-impl Serialize for Raw {
-    fn to_value(&self) -> JsonValue {
-        self.0.clone()
-    }
 }

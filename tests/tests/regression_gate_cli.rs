@@ -255,3 +255,105 @@ fn trend_alerts_on_a_shift_at_head_with_exit_one() {
         0
     );
 }
+
+// ---------------------------------------------------------------------------
+// `--store-url`: the remote forms agree with the local ones
+// ---------------------------------------------------------------------------
+
+/// The events of a `--trace` file as sorted lines, with the `store` field
+/// (the only one naming the archive's location) blanked. Invocations run
+/// in parallel, so their events interleave in no fixed order.
+fn trace_events(path: &std::path::Path) -> Vec<String> {
+    let text = fs::read_to_string(path).expect("trace written");
+    let mut lines: Vec<String> = text
+        .lines()
+        .map(|line| match line.find("\"store\":\"") {
+            Some(at) => {
+                let value = at + "\"store\":\"".len();
+                let end = value + line[value..].find('"').expect("a closed store");
+                format!("{}{}", &line[..value], &line[end..])
+            }
+            None => line.to_string(),
+        })
+        .collect();
+    lines.sort();
+    lines
+}
+
+/// Runs one command against the local store and then against the server
+/// over the same directory; asserts equal exit codes, byte-identical
+/// `--json` files and the same events (so the same benchmarks measured).
+/// Returns the shared exit code.
+fn same_local_and_remote(dir: &std::path::Path, url: &str, tag: &str, command: &str) -> i32 {
+    let mut codes = Vec::new();
+    let mut outputs = Vec::new();
+    for (side, source) in [
+        ("local", format!("--store {}", dir.display())),
+        ("remote", format!("--store-url {url}")),
+    ] {
+        let json = dir.join(format!("{tag}-{side}.json"));
+        let trace = dir.join(format!("{tag}-{side}.jsonl"));
+        codes.push(rigor_cli::run(&argv(&format!(
+            "{command} {source} --json {} --trace {}",
+            json.display(),
+            trace.display()
+        ))));
+        outputs.push((
+            fs::read_to_string(&json).expect("report written"),
+            trace_events(&trace),
+        ));
+    }
+    assert_eq!(codes[0], codes[1], "{command}: exit codes differ");
+    assert_eq!(outputs[0].0, outputs[1].0, "{command}: --json differs");
+    assert_eq!(outputs[0].1, outputs[1].1, "{command}: events differ");
+    codes[0]
+}
+
+#[test]
+fn remote_check_and_trend_match_their_local_forms() {
+    let store = tmp_store("parity");
+    let dir = store.clone();
+    let store = store.display();
+    // A benchmark the last run does not hold, then a sieve history that
+    // shifts at HEAD (three interpreter runs, then the JIT).
+    for args in ["leibniz", "sieve", "sieve", "sieve", "sieve --engine jit"] {
+        assert_eq!(
+            rigor_cli::run(&argv(&format!("archive {args} {SHAPE} --store {store}"))),
+            0
+        );
+    }
+    // Opening an existing store writes nothing, so the local commands can
+    // read the directory the server holds.
+    let server = rigor_serve::ArchiveServer::bind("127.0.0.1:0", &dir).expect("bind");
+    let handle = server.handle();
+    let url = handle.addr().to_string();
+    let join = std::thread::spawn(move || server.serve().expect("serve"));
+
+    // No benchmark named: both gate only what the `last` baseline holds.
+    let clean = same_local_and_remote(
+        &dir,
+        &url,
+        "check-last",
+        &format!("check --baseline last --engine jit {SHAPE}"),
+    );
+    let text = fs::read_to_string(dir.join("check-last-remote.json")).unwrap();
+    assert!(!text.contains("leibniz"), "{text}");
+    let regressed = same_local_and_remote(
+        &dir,
+        &url,
+        "check-last-interp",
+        &format!("check --baseline last {SHAPE}"),
+    );
+    same_local_and_remote(
+        &dir,
+        &url,
+        "check-segment",
+        &format!("check sieve --baseline segment {SHAPE}"),
+    );
+    let shifted = same_local_and_remote(&dir, &url, "trend", "trend --min-segment 1");
+    assert_eq!((clean, regressed, shifted), (0, 1, 1));
+
+    handle.stop();
+    join.join().expect("server thread");
+    fs::remove_dir_all(&dir).ok();
+}
