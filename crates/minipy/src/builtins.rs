@@ -6,7 +6,7 @@
 //! `(receiver type, method id)`.
 
 use crate::error::{MpError, MpResult, RuntimeErrorKind};
-use crate::heap::{IterState, Object};
+use crate::heap::{IterState, Object, Str};
 use crate::value::{Handle, Value};
 use crate::vm::Vm;
 
@@ -213,10 +213,10 @@ impl Vm {
                     vals
                 }
                 Object::Str(s) => {
-                    let chars: Vec<String> = s.chars().map(|c| c.to_string()).collect();
+                    let chars: Vec<char> = s.chars().collect();
                     let mut vals = Vec::with_capacity(chars.len());
                     for c in chars {
-                        let h = self.alloc(Object::Str(c));
+                        let h = self.alloc(Object::Str(Str::from(c)));
                         vals.push(Value::Obj(h));
                     }
                     vals
@@ -281,7 +281,7 @@ impl Vm {
                 };
                 let n = match *v {
                     Value::Obj(h) => match self.heap.get(h) {
-                        Object::Str(s) => s.chars().count() as i64,
+                        Object::Str(s) => s.char_count() as i64,
                         Object::List(v) | Object::Tuple(v) => v.len() as i64,
                         Object::Dict(d) => d.len() as i64,
                         Object::Range { start, stop, step } => {
@@ -473,7 +473,7 @@ impl Vm {
                 };
                 let s = self.heap.render(*v);
                 self.charge_aux(2.0 * s.len() as f64, false);
-                let h = self.alloc(Object::Str(s));
+                let h = self.alloc(Object::Str(Str::new(s)));
                 Ok(Value::Obj(h))
             }
             BuiltinFn::Bool => {
@@ -500,7 +500,7 @@ impl Vm {
                     .ok()
                     .and_then(char::from_u32)
                     .ok_or_else(|| value_err("chr() arg not in range"))?;
-                let h = self.alloc(Object::Str(c.to_string()));
+                let h = self.alloc(Object::Str(Str::from(c)));
                 Ok(Value::Obj(h))
             }
             BuiltinFn::Ord => {
@@ -1015,7 +1015,7 @@ impl Vm {
                 };
                 let mut out = Vec::with_capacity(parts.len());
                 for p in parts {
-                    let sh = self.alloc(Object::Str(p));
+                    let sh = self.alloc(Object::Str(Str::new(p)));
                     out.push(Value::Obj(sh));
                 }
                 let l = self.alloc(Object::List(out));
@@ -1037,19 +1037,19 @@ impl Vm {
                 }
                 let joined = parts.join(&content);
                 self.charge_aux(2.0 * joined.len() as f64, true);
-                let sh = self.alloc(Object::Str(joined));
+                let sh = self.alloc(Object::Str(Str::new(joined)));
                 Ok(Value::Obj(sh))
             }
             MethodId::Upper => {
-                let sh = self.alloc(Object::Str(content.to_uppercase()));
+                let sh = self.alloc(Object::Str(Str::new(content.to_uppercase())));
                 Ok(Value::Obj(sh))
             }
             MethodId::Lower => {
-                let sh = self.alloc(Object::Str(content.to_lowercase()));
+                let sh = self.alloc(Object::Str(Str::new(content.to_lowercase())));
                 Ok(Value::Obj(sh))
             }
             MethodId::Strip => {
-                let sh = self.alloc(Object::Str(content.trim().to_string()));
+                let sh = self.alloc(Object::Str(Str::new(content.trim().to_string())));
                 Ok(Value::Obj(sh))
             }
             MethodId::Replace => {
@@ -1067,7 +1067,7 @@ impl Vm {
                 if from.is_empty() {
                     return Err(value_err("empty pattern"));
                 }
-                let sh = self.alloc(Object::Str(content.replace(&from, &to)));
+                let sh = self.alloc(Object::Str(Str::new(content.replace(&from, &to))));
                 Ok(Value::Obj(sh))
             }
             MethodId::StartsWith | MethodId::EndsWith => {
@@ -1092,9 +1092,7 @@ impl Vm {
                     .str_content(*p)
                     .ok_or_else(|| MpError::type_error("find() argument must be str"))?;
                 match content.find(p) {
-                    // Byte offset == char offset for the ASCII strings MiniPy
-                    // programs use; acceptable approximation.
-                    Some(i) => Ok(Value::Int(i as i64)),
+                    Some(byte) => Ok(Value::Int(content.char_offset(byte) as i64)),
                     None => Ok(Value::Int(-1)),
                 }
             }
@@ -1106,7 +1104,7 @@ impl Vm {
                     .str_content(*p)
                     .ok_or_else(|| MpError::type_error("count() argument must be str"))?;
                 if p.is_empty() {
-                    return Ok(Value::Int(content.chars().count() as i64 + 1));
+                    return Ok(Value::Int(content.char_count() as i64 + 1));
                 }
                 Ok(Value::Int(content.matches(p).count() as i64))
             }
@@ -1214,10 +1212,10 @@ impl Vm {
                     }
                 }
                 Object::Str(s) => {
-                    let c = s.chars().nth(index);
+                    let c = s.char_at(index);
                     match c {
                         Some(c) => {
-                            let sh = self.alloc(Object::Str(c.to_string()));
+                            let sh = self.alloc(Object::Str(Str::from(c)));
                             (
                                 IterState::Seq {
                                     seq,

@@ -656,7 +656,7 @@ mod tests {
                         Value::Obj(h) => h,
                         _ => unreachable!(),
                     }) {
-                        Object::Str(s) => s.clone(),
+                        Object::Str(s) => s.to_string(),
                         _ => unreachable!(),
                     }
                 })

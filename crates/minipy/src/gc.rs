@@ -62,7 +62,7 @@ mod tests {
         let out = collect(&mut heap, vec![Value::Obj(kept)]);
         assert_eq!(out.live, 1);
         assert_eq!(out.freed, 1);
-        assert!(matches!(heap.get(kept), Object::Str(s) if s == "kept"));
+        assert!(matches!(heap.get(kept), Object::Str(s) if s.as_str() == "kept"));
     }
 
     #[test]

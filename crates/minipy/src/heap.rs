@@ -20,11 +20,106 @@ pub enum IterState {
     DictKeys { dict: Handle, slot: usize },
 }
 
+/// An immutable string that carries its length in chars.
+///
+/// The count is taken once, where the string is built. On ASCII text (count
+/// equals byte length) char positions are byte positions, so `s[i]`,
+/// `len(s)`, `s[a:b]` and `for c in s` index bytes in O(1) per char instead
+/// of walking the UTF-8 from the start on every call. Non-ASCII text keeps
+/// the char walk. None of this is charged: the cost model prices strings by
+/// byte length.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Str {
+    text: String,
+    chars: usize,
+}
+
+impl Str {
+    /// Wraps `text`, counting its chars.
+    pub fn new(text: String) -> Self {
+        let chars = text.chars().count();
+        Str { text, chars }
+    }
+
+    /// `a + b`; the count is the sum, so the result is never re-scanned.
+    pub fn concat(a: &Str, b: &Str) -> Self {
+        let mut text = String::with_capacity(a.text.len() + b.text.len());
+        text.push_str(&a.text);
+        text.push_str(&b.text);
+        Str {
+            text,
+            chars: a.chars + b.chars,
+        }
+    }
+
+    /// The text.
+    pub fn as_str(&self) -> &str {
+        &self.text
+    }
+
+    /// Length in chars (Python's `len`), not bytes.
+    pub fn char_count(&self) -> usize {
+        self.chars
+    }
+
+    /// Whether the text is ASCII, in O(1): a char per byte.
+    pub fn is_ascii(&self) -> bool {
+        self.chars == self.text.len()
+    }
+
+    /// The char at char position `i`, or `None` past the end.
+    pub fn char_at(&self, i: usize) -> Option<char> {
+        if self.is_ascii() {
+            self.text.as_bytes().get(i).map(|&b| char::from(b))
+        } else {
+            self.text.chars().nth(i)
+        }
+    }
+
+    /// The chars at positions `a..b`, with `a <= b <= char_count()`.
+    pub fn char_slice(&self, a: usize, b: usize) -> Str {
+        debug_assert!(a <= b && b <= self.chars);
+        let text = if self.is_ascii() {
+            self.text[a..b].to_string()
+        } else {
+            self.text.chars().skip(a).take(b - a).collect()
+        };
+        Str { text, chars: b - a }
+    }
+
+    /// The char position of byte offset `byte`, which must be a char
+    /// boundary (as the offsets `str::find` returns are).
+    pub fn char_offset(&self, byte: usize) -> usize {
+        if self.is_ascii() {
+            byte
+        } else {
+            self.text[..byte].chars().count()
+        }
+    }
+}
+
+impl std::ops::Deref for Str {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.text
+    }
+}
+
+impl From<char> for Str {
+    fn from(c: char) -> Self {
+        Str {
+            text: c.to_string(),
+            chars: 1,
+        }
+    }
+}
+
 /// A heap-allocated object.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Object {
     /// Immutable string.
-    Str(String),
+    Str(Str),
     /// Mutable list.
     List(Vec<Value>),
     /// Immutable tuple.
@@ -240,7 +335,7 @@ impl Heap {
 
     /// Allocates a string object.
     pub fn alloc_str(&mut self, s: impl Into<String>) -> Handle {
-        self.alloc(Object::Str(s.into()))
+        self.alloc(Object::Str(Str::new(s.into())))
     }
 
     /// Allocates a list object.
@@ -463,7 +558,7 @@ impl Heap {
         }
         match (a, b) {
             (Value::Obj(x), Value::Obj(y)) => match (self.get(x), self.get(y)) {
-                (Object::Str(s1), Object::Str(s2)) => Some(s1.cmp(s2)),
+                (Object::Str(s1), Object::Str(s2)) => Some(s1.as_str().cmp(s2.as_str())),
                 (Object::List(v1), Object::List(v2)) | (Object::Tuple(v1), Object::Tuple(v2)) => {
                     for (p, q) in v1.iter().zip(v2.iter()) {
                         if !self.value_eq(*p, *q) {
@@ -507,9 +602,9 @@ impl Heap {
             Value::Obj(h) => match self.get(h) {
                 Object::Str(s) => {
                     if repr {
-                        format!("'{s}'")
+                        format!("'{}'", s.as_str())
                     } else {
-                        s.clone()
+                        s.to_string()
                     }
                 }
                 Object::List(items) => {
@@ -645,7 +740,7 @@ mod tests {
     fn alloc_and_get_roundtrip() {
         let mut heap = Heap::new();
         let h = heap.alloc_str("hello");
-        assert!(matches!(heap.get(h), Object::Str(s) if s == "hello"));
+        assert!(matches!(heap.get(h), Object::Str(s) if s.as_str() == "hello"));
         assert_eq!(heap.live_count(), 1);
     }
 

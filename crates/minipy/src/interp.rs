@@ -12,7 +12,7 @@ use std::sync::Arc;
 use crate::bytecode::{Op, OpClass, FUSABLE_BINOPS};
 use crate::error::{MpError, MpResult, RuntimeErrorKind};
 use crate::frame::{op_class_index, Frame};
-use crate::heap::Object;
+use crate::heap::{Object, Str};
 use crate::jit::{BackedgeEvent, GuardOutcome};
 use crate::value::{Handle, Value};
 use crate::vm::{CallIc, CallTarget, DictIc, Vm};
@@ -1167,9 +1167,7 @@ impl Vm {
         if let (Value::Obj(ha), Value::Obj(hb)) = (a, b) {
             match (self.heap.get(ha), self.heap.get(hb)) {
                 (Object::Str(s1), Object::Str(s2)) => {
-                    let mut out = String::with_capacity(s1.len() + s2.len());
-                    out.push_str(s1);
-                    out.push_str(s2);
+                    let out = Str::concat(s1, s2);
                     self.charge_aux(1.2 * out.len() as f64, true);
                     let h = self.alloc(Object::Str(out));
                     return Ok(Value::Obj(h));
@@ -1212,7 +1210,7 @@ impl Vm {
                 if s.len().saturating_mul(count) > 100_000_000 {
                     return Err(Self::overflow());
                 }
-                let out = s.repeat(count);
+                let out = Str::new(s.repeat(count));
                 self.charge_aux(1.2 * out.len() as f64, true);
                 let h = self.alloc(Object::Str(out));
                 Ok(Value::Obj(h))
@@ -1408,11 +1406,9 @@ impl Vm {
                     Ok(items[i])
                 }
                 Object::Str(s) => {
-                    // Char-indexed without materializing a Vec<char>; the
-                    // second pass is cheaper than the allocation it replaces.
-                    let i = Self::seq_index(s.chars().count(), idx, "string")?;
-                    let ch = s.chars().nth(i).expect("index checked").to_string();
-                    let sh = self.alloc(Object::Str(ch));
+                    let i = Self::seq_index(s.char_count(), idx, "string")?;
+                    let ch = s.char_at(i).expect("index checked");
+                    let sh = self.alloc(Object::Str(Str::from(ch)));
                     Ok(Value::Obj(sh))
                 }
                 Object::Dict(d) => {
@@ -1585,10 +1581,8 @@ impl Vm {
                     Ok(Value::Obj(nh))
                 }
                 Object::Str(s) => {
-                    // Slice by char positions without a Vec<char> scratch
-                    // buffer; only the result String is allocated.
-                    let (a, b) = Self::slice_bounds(s.chars().count(), lo, hi)?;
-                    let out: String = s.chars().skip(a).take(b - a).collect();
+                    let (a, b) = Self::slice_bounds(s.char_count(), lo, hi)?;
+                    let out = s.char_slice(a, b);
                     self.charge_aux(1.2 * out.len() as f64, true);
                     let nh = self.alloc(Object::Str(out));
                     Ok(Value::Obj(nh))

@@ -18,8 +18,6 @@
 //!    returning it to the interpreter forever — the mechanism behind
 //!    "no steady state" benchmarks.
 
-use std::collections::{HashMap, HashSet};
-
 use serde::{Deserialize, Serialize};
 
 /// Default number of back-edge executions before a loop is considered hot.
@@ -125,7 +123,6 @@ pub enum GuardOutcome {
 struct Recording {
     head: u32,
     backedge_from: u32,
-    types: HashMap<u32, u16>,
 }
 
 #[derive(Debug, Clone)]
@@ -133,17 +130,29 @@ struct Region {
     head: u32,
     end: u32,
     fail_count: u32,
-    types: HashMap<u32, u16>,
 }
 
+/// One code object's JIT state. Every per-pc table is a dense array indexed
+/// by pc: `check_guard` runs on every compiled arithmetic op and
+/// `on_backedge` on every cold or blacklisted loop, so both must cost no
+/// more than array loads.
 #[derive(Debug, Clone, Default)]
 struct CodeJit {
-    backedge_counts: HashMap<u32, u32>,
+    /// Per loop head: back-edges counted towards the hot threshold.
+    backedge_counts: Vec<u32>,
     /// Per-op: 0 = interpreted, otherwise region index + 1.
     compiled: Vec<u32>,
+    /// Per-op type guard of the region that owns the op (0 = no guard).
+    /// Zero wherever `compiled` is zero, so a region that later compiles
+    /// around an op never inherits a guard from an earlier owner.
+    guards: Vec<u16>,
+    /// Per-op operand types seen by the active recording. Zero outside it:
+    /// cleared when the recording finishes or another one displaces it.
+    recorded: Vec<u16>,
     recording: Option<Recording>,
     regions: Vec<Region>,
-    blacklisted_heads: HashSet<u32>,
+    /// Per loop head: given up on after too many guard failures.
+    blacklisted: Vec<bool>,
     /// Function-entry profile count (method-at-a-time compilation).
     entry_count: u32,
     /// Whole-function compilation already happened.
@@ -163,7 +172,11 @@ impl JitState {
         let codes = code_op_counts
             .iter()
             .map(|&n| CodeJit {
+                backedge_counts: vec![0; n],
                 compiled: vec![0; n],
+                guards: vec![0; n],
+                recorded: vec![0; n],
+                blacklisted: vec![false; n],
                 ..CodeJit::default()
             })
             .collect();
@@ -192,9 +205,10 @@ impl JitState {
 
     /// Captures an operand-type observation while recording.
     pub fn record_types(&mut self, code_id: usize, pc: usize, mask: u16) {
-        if let Some(r) = &mut self.codes[code_id].recording {
+        let cj = &mut self.codes[code_id];
+        if let Some(r) = &cj.recording {
             if (pc as u32) >= r.head && (pc as u32) <= r.backedge_from {
-                *r.types.entry(pc as u32).or_insert(0) |= mask;
+                cj.recorded[pc] |= mask;
             }
         }
     }
@@ -213,44 +227,50 @@ impl JitState {
         let cj = &mut self.codes[code_id];
         let (from, target) = (from_pc as u32, target_pc as u32);
 
-        // Finish an active recording whose back-edge just fired.
+        // Finish an active recording whose back-edge just fired. The region
+        // owns (and takes the recorded guards of) only the ops no earlier
+        // region owns.
         if let Some(rec) = &cj.recording {
             if rec.backedge_from == from && rec.head == target {
-                let rec = cj.recording.take().expect("checked above");
+                cj.recording = None;
                 let region_idx = cj.regions.len() as u32 + 1;
                 let mut ops = 0usize;
-                for pc in rec.head..=rec.backedge_from {
-                    let slot = &mut cj.compiled[pc as usize];
-                    if *slot == 0 {
-                        *slot = region_idx;
+                for pc in target_pc..=from_pc {
+                    if cj.compiled[pc] == 0 {
+                        cj.compiled[pc] = region_idx;
+                        cj.guards[pc] = cj.recorded[pc];
                         ops += 1;
                     }
+                    cj.recorded[pc] = 0;
                 }
                 cj.regions.push(Region {
-                    head: rec.head,
-                    end: rec.backedge_from,
+                    head: target,
+                    end: from,
                     fail_count: 0,
-                    types: rec.types,
                 });
                 return BackedgeEvent::Compiled { ops };
             }
         }
 
         // Already compiled or given up on?
-        if cj.compiled[target_pc] != 0 || cj.blacklisted_heads.contains(&target) {
+        if cj.compiled[target_pc] != 0 || cj.blacklisted[target_pc] {
             return BackedgeEvent::Cold;
         }
 
-        let count = cj.backedge_counts.entry(target).or_insert(0);
+        let count = &mut cj.backedge_counts[target_pc];
         *count += 1;
         if *count >= cfg.hot_threshold {
+            *count = 0;
             // Displace any stalled recording (its loop exited mid-record).
+            if let Some(old) = cj.recording.take() {
+                for pc in old.head..=old.backedge_from {
+                    cj.recorded[pc as usize] = 0;
+                }
+            }
             cj.recording = Some(Recording {
                 head: target,
                 backedge_from: from,
-                types: HashMap::new(),
             });
-            *count = 0;
             return BackedgeEvent::StartRecording;
         }
         BackedgeEvent::Cold
@@ -260,27 +280,24 @@ impl JitState {
     pub fn check_guard(&mut self, code_id: usize, pc: usize, mask: u16) -> GuardOutcome {
         let max_fails = self.config.max_guard_failures;
         let cj = &mut self.codes[code_id];
-        let region_ref = cj.compiled[pc];
-        if region_ref == 0 {
-            return GuardOutcome::Pass;
-        }
-        let region = &mut cj.regions[(region_ref - 1) as usize];
-        let expected = region.types.get(&(pc as u32)).copied().unwrap_or(0);
+        // An op's guard is zero unless a region owns the op, so this also
+        // passes every interpreted op.
+        let expected = cj.guards[pc];
         if expected == 0 || (mask & !expected) == 0 {
             return GuardOutcome::Pass;
         }
         // Guard failure: widen, maybe blacklist.
+        let region_ref = cj.compiled[pc];
+        let region = &mut cj.regions[(region_ref - 1) as usize];
         region.fail_count += 1;
-        *region
-            .types
-            .get_mut(&(pc as u32))
-            .expect("expected != 0 means entry exists") |= mask;
+        cj.guards[pc] |= mask;
         if region.fail_count > max_fails {
-            let (head, end) = (region.head, region.end);
-            cj.blacklisted_heads.insert(head);
+            let (head, end) = (region.head as usize, region.end as usize);
+            cj.blacklisted[head] = true;
             for p in head..=end {
-                if cj.compiled[p as usize] == region_ref {
-                    cj.compiled[p as usize] = 0;
+                if cj.compiled[p] == region_ref {
+                    cj.compiled[p] = 0;
+                    cj.guards[p] = 0;
                 }
             }
             GuardOutcome::Blacklisted
@@ -326,7 +343,6 @@ impl JitState {
             head: 0,
             end: cj.compiled.len().saturating_sub(1) as u32,
             fail_count: 0,
-            types: HashMap::new(),
         });
         Some(ops)
     }
@@ -338,7 +354,10 @@ impl JitState {
 
     /// Number of blacklisted loop heads in the whole program.
     pub fn blacklisted_count(&self) -> usize {
-        self.codes.iter().map(|c| c.blacklisted_heads.len()).sum()
+        self.codes
+            .iter()
+            .map(|c| c.blacklisted.iter().filter(|&&b| b).count())
+            .sum()
     }
 
     /// The configured hot threshold.

@@ -175,6 +175,7 @@ pub fn tokenize(source: &str) -> MpResult<Vec<Token>> {
 }
 
 struct Lexer<'a> {
+    text: &'a str,
     src: &'a [u8],
     pos: usize,
     line: u32,
@@ -187,6 +188,7 @@ struct Lexer<'a> {
 impl<'a> Lexer<'a> {
     fn new(source: &'a str) -> Self {
         Lexer {
+            text: source,
             src: source.as_bytes(),
             pos: 0,
             line: 1,
@@ -408,31 +410,41 @@ impl<'a> Lexer<'a> {
         let start = self.pos;
         let quote = self.bump().expect("caller saw a quote");
         let mut out = String::new();
+        // Literal text is copied in runs straight from the source, so it
+        // stays UTF-8. A run ends only at an ASCII byte (a quote or a
+        // backslash), which is always a char boundary.
+        let mut run = self.pos;
         loop {
+            let at = self.pos;
             match self.bump() {
                 None | Some(b'\n') => {
                     return Err(self.err("unterminated string literal"));
                 }
-                Some(b'\\') => match self.bump() {
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'\'') => out.push('\''),
-                    Some(b'"') => out.push('"'),
-                    Some(b'0') => out.push('\0'),
-                    Some(other) => {
-                        out.push('\\');
-                        out.push(other as char);
+                Some(b'\\') => {
+                    out.push_str(&self.text[run..at]);
+                    run = at + 2;
+                    match self.bump() {
+                        Some(b'n') => out.push('\n'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'\'') => out.push('\''),
+                        Some(b'"') => out.push('"'),
+                        Some(b'0') => out.push('\0'),
+                        Some(_) => {
+                            // Unknown escape: keep the backslash, and the
+                            // char after it starts the next run.
+                            out.push('\\');
+                            run = at + 1;
+                        }
+                        None => return Err(self.err("unterminated string literal")),
                     }
-                    None => return Err(self.err("unterminated string literal")),
-                },
-                Some(c) if c == quote => break,
-                Some(c) => {
-                    // Pass through raw bytes; MiniPy sources are expected to be
-                    // ASCII but we tolerate UTF-8 continuation bytes verbatim.
-                    out.push(c as char);
                 }
+                Some(c) if c == quote => {
+                    out.push_str(&self.text[run..at]);
+                    break;
+                }
+                Some(_) => {}
             }
         }
         self.push(TokenKind::Str(out), start);
