@@ -54,8 +54,8 @@ pub struct GlobalOpts {
     /// Tolerated slowdown in percent before a significant change regresses
     /// the gate (`check`).
     pub max_regression_pct: Option<f64>,
-    /// Multiple-comparison correction name (`bh` or `holm`, `check`).
-    pub correction: Option<String>,
+    /// Multiple-comparison correction (`check`, `trend`).
+    pub correction: Option<rigor::Correction>,
     /// Minimum runs per trend segment (`trend`, `history --alerts`).
     pub min_segment: Option<usize>,
     /// Segmentation penalty: `auto`, `bic`, or a positive factor (`trend`).
@@ -349,10 +349,10 @@ pub fn parse_args(argv: &[String]) -> Result<(Command, GlobalOpts), ParseError> 
             }
             "--correction" => {
                 let c = next_value(arg, &mut it)?;
-                if rigor::Correction::parse(&c).is_none() {
-                    return Err(err(format!("unknown correction '{c}' (use bh or holm)")));
-                }
-                opts.correction = Some(c);
+                opts.correction =
+                    Some(rigor::Correction::parse(&c).ok_or_else(|| {
+                        err(format!("unknown correction '{c}' (use bh or holm)"))
+                    })?);
             }
             "--min-segment" => {
                 let m: usize = next_value(arg, &mut it)?
@@ -590,11 +590,6 @@ pub fn parse_args(argv: &[String]) -> Result<(Command, GlobalOpts), ParseError> 
     if opts.store_url.is_some() && opts.baseline_json.is_some() {
         return Err(err(
             "--baseline-json and --store-url are mutually exclusive (the server owns the baseline)",
-        ));
-    }
-    if opts.store_url.is_some() && opts.alerts {
-        return Err(err(
-            "--alerts needs the local archive; use `trend` against --store-url instead",
         ));
     }
     // Reject invalid experiment shapes at the CLI boundary (exit 2) instead
@@ -906,7 +901,7 @@ mod tests {
         assert_eq!(opts.baseline.as_deref(), Some("last-3"));
         assert_eq!(opts.fdr, Some(0.1));
         assert_eq!(opts.max_regression_pct, Some(2.5));
-        assert_eq!(opts.correction.as_deref(), Some("holm"));
+        assert_eq!(opts.correction, Some(rigor::Correction::HolmBonferroni));
         assert_eq!(opts.label.as_deref(), Some("tag"));
         // Defaults.
         let (_, opts) = parse_args(&argv("check")).unwrap();
@@ -1074,9 +1069,8 @@ mod tests {
         assert!(parse_args(&argv("serve extra")).is_err());
         assert!(parse_args(&argv("campaign --store-url")).is_err());
         assert!(parse_args(&argv("campaign --store-url http://")).is_err());
-        // The server owns the baseline and the local-trend annotations.
+        // The server owns the baseline.
         assert!(parse_args(&argv("check --store-url h:1 --baseline-json b.json")).is_err());
-        assert!(parse_args(&argv("history sieve --store-url h:1 --alerts")).is_err());
     }
 
     #[test]

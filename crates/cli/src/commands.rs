@@ -1,16 +1,20 @@
 //! Implementation of the CLI subcommands.
 
+use std::borrow::Cow;
 use std::fs;
 use std::sync::Arc;
 use std::time::Duration;
 
 use minipy::{Session, VmConfig};
+use rigor::campaign::CellReceipt;
 use rigor::{
     compare, compare_suite, compute_plan, fmt_ci, fmt_ns, precision_of, sparkline, CellEstimate,
     ExperimentConfig, ExperimentEvent, ExperimentObserver, FaultPlan, Journal, JsonlTraceObserver,
     PlannerConfig, ProgressObserver, SteadyStateDetector, Table, WarmupClassifier,
 };
-use rigor_serve::{ArchiveServer, CheckResponse, RemoteStore, ServeError, TrendResponse};
+use rigor_serve::{
+    ArchiveServer, CheckResponse, Measurements, Query, RemoteStore, ServeError, TrendResponse,
+};
 use rigor_store::{BaselineRef, ConfigFingerprint, RunRecord, Store};
 use rigor_workloads::{characterize, find, suite, verify, Size, Workload};
 use serde::json::JsonValue;
@@ -613,12 +617,6 @@ fn cmd_trace_summary(path: &str) -> CliResult {
     Ok(())
 }
 
-/// Opens the results archive, mapping store failures onto the CLI error
-/// surface.
-fn open_store(dir: &str) -> Result<Store, CliError> {
-    Store::open(dir).map_err(store_err(dir))
-}
-
 /// Attaches the store directory to a store error.
 fn store_err(dir: &str) -> impl Fn(rigor_store::StoreError) -> CliError + '_ {
     move |e| CliError::Store {
@@ -647,6 +645,135 @@ fn remote_client(url: &str, opts: &GlobalOpts, obs: &[Arc<dyn ExperimentObserver
         client = client.with_observer(o.clone());
     }
     client
+}
+
+/// The results archive an archive command works on: the local `--store`
+/// directory, or the `rigor serve` service at `--store-url`. `archive`,
+/// `history`, `check`, `trend` and `plan` are each written once over it;
+/// the local arm computes `check` and `trend` with the very functions the
+/// server answers them with.
+enum Archive<'a> {
+    Local { dir: &'a str, store: Store },
+    Remote { url: &'a str, client: RemoteStore },
+}
+
+impl<'a> Archive<'a> {
+    /// Opens the archive the flags name. The remote arm pings the service,
+    /// so a command against a dead server fails before it measures.
+    fn open(opts: &'a GlobalOpts, obs: &[Arc<dyn ExperimentObserver>]) -> Result<Self, CliError> {
+        match opts.store_url.as_deref() {
+            Some(url) => {
+                let client = remote_client(url, opts, obs);
+                client.ping().map_err(remote_err(url))?;
+                Ok(Archive::Remote { url, client })
+            }
+            None => {
+                let dir = opts.store.as_str();
+                let store = Store::open(dir).map_err(store_err(dir))?;
+                Ok(Archive::Local { dir, store })
+            }
+        }
+    }
+
+    /// The directory or URL that titles and events name.
+    fn source(&self) -> &'a str {
+        match self {
+            Archive::Local { dir, .. } => dir,
+            Archive::Remote { url, .. } => url,
+        }
+    }
+
+    /// True when opening the local archive dropped a torn final line.
+    fn recovered_torn_tail(&self) -> bool {
+        matches!(self, Archive::Local { store, .. } if store.recovered_torn_tail())
+    }
+
+    /// The archived runs in archive order: all of them, or only the newest
+    /// `last`.
+    fn runs(&self, last: Option<usize>) -> Result<Cow<'_, [RunRecord]>, CliError> {
+        match self {
+            Archive::Local { store, .. } => {
+                let runs = store.records();
+                let skip = last.map_or(0, |n| runs.len().saturating_sub(n));
+                Ok(Cow::Borrowed(&runs[skip..]))
+            }
+            Archive::Remote { url, client } => {
+                Ok(Cow::Owned(client.history(last).map_err(remote_err(url))?))
+            }
+        }
+    }
+
+    /// Archives one run under the archive's next free seq.
+    fn append(
+        &mut self,
+        label: Option<String>,
+        cfg: &ExperimentConfig,
+        measurements: Vec<rigor::BenchmarkMeasurement>,
+    ) -> Result<CellReceipt, CliError> {
+        match self {
+            Archive::Local { dir, store } => {
+                let record = store
+                    .append(label, cfg, measurements)
+                    .map_err(store_err(dir))?;
+                Ok(CellReceipt {
+                    run_id: record.id.clone(),
+                    seq: record.seq,
+                })
+            }
+            Archive::Remote { url, client } => client
+                .archive_run(label, cfg, measurements)
+                .map_err(remote_err(url)),
+        }
+    }
+
+    /// The regression gate over this archive (`POST /check`).
+    fn check(&self, query: &Query) -> Result<CheckResponse, CliError> {
+        match self {
+            Archive::Local { dir, store } => {
+                rigor_serve::check(store, query).map_err(store_err(dir))
+            }
+            Archive::Remote { url, client } => decode_response(
+                url,
+                client.check(&query.to_value()).map_err(remote_err(url))?,
+            ),
+        }
+    }
+
+    /// Changepoint analysis over this archive (`POST /trend`).
+    fn trend(&self, query: &Query) -> Result<TrendResponse, CliError> {
+        match self {
+            Archive::Local { store, .. } => Ok(rigor_serve::trend(store, query)),
+            Archive::Remote { url, client } => decode_response(
+                url,
+                client.trend(&query.to_value()).map_err(remote_err(url))?,
+            ),
+        }
+    }
+}
+
+/// Decodes a `rigor serve` response body into its shared type.
+fn decode_response<T: Deserialize>(url: &str, body: JsonValue) -> Result<T, CliError> {
+    T::from_owned_value(body).map_err(|e| CliError::Remote {
+        url: url.to_string(),
+        source: rigor_serve::RemoteError::Protocol {
+            url: url.to_string(),
+            message: format!("bad response payload: {e}"),
+        },
+    })
+}
+
+/// The gate and trend settings the flags ask for, as `rigor serve` reads
+/// them; the caller adds what its route needs besides.
+fn query(opts: &GlobalOpts) -> Query {
+    Query {
+        confidence: Some(opts.confidence),
+        fdr: opts.fdr,
+        max_regression_pct: opts.max_regression_pct,
+        correction: opts.correction,
+        min_segment: opts.min_segment,
+        penalty: opts.penalty,
+        ..Query::default()
+    }
 }
 
 /// The workloads an optional benchmark argument selects: one, or the whole
@@ -751,60 +878,30 @@ fn cmd_archive(benchmark: Option<&str>, opts: &GlobalOpts) -> CliResult {
     let workloads = selected_workloads(benchmark)?;
     let cfg = experiment_config(opts);
     let obs = observers(opts)?;
-
-    if let Some(url) = opts.store_url.as_deref() {
-        // Fail before measuring: a one-shot archive against a dead server
-        // should exit 1 immediately (`campaign` spools instead).
-        let client = remote_client(url, opts, &obs);
-        client.ping().map_err(remote_err(url))?;
-        let measurements = measure_all(&workloads, &cfg, &obs, opts.quiet)?;
-        let receipt = client
-            .archive_run(opts.label.clone(), &cfg, measurements.clone())
-            .map_err(remote_err(url))?;
-        println!(
-            "archived run {} (seq {}, {} benchmark(s), engine {}) to {url}",
-            receipt.run_id.chars().take(12).collect::<String>(),
-            receipt.seq,
-            measurements.len(),
-            cfg.engine.name(),
-        );
-        let event = ExperimentEvent::RunArchived {
-            store: url.to_string(),
-            run_id: receipt.run_id.clone(),
-            seq: receipt.seq,
-            benchmarks: measurements.len() as u32,
-        };
-        for o in &obs {
-            o.on_event(&event);
-        }
-        return export(opts, &measurements);
-    }
-
-    let measurements = measure_all(&workloads, &cfg, &obs, opts.quiet)?;
-
-    let mut store = open_store(&opts.store)?;
-    if store.recovered_torn_tail() && !opts.quiet {
+    // Open first: a one-shot archive against a dead server or a corrupt
+    // store should exit 1 before measuring (`campaign` spools instead).
+    let mut archive = Archive::open(opts, &obs)?;
+    if archive.recovered_torn_tail() && !opts.quiet {
         eprintln!(
             "note: {}: recovered from a torn final line (interrupted append)",
-            opts.store
+            archive.source()
         );
     }
-    let record = store
-        .append(opts.label.clone(), &cfg, measurements.clone())
-        .map_err(store_err(&opts.store))?;
+    let measurements = measure_all(&workloads, &cfg, &obs, opts.quiet)?;
+    let receipt = archive.append(opts.label.clone(), &cfg, measurements.clone())?;
     println!(
         "archived run {} (seq {}, {} benchmark(s), engine {}) to {}",
-        record.short_id(),
-        record.seq,
-        record.measurements.len(),
+        receipt.run_id.chars().take(12).collect::<String>(),
+        receipt.seq,
+        measurements.len(),
         cfg.engine.name(),
-        opts.store
+        archive.source()
     );
     let event = ExperimentEvent::RunArchived {
-        store: opts.store.clone(),
-        run_id: record.id.clone(),
-        seq: record.seq,
-        benchmarks: record.measurements.len() as u32,
+        store: archive.source().to_string(),
+        run_id: receipt.run_id,
+        seq: receipt.seq,
+        benchmarks: measurements.len() as u32,
     };
     for o in &obs {
         o.on_event(&event);
@@ -880,37 +977,18 @@ fn history_table<'a>(
     (table, rows)
 }
 
-/// `rigor history <benchmark> --store-url`: the same trend table, fed from
-/// the shared service. Every fetched line is integrity-checked locally.
-fn cmd_history_remote(benchmark: &str, opts: &GlobalOpts, url: &str) -> CliResult {
-    let obs = observers(opts)?;
-    let client = remote_client(url, opts, &obs);
-    let records = client.history(None).map_err(remote_err(url))?;
-    let (table, rows) = history_table(records.iter(), benchmark, opts, url);
-    if rows == 0 {
-        println!(
-            "no archived runs measure '{benchmark}' at {url} ({} run(s) archived)",
-            records.len()
-        );
-        return Ok(());
-    }
-    println!("{table}");
-    Ok(())
-}
-
 /// `rigor history <benchmark>`: trend table over the archived runs of one
 /// benchmark, with per-run steady-state CIs.
 fn cmd_history(benchmark: &str, opts: &GlobalOpts) -> CliResult {
-    if let Some(url) = opts.store_url.as_deref() {
-        return cmd_history_remote(benchmark, opts, url);
-    }
-    let store = open_store(&opts.store)?;
-    let (table, rows) = history_table(store.runs(), benchmark, opts, &opts.store);
+    let obs = observers(opts)?;
+    let archive = Archive::open(opts, &obs)?;
+    let runs = archive.runs(None)?;
+    let (table, rows) = history_table(runs.iter(), benchmark, opts, archive.source());
     if rows == 0 {
         println!(
             "no archived runs measure '{benchmark}' in {} ({} run(s) archived)",
-            opts.store,
-            store.len()
+            archive.source(),
+            runs.len()
         );
         return Ok(());
     }
@@ -919,56 +997,36 @@ fn cmd_history(benchmark: &str, opts: &GlobalOpts) -> CliResult {
     // one history. Informational only: unlike `rigor trend`, a detected
     // shift does not change the exit code.
     if opts.alerts {
-        let det = SteadyStateDetector::default();
-        let config = trend_config(opts);
-        let points = rigor_store::benchmark_history(&store, benchmark, &det);
-        let trend = rigor::analyze_trend(benchmark, &points, &config);
-        let shifts = trend.significant_shifts();
-        if let Some(note) = &trend.note {
-            println!("trend: {note}");
-        } else if shifts.is_empty() {
-            println!(
-                "trend: stable — no significant level shift across {} run(s)",
-                trend.runs
-            );
-        } else {
-            for cp in shifts {
+        let response = archive.trend(&Query {
+            benchmark: Some(benchmark.to_string()),
+            ..query(opts)
+        })?;
+        for trend in &response.report.benchmarks {
+            let shifts = trend.significant_shifts();
+            if let Some(note) = &trend.note {
+                println!("trend: {note}");
+            } else if shifts.is_empty() {
                 println!(
-                    "trend: {} from seq {} (run {}): {} -> {} ({}){}",
-                    cp.direction.name(),
-                    cp.seq,
-                    cp.run_id.chars().take(12).collect::<String>(),
-                    fmt_ns(cp.before_mean),
-                    fmt_ns(cp.after_mean),
-                    cp.magnitude.as_ref().map(fmt_ci).unwrap_or_default(),
-                    if cp.at_head { " — at HEAD" } else { "" }
+                    "trend: stable — no significant level shift across {} run(s)",
+                    trend.runs
                 );
+            } else {
+                for cp in shifts {
+                    println!(
+                        "trend: {} from seq {} (run {}): {} -> {} ({}){}",
+                        cp.direction.name(),
+                        cp.seq,
+                        cp.run_id.chars().take(12).collect::<String>(),
+                        fmt_ns(cp.before_mean),
+                        fmt_ns(cp.after_mean),
+                        cp.magnitude.as_ref().map(fmt_ci).unwrap_or_default(),
+                        if cp.at_head { " — at HEAD" } else { "" }
+                    );
+                }
             }
         }
     }
     Ok(())
-}
-
-/// The trend configuration the flags ask for. The bootstrap seed is left
-/// at its fixed default (not `--seed`, which shapes measurements) so the
-/// same archive always yields byte-identical trend reports.
-fn trend_config(opts: &GlobalOpts) -> rigor::TrendConfig {
-    let mut cfg = rigor::TrendConfig::default().with_confidence(opts.confidence);
-    if let Some(m) = opts.min_segment {
-        cfg = cfg.with_min_segment(m);
-    }
-    if let Some(p) = opts.penalty {
-        cfg = cfg.with_penalty(p);
-    }
-    if let Some(q) = opts.fdr {
-        cfg = cfg.with_fdr_q(q);
-    }
-    if let Some(c) = &opts.correction {
-        cfg = cfg.with_correction(
-            rigor::Correction::parse(c).expect("correction validated at argument parsing"),
-        );
-    }
-    cfg
 }
 
 /// `rigor trend [benchmark]`: changepoint analysis over the archived
@@ -977,58 +1035,19 @@ fn trend_config(opts: &GlobalOpts) -> rigor::TrendConfig {
 /// was newly detected at the head of at least one history.
 fn cmd_trend(benchmark: Option<&str>, opts: &GlobalOpts) -> CliResult {
     reject_checkpoint_flags(opts, "trend")?;
-    if let Some(url) = opts.store_url.as_deref() {
-        return cmd_trend_remote(benchmark, opts, url);
-    }
-    let store = open_store(&opts.store)?;
-    // The archive, not the current suite, defines what can be analyzed:
-    // benchmarks that left the suite still have histories worth watching.
-    let names: Vec<String> = match benchmark {
-        Some(b) => vec![b.to_string()],
-        None => rigor_store::benchmark_names(&store),
-    };
-    let det = SteadyStateDetector::default();
-    let report = rigor_store::trend_report(&store, &names, &det, &trend_config(opts));
-    print_trend(&report, &opts.store, store.len(), &observers(opts)?, opts)
-}
-
-/// The trend-shape fields of a server request body, from whichever flags
-/// were given; unset flags stay at the server's defaults.
-fn trend_request_fields(opts: &GlobalOpts) -> Vec<(String, JsonValue)> {
-    let mut fields: Vec<(String, JsonValue)> =
-        vec![("confidence".into(), opts.confidence.to_value())];
-    if let Some(m) = opts.min_segment {
-        fields.push(("min_segment".into(), m.to_value()));
-    }
-    if let Some(p) = opts.penalty {
-        // `Penalty` round-trips through its display form ("auto", "bic",
-        // or a factor), which is what the server parses back.
-        fields.push(("penalty".into(), p.to_string().to_value()));
-    }
-    if let Some(q) = opts.fdr {
-        fields.push(("fdr".into(), q.to_value()));
-    }
-    if let Some(c) = &opts.correction {
-        fields.push(("correction".into(), c.to_value()));
-    }
-    fields
-}
-
-/// `rigor trend --store-url`: the same analysis, executed server-side over
-/// the service's authoritative archive and printed as the local form
-/// prints it.
-fn cmd_trend_remote(benchmark: Option<&str>, opts: &GlobalOpts, url: &str) -> CliResult {
     let obs = observers(opts)?;
-    let client = remote_client(url, opts, &obs);
-    let mut fields = trend_request_fields(opts);
-    if let Some(b) = benchmark {
-        fields.push(("benchmark".into(), b.to_value()));
-    }
-    let response = client
-        .trend(&JsonValue::Object(fields))
-        .map_err(remote_err(url))?;
-    let response: TrendResponse = decode_response(url, response)?;
-    print_trend(&response.report, url, response.runs, &obs, opts)
+    let archive = Archive::open(opts, &obs)?;
+    let response = archive.trend(&Query {
+        benchmark: benchmark.map(String::from),
+        ..query(opts)
+    })?;
+    print_trend(
+        &response.report,
+        archive.source(),
+        response.runs,
+        &obs,
+        opts,
+    )
 }
 
 /// Prints a trend report's tables and summary, writes `--json`, emits the
@@ -1165,75 +1184,6 @@ fn print_trend(
     }
 }
 
-/// Decodes a `rigor serve` response body into its shared type.
-fn decode_response<T: Deserialize>(url: &str, body: JsonValue) -> Result<T, CliError> {
-    T::from_owned_value(body).map_err(|e| CliError::Remote {
-        url: url.to_string(),
-        source: rigor_serve::RemoteError::Protocol {
-            url: url.to_string(),
-            message: format!("bad response payload: {e}"),
-        },
-    })
-}
-
-/// `rigor check --store-url`: measure locally, gate server-side. The
-/// service's archive is the authoritative baseline, so everyone gating
-/// against it agrees on what `last` means. Prints what a local check
-/// prints.
-fn cmd_check_remote(benchmark: Option<&str>, opts: &GlobalOpts, url: &str) -> CliResult {
-    let obs = observers(opts)?;
-    let client = remote_client(url, opts, &obs);
-    // Fail before measuring: an unreachable service should exit 1 now,
-    // not after minutes of measurement.
-    client.ping().map_err(remote_err(url))?;
-
-    let cfg = experiment_config(opts);
-    let workloads = match benchmark {
-        Some(_) => gate_workloads(benchmark, [], opts)?,
-        // Resolve the baseline the server will gate against over its
-        // history, with the selection a local check runs, to measure only
-        // the benchmarks it holds.
-        None => {
-            let history = client.history(None).map_err(remote_err(url))?;
-            let base_ref = BaselineRef::parse(opts.baseline.as_deref().unwrap_or("last"));
-            let runs = base_ref.select_in(&history).map_err(store_err(url))?;
-            warn_shape_mismatch(&runs, &cfg, opts);
-            gate_workloads(None, runs.iter().flat_map(|r| r.benchmark_names()), opts)?
-        }
-    };
-    let current = measure_all(&workloads, &cfg, &obs, opts.quiet)?;
-
-    let mut fields = trend_request_fields(opts);
-    fields.push(("measurements".into(), current.to_value()));
-    fields.push((
-        "baseline".into(),
-        opts.baseline
-            .clone()
-            .unwrap_or_else(|| "last".to_string())
-            .to_value(),
-    ));
-    if let Some(pct) = opts.max_regression_pct {
-        fields.push(("max_regression_pct".into(), pct.to_value()));
-    }
-    let response = client
-        .check(&JsonValue::Object(fields))
-        .map_err(remote_err(url))?;
-    let response: CheckResponse = decode_response(url, response)?;
-    finish_check(
-        &response.report,
-        format!(
-            "regression gate vs baseline `{}` in {url} ({} run(s), {})",
-            response.baseline,
-            response.baseline_runs,
-            policy_summary(&response.report.policy)
-        ),
-        (url.to_string(), response.baseline.clone()),
-        &current,
-        &obs,
-        opts,
-    )
-}
-
 /// Warns about each baseline run measured with a different experiment
 /// shape than `cfg`: its samples estimate a different quantity.
 fn warn_shape_mismatch(baseline_runs: &[&RunRecord], cfg: &ExperimentConfig, opts: &GlobalOpts) {
@@ -1291,18 +1241,29 @@ fn gate_workloads<'a>(
 /// `rigor check [benchmark]`: measure the current engine and gate it
 /// against an archived baseline. Exit 0 = no FDR-significant regression
 /// beyond the tolerance; exit 1 = regressed (with the verdict table
-/// printed first).
+/// printed first). With `--store-url` the service's archive is the
+/// authoritative baseline, so everyone gating against it agrees on what
+/// `last` means.
 fn cmd_check(benchmark: Option<&str>, opts: &GlobalOpts) -> CliResult {
     reject_checkpoint_flags(opts, "check")?;
     if let Some(path) = opts.baseline_json.as_deref() {
         return cmd_check_json(benchmark, opts, path);
     }
-    if let Some(url) = opts.store_url.as_deref() {
-        return cmd_check_remote(benchmark, opts, url);
-    }
-    let store = open_store(&opts.store)?;
+    let obs = observers(opts)?;
+    let archive = Archive::open(opts, &obs)?;
+    // Resolve the baseline before measuring: an unknown reference fails
+    // now, and only the benchmarks the baseline holds are measured.
+    // `last`/`last-N` need only the newest runs.
     let base_ref = BaselineRef::parse(opts.baseline.as_deref().unwrap_or("last"));
-    let baseline_runs = base_ref.select(&store).map_err(store_err(&opts.store))?;
+    let window = match base_ref {
+        BaselineRef::Last => Some(1),
+        BaselineRef::LastN(n) => Some(n),
+        BaselineRef::Segment | BaselineRef::Id(_) => None,
+    };
+    let runs = archive.runs(window)?;
+    let baseline_runs = base_ref
+        .select_in(&runs)
+        .map_err(store_err(archive.source()))?;
 
     let cfg = experiment_config(opts);
     warn_shape_mismatch(&baseline_runs, &cfg, opts);
@@ -1311,28 +1272,23 @@ fn cmd_check(benchmark: Option<&str>, opts: &GlobalOpts) -> CliResult {
         baseline_runs.iter().flat_map(|r| r.benchmark_names()),
         opts,
     )?;
-    let obs = observers(opts)?;
     let current = measure_all(&workloads, &cfg, &obs, opts.quiet)?;
 
-    // `--baseline segment` pools, per benchmark, only the runs of the
-    // current trend segment; every other reference pools its selected runs
-    // wholesale (equivalent to the old direct pooling).
-    let pooled = base_ref
-        .pooled_measurements(&store, &SteadyStateDetector::default(), &trend_config(opts))
-        .map_err(store_err(&opts.store))?;
-
-    let policy = gate_policy(opts);
-    let report =
-        rigor::check_regressions(&pooled, &current, &SteadyStateDetector::default(), &policy);
+    let response = archive.check(&Query {
+        baseline: opts.baseline.clone(),
+        measurements: Some(Measurements(current.clone())),
+        ..query(opts)
+    })?;
     finish_check(
-        &report,
+        &response.report,
         format!(
-            "regression gate vs baseline `{base_ref}` in {} ({} run(s), {})",
-            opts.store,
-            baseline_runs.len(),
-            policy_summary(&policy)
+            "regression gate vs baseline `{}` in {} ({} run(s), {})",
+            response.baseline,
+            archive.source(),
+            response.baseline_runs,
+            policy_summary(&response.report.policy)
         ),
-        (opts.store.clone(), base_ref.to_string()),
+        (archive.source().to_string(), response.baseline.clone()),
         &current,
         &obs,
         opts,
@@ -1355,7 +1311,7 @@ fn cmd_check_json(benchmark: Option<&str>, opts: &GlobalOpts, path: &str) -> Cli
     let obs = observers(opts)?;
     let current = measure_all(&workloads, &cfg, &obs, opts.quiet)?;
 
-    let policy = gate_policy(opts);
+    let policy = query(opts).policy();
     let report = rigor::check_regressions(
         &baseline,
         &current,
@@ -1384,23 +1340,6 @@ fn policy_summary(policy: &rigor::GatePolicy) -> String {
         policy.fdr_q,
         policy.max_regression * 100.0
     )
-}
-
-/// The regression-gate policy the flags ask for.
-fn gate_policy(opts: &GlobalOpts) -> rigor::GatePolicy {
-    let mut policy = rigor::GatePolicy::default().with_confidence(opts.confidence);
-    if let Some(q) = opts.fdr {
-        policy = policy.with_fdr_q(q);
-    }
-    if let Some(pct) = opts.max_regression_pct {
-        policy = policy.with_max_regression(pct / 100.0);
-    }
-    if let Some(c) = &opts.correction {
-        policy = policy.with_correction(
-            rigor::Correction::parse(c).expect("correction validated at argument parsing"),
-        );
-    }
-    policy
 }
 
 /// Prints a gate report's verdict table and summary, handles `--json`/
@@ -1713,23 +1652,17 @@ fn cmd_plan(opts: &GlobalOpts) -> CliResult {
     planner
         .validate()
         .map_err(|e| CliError::from(rigor::CampaignError::Planner(e)))?;
-    let records: Vec<RunRecord> = if let Some(url) = opts.store_url.as_deref() {
-        let obs = observers(opts)?;
-        remote_client(url, opts, &obs)
-            .history(None)
-            .map_err(remote_err(url))?
-    } else {
-        let store = open_store(&opts.store)?;
-        store.runs().cloned().collect()
-    };
-    let source = opts.store_url.clone().unwrap_or_else(|| opts.store.clone());
+    let obs = observers(opts)?;
+    let archive = Archive::open(opts, &obs)?;
+    let records = archive.runs(None)?;
+    let source = archive.source();
 
     // Campaign cells are labeled single-measurement runs; everything else
     // in the archive (suite runs, ad-hoc archives) is out of scope here.
     let det = SteadyStateDetector::default();
     let mut labels = Vec::new();
     let mut estimates = Vec::new();
-    for r in &records {
+    for r in records.iter() {
         let (Some(label), [m]) = (&r.label, r.measurements.as_slice()) else {
             continue;
         };

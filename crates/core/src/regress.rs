@@ -14,6 +14,7 @@
 //! `rigor-store` crate, which depends on this one.
 
 use rigor_stats::fdr;
+use serde::json::{DeError, JsonValue};
 use serde::{Deserialize, Serialize};
 
 use crate::compare::{compare, SpeedupResult};
@@ -21,7 +22,7 @@ use crate::measurement::BenchmarkMeasurement;
 use crate::steady::SteadyStateDetector;
 
 /// Which multiple-comparison correction the gate applies across the suite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub enum Correction {
     /// Benjamini–Hochberg: controls the false-discovery rate. The default —
     /// its power does not collapse as the suite grows.
@@ -59,6 +60,15 @@ impl Correction {
             Correction::BenjaminiHochberg => fdr::bh_adjusted(ps),
             Correction::HolmBonferroni => fdr::holm_adjusted(ps),
         }
+    }
+}
+
+// Written as its name; read in any spelling `Correction::parse` takes, so
+// a request body may spell it as the command line does.
+impl Deserialize for Correction {
+    fn from_value(v: &JsonValue) -> Result<Correction, DeError> {
+        let name = String::from_value(v)?;
+        Correction::parse(&name).ok_or_else(|| DeError::new(format!("unknown correction `{name}`")))
     }
 }
 
@@ -277,8 +287,12 @@ fn effective_p(r: &SpeedupResult) -> f64 {
 /// Runs the regression gate: `current` vs. `baseline`, benchmark by
 /// benchmark, with suite-wide multiple-comparison correction.
 ///
-/// Benchmarks are matched by name; engines may legitimately differ (that
-/// is exactly what a "JIT accidentally disabled" regression looks like).
+/// Each benchmark is gated against the baseline entry of the same name and
+/// engine. Only when the baseline holds no entry on that engine does it
+/// fall back to the first entry of the name, so a baseline measured on
+/// another engine still gates (that is exactly what a "JIT accidentally
+/// disabled" regression looks like), while a baseline holding both
+/// engines never gates one against the other.
 /// Benchmarks with no usable verdict come back [`GateStatus::Indeterminate`]
 /// rather than silently vanishing, and do not fail the gate.
 pub fn check_regressions(
@@ -292,7 +306,11 @@ pub fn check_regressions(
     let mut testable: Vec<(usize, f64)> = Vec::new();
 
     for m in current {
-        let Some(base) = baseline.iter().find(|b| b.benchmark == m.benchmark) else {
+        let same_name = || baseline.iter().filter(|b| b.benchmark == m.benchmark);
+        let Some(base) = same_name()
+            .find(|b| b.engine == m.engine)
+            .or_else(|| same_name().next())
+        else {
             gates.push(BenchmarkGate::indeterminate(
                 &m.benchmark,
                 "no baseline data for this benchmark",
@@ -445,6 +463,20 @@ mod tests {
         let report = check_regressions(&baseline, &current, &detector(), &GatePolicy::default());
         assert!(report.passed());
         assert_eq!(report.benchmarks[0].status, GateStatus::Improved);
+    }
+
+    #[test]
+    fn a_baseline_on_both_engines_gates_each_engine_against_its_own() {
+        // The interpreter entry comes first, as in `BENCH_vm.json`.
+        let baseline = vec![
+            flat("a", "interp", 100.0, 8, 20),
+            flat("a", "jit", 20.0, 8, 20),
+        ];
+        let current = vec![flat("a", "jit", 20.0, 8, 20)];
+        let report = check_regressions(&baseline, &current, &detector(), &GatePolicy::default());
+        let gate = &report.benchmarks[0];
+        assert_eq!(gate.status, GateStatus::Pass, "{gate:?}");
+        assert_eq!(gate.change_frac(), Some(0.0));
     }
 
     #[test]

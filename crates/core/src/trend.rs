@@ -105,17 +105,18 @@ impl Serialize for Penalty {
     }
 }
 
+// Read from any spelling `Penalty::parse` takes, or a positive factor.
 impl Deserialize for Penalty {
     fn from_value(v: &JsonValue) -> Result<Penalty, DeError> {
         match v {
-            JsonValue::Str(s) if s == "auto" => Ok(Penalty::Auto),
-            JsonValue::Str(s) if s == "bic" => Ok(Penalty::Bic),
-            JsonValue::Num(_) => f64::from_value(v).map(Penalty::Factor),
-            other => Err(DeError::expected(
-                "\"auto\", \"bic\" or a penalty factor",
-                other,
-            )),
+            JsonValue::Str(s) => Penalty::parse(s),
+            JsonValue::Num(_) => v
+                .as_f64()
+                .filter(|f| f.is_finite() && *f > 0.0)
+                .map(Penalty::Factor),
+            _ => None,
         }
+        .ok_or_else(|| DeError::expected("\"auto\", \"bic\" or a positive penalty factor", v))
     }
 }
 

@@ -562,9 +562,10 @@ impl RemoteStore {
             .collect()
     }
 
-    /// Runs the regression gate server-side (`POST /check`). The request
-    /// carries the locally-measured benchmarks; the baseline comes from
-    /// the server's authoritative history.
+    /// Runs the regression gate server-side (`POST /check`). The request,
+    /// a [`Query`](crate::Query) as JSON, carries the locally-measured
+    /// benchmarks; the baseline comes from the server's authoritative
+    /// history.
     ///
     /// # Errors
     ///
@@ -576,7 +577,8 @@ impl RemoteStore {
         self.parse(&resp)
     }
 
-    /// Runs changepoint analysis server-side (`POST /trend`).
+    /// Runs changepoint analysis server-side (`POST /trend`); the request
+    /// is a [`Query`](crate::Query) as JSON.
     ///
     /// # Errors
     ///

@@ -7,7 +7,10 @@
 //! - [`ArchiveServer`]: a small HTTP/1.1 server holding the one writable
 //!   [`rigor_store::Store`] behind a lock. Uploads are idempotent by the
 //!   128-bit run content id; `check` and `trend` run *server-side* so
-//!   every client gates against the same history.
+//!   every client gates against the same history. Both take one request
+//!   type, [`Query`], and are computed by [`check()`] and [`trend()`],
+//!   which the CLI also calls over a local store, so a verdict does not
+//!   depend on where the archive lives.
 //! - [`RemoteStore`]: a resilient client implementing the campaign
 //!   [`rigor::CellSink`]. Transient failures are retried with seeded
 //!   exponential backoff; persistent failure opens a circuit breaker and
@@ -27,4 +30,7 @@ pub mod http;
 pub mod server;
 
 pub use client::{RemoteError, RemoteStore};
-pub use server::{ArchiveServer, CheckResponse, ServeError, ServerHandle, TrendResponse};
+pub use server::{
+    check, trend, ArchiveServer, CheckResponse, Measurements, Query, ServeError, ServerHandle,
+    TrendResponse,
+};

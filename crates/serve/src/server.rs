@@ -13,6 +13,10 @@
 //! | `POST /check`     | regression gate vs. a server-side baseline             |
 //! | `POST /trend`     | changepoint analysis of the server-side history        |
 //!
+//! `POST /check` and `POST /trend` decode a [`Query`] and answer what
+//! [`check`] and [`trend`] compute; the CLI calls the same two functions
+//! over a local store.
+//!
 //! `PUT /runs` is idempotent by the 128-bit content id: replaying an upload
 //! (a client that never saw its ack, a spool replayed after reconnect)
 //! dedups server-side, so the archive converges to the same line set as an
@@ -35,21 +39,104 @@ use std::time::Duration;
 
 use rigor::campaign::CellReceipt;
 use rigor::{
-    check_regressions, GateReport, NetFault, NetFaultPlan, SteadyStateDetector, TrendReport,
+    check_regressions, BenchmarkMeasurement, Correction, GatePolicy, GateReport, NetFault,
+    NetFaultPlan, Penalty, SteadyStateDetector, TrendConfig, TrendReport,
 };
-use rigor_store::{record_line, BaselineRef, Store, StoreError};
+use rigor_store::{benchmark_names, record_line, trend_report, BaselineRef, Store, StoreError};
 use serde::json::{DeError, JsonValue};
 use serde::{Deserialize, Serialize};
 
 use crate::http::{read_request, write_response, Request};
 
-/// Reads an optional body field, treating `null` and absence alike.
-fn opt_field<T: Deserialize>(v: &JsonValue, name: &str) -> Result<Option<T>, DeError> {
-    match v.get(name) {
-        None | Some(JsonValue::Null) => Ok(None),
-        Some(x) => T::from_value(x)
-            .map(Some)
-            .map_err(|e| DeError::new(format!("field `{name}`: {e}"))),
+// ------------------------------------------------------------ request body
+
+/// The body of `POST /check` and `POST /trend`: the gate and trend
+/// settings, each optional (an absent or `null` field keeps the library
+/// default), plus what the route needs besides. The CLI builds one from
+/// its flags for either archive; the server decodes one per request.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub struct Query {
+    /// `trend`: analyze only this benchmark (default: every archived one).
+    pub benchmark: Option<String>,
+    /// `check`: the baseline reference (`last`, `last-N`, `segment`, an id
+    /// prefix or a label; default `last`).
+    pub baseline: Option<String>,
+    /// `check`: the current measurements to gate; required there.
+    pub measurements: Option<Measurements>,
+    /// Confidence level of the gate's and the trend's intervals.
+    pub confidence: Option<f64>,
+    /// FDR level q applied to corrected p-values.
+    pub fdr: Option<f64>,
+    /// `check`: tolerated slowdown in percent.
+    pub max_regression_pct: Option<f64>,
+    /// Multiple-comparison correction, in any spelling
+    /// [`Correction::parse`] takes.
+    pub correction: Option<Correction>,
+    /// Minimum runs per trend segment.
+    pub min_segment: Option<usize>,
+    /// Segmentation penalty, in any spelling [`Penalty::parse`] takes.
+    pub penalty: Option<Penalty>,
+}
+
+impl Query {
+    /// The regression-gate policy the fields ask for.
+    pub fn policy(&self) -> GatePolicy {
+        let mut policy = GatePolicy::default();
+        if let Some(c) = self.confidence {
+            policy = policy.with_confidence(c);
+        }
+        if let Some(q) = self.fdr {
+            policy = policy.with_fdr_q(q);
+        }
+        if let Some(pct) = self.max_regression_pct {
+            policy = policy.with_max_regression(pct / 100.0);
+        }
+        if let Some(c) = self.correction {
+            policy = policy.with_correction(c);
+        }
+        policy
+    }
+
+    /// The trend configuration the fields ask for. The bootstrap seed
+    /// stays at its fixed default, so the same archive always yields
+    /// byte-identical trend reports.
+    pub fn trend_config(&self) -> TrendConfig {
+        let mut cfg = TrendConfig::default();
+        if let Some(c) = self.confidence {
+            cfg = cfg.with_confidence(c);
+        }
+        if let Some(m) = self.min_segment {
+            cfg = cfg.with_min_segment(m);
+        }
+        if let Some(p) = self.penalty {
+            cfg = cfg.with_penalty(p);
+        }
+        if let Some(q) = self.fdr {
+            cfg = cfg.with_fdr_q(q);
+        }
+        if let Some(c) = self.correction {
+            cfg = cfg.with_correction(c);
+        }
+        cfg
+    }
+}
+
+/// Measurements in a request body: written as a bare array, read from a
+/// bare array or a `--json` export envelope ([`rigor::from_json_value`]).
+#[derive(Debug, Clone, Default)]
+pub struct Measurements(pub Vec<BenchmarkMeasurement>);
+
+impl Serialize for Measurements {
+    fn to_value(&self) -> JsonValue {
+        self.0.to_value()
+    }
+}
+
+impl Deserialize for Measurements {
+    fn from_value(v: &JsonValue) -> Result<Measurements, DeError> {
+        rigor::from_json_value(v)
+            .map(Measurements)
+            .map_err(|e| DeError::new(e.to_string()))
     }
 }
 
@@ -439,100 +526,27 @@ fn put_run(req: &Request, store: &Mutex<Store>) -> Response {
     }
 }
 
-/// Rebuilds a [`rigor::GatePolicy`] from optional body fields.
-fn policy_from(v: &JsonValue) -> Result<rigor::GatePolicy, DeError> {
-    let mut policy = rigor::GatePolicy::default();
-    if let Some(c) = opt_field::<f64>(v, "confidence")? {
-        policy = policy.with_confidence(c);
-    }
-    if let Some(q) = opt_field::<f64>(v, "fdr")? {
-        policy = policy.with_fdr_q(q);
-    }
-    if let Some(pct) = opt_field::<f64>(v, "max_regression_pct")? {
-        policy = policy.with_max_regression(pct / 100.0);
-    }
-    if let Some(c) = opt_field::<String>(v, "correction")? {
-        policy = policy.with_correction(
-            rigor::Correction::parse(&c)
-                .ok_or_else(|| DeError::new(format!("unknown correction `{c}`")))?,
-        );
-    }
-    Ok(policy)
-}
-
-/// Rebuilds a [`rigor::TrendConfig`] from optional body fields.
-fn trend_config_from(v: &JsonValue) -> Result<rigor::TrendConfig, DeError> {
-    let mut cfg = rigor::TrendConfig::default();
-    if let Some(c) = opt_field::<f64>(v, "confidence")? {
-        cfg = cfg.with_confidence(c);
-    }
-    if let Some(m) = opt_field::<u64>(v, "min_segment")? {
-        cfg = cfg.with_min_segment(m as usize);
-    }
-    if let Some(p) = opt_field::<String>(v, "penalty")? {
-        cfg = cfg.with_penalty(
-            rigor::Penalty::parse(&p)
-                .ok_or_else(|| DeError::new(format!("unknown penalty `{p}`")))?,
-        );
-    }
-    if let Some(q) = opt_field::<f64>(v, "fdr")? {
-        cfg = cfg.with_fdr_q(q);
-    }
-    if let Some(c) = opt_field::<String>(v, "correction")? {
-        cfg = cfg.with_correction(
-            rigor::Correction::parse(&c)
-                .ok_or_else(|| DeError::new(format!("unknown correction `{c}`")))?,
-        );
-    }
-    Ok(cfg)
-}
-
-/// `POST /check`: gate client-measured benchmarks against a baseline
-/// selected from the *server's* archive — the authoritative history.
-fn post_check(req: &Request, store: &Mutex<Store>) -> Response {
-    let body = match serde_json::from_str::<JsonValue>(&req.body) {
-        Ok(v) => v,
-        Err(e) => return bad_request(&format!("bad check request: {e}")),
-    };
-    let current = match body.get("measurements").map(rigor::from_json_value) {
-        Some(Ok(ms)) => ms,
-        Some(Err(e)) => return bad_request(&format!("bad measurements: {e}")),
-        None => return bad_request("missing `measurements`"),
-    };
-    let policy = match policy_from(&body) {
-        Ok(p) => p,
-        Err(e) => return bad_request(&e.to_string()),
-    };
-    let trend_cfg = match trend_config_from(&body) {
-        Ok(c) => c,
-        Err(e) => return bad_request(&e.to_string()),
-    };
-    let baseline: String = opt_field::<String>(&body, "baseline")
-        .unwrap_or(None)
-        .unwrap_or_else(|| "last".to_string());
-    let base_ref = BaselineRef::parse(&baseline);
+/// The regression gate over `store`: selects the baseline `query` names,
+/// pools it, and gates `query.measurements` against it. What `POST
+/// /check` answers, and what `rigor check` computes over a local store.
+///
+/// # Errors
+///
+/// The selection errors of [`BaselineRef::pooled_measurements`]:
+/// [`StoreError::Empty`] and [`StoreError::UnknownRun`] among them.
+pub fn check(store: &Store, query: &Query) -> Result<CheckResponse, StoreError> {
+    let base_ref = BaselineRef::parse(query.baseline.as_deref().unwrap_or("last"));
     let det = SteadyStateDetector::default();
-
-    let store = store.lock().expect("store lock");
-    let baseline_runs = match base_ref.select(&store) {
-        Ok(runs) => runs.len(),
-        Err(StoreError::Empty) | Err(StoreError::UnknownRun { .. }) => 0,
-        Err(e) => return error(500, &e.to_string()),
-    };
-    let pooled = match base_ref.pooled_measurements(&store, &det, &trend_cfg) {
-        Ok(p) => p,
-        Err(e @ (StoreError::Empty | StoreError::UnknownRun { .. })) => {
-            return error(404, &e.to_string())
-        }
-        Err(e) => return error(500, &e.to_string()),
-    };
-    let report = check_regressions(&pooled, &current, &det, &policy);
+    let baseline_runs = base_ref.select(store)?.len();
+    let pooled = base_ref.pooled_measurements(store, &det, &query.trend_config())?;
+    let current = query.measurements.as_ref().map_or(&[][..], |m| &m.0);
+    let report = check_regressions(&pooled, current, &det, &query.policy());
     let regressed: Vec<String> = report
         .regressed()
         .iter()
         .map(|g| g.benchmark.clone())
         .collect();
-    ok_json(&CheckResponse {
+    Ok(CheckResponse {
         passed: regressed.is_empty(),
         checked: report.benchmarks.len(),
         regressed,
@@ -542,26 +556,23 @@ fn post_check(req: &Request, store: &Mutex<Store>) -> Response {
     })
 }
 
-/// `POST /trend`: changepoint analysis over the server's archive.
-fn post_trend(req: &Request, store: &Mutex<Store>) -> Response {
-    let body = match serde_json::from_str::<JsonValue>(&req.body) {
-        Ok(v) => v,
-        Err(e) => return bad_request(&format!("bad trend request: {e}")),
+/// Changepoint analysis of `store`: of `query.benchmark`, or of every
+/// archived benchmark. What `POST /trend` answers, and what `rigor trend`
+/// computes over a local store.
+pub fn trend(store: &Store, query: &Query) -> TrendResponse {
+    // The archive, not the current suite, defines what can be analyzed:
+    // benchmarks that left the suite still have histories worth watching.
+    let names: Vec<String> = match &query.benchmark {
+        Some(b) => vec![b.clone()],
+        None => benchmark_names(store),
     };
-    let cfg = match trend_config_from(&body) {
-        Ok(c) => c,
-        Err(e) => return bad_request(&e.to_string()),
-    };
-    let benchmark = opt_field::<String>(&body, "benchmark").unwrap_or(None);
-    let det = SteadyStateDetector::default();
-
-    let store = store.lock().expect("store lock");
-    let names: Vec<String> = match benchmark {
-        Some(b) => vec![b],
-        None => rigor_store::benchmark_names(&store),
-    };
-    let report = rigor_store::trend_report(&store, &names, &det, &cfg);
-    ok_json(&TrendResponse {
+    let report = trend_report(
+        store,
+        &names,
+        &SteadyStateDetector::default(),
+        &query.trend_config(),
+    );
+    TrendResponse {
         alerts: report
             .alerts()
             .iter()
@@ -572,5 +583,28 @@ fn post_trend(req: &Request, store: &Mutex<Store>) -> Response {
         changepoints: report.changepoint_count(),
         significant: report.significant_count(),
         report,
-    })
+    }
+}
+
+/// `POST /check`: gate client-measured benchmarks against a baseline
+/// selected from the *server's* archive — the authoritative history.
+fn post_check(req: &Request, store: &Mutex<Store>) -> Response {
+    let query = match serde_json::from_str::<Query>(&req.body) {
+        Ok(q) if q.measurements.is_some() => q,
+        Ok(_) => return bad_request("missing `measurements`"),
+        Err(e) => return bad_request(&format!("bad check request: {e}")),
+    };
+    match check(&store.lock().expect("store lock"), &query) {
+        Ok(response) => ok_json(&response),
+        Err(e @ (StoreError::Empty | StoreError::UnknownRun { .. })) => error(404, &e.to_string()),
+        Err(e) => error(500, &e.to_string()),
+    }
+}
+
+/// `POST /trend`: changepoint analysis over the server's archive.
+fn post_trend(req: &Request, store: &Mutex<Store>) -> Response {
+    match serde_json::from_str::<Query>(&req.body) {
+        Ok(query) => ok_json(&trend(&store.lock().expect("store lock"), &query)),
+        Err(e) => bad_request(&format!("bad trend request: {e}")),
+    }
 }

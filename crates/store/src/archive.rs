@@ -452,7 +452,7 @@ impl Store {
     }
 
     /// All archived runs, in append order, as a slice.
-    pub(crate) fn records(&self) -> &[RunRecord] {
+    pub fn records(&self) -> &[RunRecord] {
         &self.runs
     }
 

@@ -91,7 +91,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     if std::env::var_os("BLESS").is_some() {
         // The gateable baseline: interpreter cells only (`rigor check`
-        // matches by benchmark name and measures one engine per run).
+        // measures one engine per run, and CI gates the interpreter).
         let measurements: Vec<&BenchmarkMeasurement> = cells
             .iter()
             .filter(|(_, label, _)| label.contains("/interp/"))

@@ -357,3 +357,69 @@ fn remote_check_and_trend_match_their_local_forms() {
     join.join().expect("server thread");
     fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn archive_history_and_an_unknown_baseline_agree_on_both_forms() {
+    let local = tmp_store("one-path-local");
+    let served = tmp_store("one-path-served");
+    let traces = tmp_store("one-path-traces");
+    fs::create_dir_all(&traces).expect("trace dir");
+    let server = rigor_serve::ArchiveServer::bind("127.0.0.1:0", &served).expect("bind");
+    let handle = server.handle();
+    let url = handle.addr().to_string();
+    let join = std::thread::spawn(move || server.serve().expect("serve"));
+    let sides = [
+        ("local", format!("--store {}", local.display())),
+        ("remote", format!("--store-url {url}")),
+    ];
+    let run = |tag: &str, command: &str| -> Vec<(i32, Vec<String>)> {
+        sides
+            .iter()
+            .map(|(side, source)| {
+                let trace = traces.join(format!("{tag}-{side}.jsonl"));
+                let code = rigor_cli::run(&argv(&format!(
+                    "{command} {source} --trace {}",
+                    trace.display()
+                )));
+                // A command that fails before it measures may leave no trace.
+                let events = if trace.exists() {
+                    trace_events(&trace)
+                } else {
+                    Vec::new()
+                };
+                (code, events)
+            })
+            .collect()
+    };
+
+    // One run archived into each empty archive: the same line, the same
+    // events.
+    let archived = run("archive", &format!("archive sieve {SHAPE}"));
+    assert_eq!(archived[0].0, 0);
+    assert_eq!(archived[0], archived[1]);
+    assert!(archived[0].1.iter().any(|e| e.contains("\"run_archived\"")));
+    assert_eq!(
+        fs::read(local.join(rigor_store::ARCHIVE_FILE)).expect("local archive"),
+        fs::read(served.join(rigor_store::ARCHIVE_FILE)).expect("served archive"),
+    );
+
+    // An unknown baseline fails on both forms before anything is measured.
+    let failed = run("nope", &format!("check sieve --baseline nope {SHAPE}"));
+    for ((side, _), (code, events)) in sides.iter().zip(failed) {
+        assert_eq!(code, 1, "{side}");
+        assert!(
+            !events.iter().any(|e| e.contains("\"invocation_started\"")),
+            "{side}: measured before failing on the unknown baseline"
+        );
+    }
+
+    // `history --alerts` works against the service too.
+    let history = run("history", "history sieve --alerts");
+    assert_eq!((history[0].0, history[1].0), (0, 0));
+
+    handle.stop();
+    join.join().expect("server thread");
+    for dir in [local, served, traces] {
+        fs::remove_dir_all(dir).ok();
+    }
+}
