@@ -228,16 +228,21 @@ impl GateReport {
     }
 }
 
-/// Pools several runs' measurements into one per-benchmark sample: for each
-/// benchmark name (in order of first appearance), the invocations of every
-/// run are concatenated and reindexed, censored invocations accumulate, and
-/// the pool is quarantined if any contributing run was. This is how a
-/// `last-N` baseline widens its invocation sample beyond a single run.
+/// Pools several runs' measurements into one sample per benchmark and
+/// engine: for each (benchmark, engine) pair (in order of first
+/// appearance), the invocations of every run are concatenated and
+/// reindexed, censored invocations accumulate, and the pool is quarantined
+/// if any contributing run was. This is how a `last-N` baseline widens its
+/// invocation sample beyond a single run without pooling one engine's
+/// invocations into another's.
 pub fn pool_measurements(runs: &[&[BenchmarkMeasurement]]) -> Vec<BenchmarkMeasurement> {
     let mut pooled: Vec<BenchmarkMeasurement> = Vec::new();
     for run in runs {
         for m in *run {
-            let slot = match pooled.iter_mut().find(|p| p.benchmark == m.benchmark) {
+            let slot = match pooled
+                .iter_mut()
+                .find(|p| p.benchmark == m.benchmark && p.engine == m.engine)
+            {
                 Some(p) => p,
                 None => {
                     pooled.push(BenchmarkMeasurement {
@@ -606,6 +611,31 @@ mod tests {
         let idx: Vec<u32> = pooled[0].invocations.iter().map(|r| r.invocation).collect();
         assert_eq!(idx, vec![0, 1, 2, 3, 4]);
         assert!(pooled[0].quarantined);
+    }
+
+    #[test]
+    fn pooling_keeps_engines_apart() {
+        // Two campaign-shaped runs, each holding both engines: the pool
+        // must hold one sample per engine, each drawn from its own engine
+        // only, so the gate compares JIT to JIT.
+        let run = vec![
+            flat("a", "interp", 600.0, 2, 20),
+            flat("a", "jit", 100.0, 2, 20),
+        ];
+        let pooled = pool_measurements(&[&run, &run]);
+        assert_eq!(pooled.len(), 2, "{pooled:?}");
+        for (m, engine, level) in [(&pooled[0], "interp", 600.0), (&pooled[1], "jit", 100.0)] {
+            assert_eq!(m.engine, engine);
+            assert_eq!(m.invocations.len(), 4);
+            assert!(m
+                .invocations
+                .iter()
+                .flat_map(|r| &r.iteration_ns)
+                .all(|&t| (t / level - 1.0).abs() < 0.05));
+        }
+        let current = vec![flat("a", "jit", 100.0, 4, 20)];
+        let report = check_regressions(&pooled, &current, &detector(), &GatePolicy::default());
+        assert_eq!(report.benchmarks[0].status, GateStatus::Pass, "{report:?}");
     }
 
     #[test]

@@ -962,9 +962,7 @@ impl Vm {
             }
             MethodId::Clear => {
                 match self.heap.get_mut(h) {
-                    // clear_in_place bumps the dict version so inline caches
-                    // keyed on the old layout are invalidated.
-                    Object::Dict(d) => d.clear_in_place(),
+                    Object::Dict(d) => *d = crate::dict::Dict::new(),
                     _ => unreachable!("tag checked"),
                 }
                 Ok(Value::None)

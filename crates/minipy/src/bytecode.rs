@@ -133,194 +133,11 @@ pub enum Op {
     UnpackSequence(u16),
     /// Push a function value for `consts[idx]` (which must be `Const::Func`).
     MakeFunction(u16),
-    /// No operation (used to patch out instructions).
-    Nop,
-    /// Superinstruction: `LoadLocal(a); LoadLocal(b); FUSABLE_BINOPS[bin]`.
-    ///
-    /// The fusion pass replaces the three-op sequence with this op followed by
-    /// two `Nop`s, so instruction indices — jump targets, back-edge pcs, JIT
-    /// region spans — are unchanged. The handler charges each absorbed op at
-    /// its original pc, so virtual time is bit-identical to the unfused
-    /// sequence; the padding `Nop`s never execute (fusion is skipped when a
-    /// jump lands inside the sequence).
-    FusedLLBin {
-        /// First local slot (left operand).
-        a: u16,
-        /// Second local slot (right operand).
-        b: u16,
-        /// Index into [`FUSABLE_BINOPS`].
-        bin: u8,
-    },
-    /// Superinstruction: `LoadLocal(a); LoadConst(c); FUSABLE_BINOPS[bin]`.
-    /// Same padding and charging contract as [`Op::FusedLLBin`].
-    FusedLCBin {
-        /// Local slot (left operand).
-        a: u16,
-        /// Constant index (right operand).
-        c: u16,
-        /// Index into [`FUSABLE_BINOPS`].
-        bin: u8,
-    },
-    /// Four-op superinstruction:
-    /// `LoadLocal(a); LoadLocal(b); FUSABLE_BINOPS[bin]; StoreLocal(d)` —
-    /// the accumulate shape (`s = s + x`). Padded with three `Nop`s.
-    FusedLLBinSt {
-        /// First local slot (left operand).
-        a: u16,
-        /// Second local slot (right operand).
-        b: u16,
-        /// Destination local slot.
-        d: u16,
-        /// Index into [`FUSABLE_BINOPS`].
-        bin: u8,
-    },
-    /// Four-op superinstruction:
-    /// `LoadLocal(a); LoadConst(c); FUSABLE_BINOPS[bin]; StoreLocal(d)` —
-    /// the increment shape (`i = i + 1`). Padded with three `Nop`s.
-    FusedLCBinSt {
-        /// Local slot (left operand).
-        a: u16,
-        /// Constant index (right operand).
-        c: u16,
-        /// Destination local slot.
-        d: u16,
-        /// Index into [`FUSABLE_BINOPS`].
-        bin: u8,
-    },
-    /// Four-op superinstruction:
-    /// `LoadLocal(a); LoadLocal(b); FUSABLE_BINOPS[bin]; PopJumpIfFalse(t)` —
-    /// the loop-header shape (`while i < n:`). Only emitted when the jump
-    /// target fits in `u16`. Padded with three `Nop`s.
-    FusedLLCmpJf {
-        /// First local slot (left operand).
-        a: u16,
-        /// Second local slot (right operand).
-        b: u16,
-        /// Jump target if the result is falsy.
-        t: u16,
-        /// Index into [`FUSABLE_BINOPS`].
-        bin: u8,
-    },
-    /// Four-op superinstruction:
-    /// `LoadLocal(a); LoadConst(c); FUSABLE_BINOPS[bin]; PopJumpIfFalse(t)`.
-    /// Only emitted when the jump target fits in `u16`. Padded with three
-    /// `Nop`s.
-    FusedLCCmpJf {
-        /// Local slot (left operand).
-        a: u16,
-        /// Constant index (right operand).
-        c: u16,
-        /// Jump target if the result is falsy.
-        t: u16,
-        /// Index into [`FUSABLE_BINOPS`].
-        bin: u8,
-    },
-    /// Superinstruction: `LoadLocal(a); LoadLocal(b); IndexLoad` — the
-    /// subscript shape (`xs[i]`). Padded with two `Nop`s.
-    FusedLLIdx {
-        /// Local slot holding the container.
-        a: u16,
-        /// Local slot holding the index.
-        b: u16,
-    },
-    /// Superinstruction: `LoadLocal(a); LoadConst(c); IndexLoad` (`p[0]`).
-    /// Padded with two `Nop`s.
-    FusedLCIdx {
-        /// Local slot holding the container.
-        a: u16,
-        /// Constant index of the subscript value.
-        c: u16,
-    },
-    /// Superinstruction: `ForIter(t); StoreLocal(d)` — the head of every
-    /// `for` loop iteration. On exhaustion only the `ForIter` half runs (the
-    /// store is jumped over), exactly as unfused. Only emitted when the jump
-    /// target fits in `u16`. Padded with one `Nop`.
-    FusedForSt {
-        /// Jump target when the iterator is exhausted.
-        t: u16,
-        /// Local slot receiving the next item.
-        d: u16,
-    },
-    /// Four-op superinstruction:
-    /// `LoadLocal(a); LoadLocal(b); LoadLocal(v); IndexStore` — the
-    /// subscript-assignment shape (`xs[i] = y`). Padded with three `Nop`s.
-    FusedLLLIdxSt {
-        /// Local slot holding the container.
-        a: u16,
-        /// Local slot holding the index.
-        b: u16,
-        /// Local slot holding the value to store.
-        v: u16,
-    },
-    /// Four-op superinstruction:
-    /// `LoadLocal(a); LoadLocal(b); LoadConst(c); IndexStore`
-    /// (`xs[i] = CONST`). Padded with three `Nop`s.
-    FusedLLCIdxSt {
-        /// Local slot holding the container.
-        a: u16,
-        /// Local slot holding the index.
-        b: u16,
-        /// Constant index of the value to store.
-        c: u16,
-    },
-    /// Two-op superinstruction: `LoadLocal(b); IndexLoad` with the container
-    /// already on the stack — the inner subscript of a nested chain
-    /// (`A[i][k]`). Padded with one `Nop`.
-    FusedSIdx {
-        /// Local slot holding the index.
-        b: u16,
-    },
-    /// Three-op superinstruction:
-    /// `LoadLocal(b); LoadLocal(v); IndexStore` with the container already on
-    /// the stack (`C[i][j] = s`). Padded with two `Nop`s.
-    FusedSLIdxSt {
-        /// Local slot holding the index.
-        b: u16,
-        /// Local slot holding the value to store.
-        v: u16,
-    },
-    /// Three-op superinstruction:
-    /// `LoadLocal(b); LoadConst(c); IndexStore` with the container already on
-    /// the stack (`C[i][j] = CONST`). Padded with two `Nop`s.
-    FusedSCIdxSt {
-        /// Local slot holding the index.
-        b: u16,
-        /// Constant index of the value to store.
-        c: u16,
-    },
 }
 
 // The dispatch loop fetches one `Op` per instruction; keeping the enum within
-// a single word is load-bearing for interpreter throughput. Every fused
-// variant is sized to fit (which is why absorbed jump targets are `u16`).
+// a single word is load-bearing for interpreter throughput.
 const _: () = assert!(std::mem::size_of::<Op>() <= 8);
-
-/// Binary opcodes a superinstruction can absorb, indexed by the `bin` field
-/// of the fused variants.
-pub const FUSABLE_BINOPS: [Op; 13] = [
-    Op::Add,
-    Op::Sub,
-    Op::Mul,
-    Op::Div,
-    Op::FloorDiv,
-    Op::Mod,
-    Op::Pow,
-    Op::CmpEq,
-    Op::CmpNe,
-    Op::CmpLt,
-    Op::CmpLe,
-    Op::CmpGt,
-    Op::CmpGe,
-];
-
-/// Returns the [`FUSABLE_BINOPS`] encoding of `op` if a superinstruction can
-/// end with it.
-pub fn fusable_bin_index(op: Op) -> Option<u8> {
-    FUSABLE_BINOPS
-        .iter()
-        .position(|&o| o == op)
-        .map(|i| i as u8)
-}
 
 impl Op {
     /// The cost-model class of this opcode.
@@ -332,23 +149,7 @@ impl Op {
             | Op::Dup2
             | Op::Pop
             | Op::UnpackSequence(_)
-            | Op::Nop
             | Op::MakeFunction(_) => OpClass::Stack,
-            // Fused ops carry the class of their first absorbed op (a local
-            // load); the handler charges the remaining sub-ops itself.
-            Op::FusedLLBin { .. }
-            | Op::FusedLCBin { .. }
-            | Op::FusedLLBinSt { .. }
-            | Op::FusedLCBinSt { .. }
-            | Op::FusedLLCmpJf { .. }
-            | Op::FusedLCCmpJf { .. }
-            | Op::FusedLLIdx { .. }
-            | Op::FusedLCIdx { .. }
-            | Op::FusedLLLIdxSt { .. }
-            | Op::FusedLLCIdxSt { .. }
-            | Op::FusedSIdx { .. }
-            | Op::FusedSLIdxSt { .. }
-            | Op::FusedSCIdxSt { .. } => OpClass::Stack,
             Op::Add
             | Op::Sub
             | Op::Mul
@@ -376,14 +177,12 @@ impl Op {
             | Op::JumpIfFalsePeek(_)
             | Op::JumpIfTruePeek(_)
             | Op::GetIter
-            | Op::ForIter(_)
-            | Op::FusedForSt { .. } => OpClass::Branch,
+            | Op::ForIter(_) => OpClass::Branch,
             Op::Call(_) | Op::CallMethod { .. } | Op::Return => OpClass::Call,
         }
     }
 
-    /// Returns the jump target if this opcode is a jump (including fused ops
-    /// that absorbed a conditional jump).
+    /// Returns the jump target if this opcode is a jump.
     pub fn jump_target(self) -> Option<u32> {
         match self {
             Op::Jump(t)
@@ -392,77 +191,6 @@ impl Op {
             | Op::JumpIfFalsePeek(t)
             | Op::JumpIfTruePeek(t)
             | Op::ForIter(t) => Some(t),
-            Op::FusedLLCmpJf { t, .. } | Op::FusedLCCmpJf { t, .. } | Op::FusedForSt { t, .. } => {
-                Some(u32::from(t))
-            }
-            _ => None,
-        }
-    }
-
-    /// Expands a superinstruction back into the exact op sequence it
-    /// replaced; `None` for ordinary ops. The fusion pass guarantees that
-    /// substituting this sequence over the op and its `Nop` padding yields
-    /// the unfused program — tests use this to prove fusion is a pure
-    /// re-encoding.
-    pub fn unfused_seq(self) -> Option<Vec<Op>> {
-        let bin = |i: u8| FUSABLE_BINOPS[i as usize];
-        match self {
-            Op::FusedLLBin { a, b, bin: i } => {
-                Some(vec![Op::LoadLocal(a), Op::LoadLocal(b), bin(i)])
-            }
-            Op::FusedLCBin { a, c, bin: i } => {
-                Some(vec![Op::LoadLocal(a), Op::LoadConst(c), bin(i)])
-            }
-            Op::FusedLLBinSt { a, b, d, bin: i } => Some(vec![
-                Op::LoadLocal(a),
-                Op::LoadLocal(b),
-                bin(i),
-                Op::StoreLocal(d),
-            ]),
-            Op::FusedLCBinSt { a, c, d, bin: i } => Some(vec![
-                Op::LoadLocal(a),
-                Op::LoadConst(c),
-                bin(i),
-                Op::StoreLocal(d),
-            ]),
-            Op::FusedLLCmpJf { a, b, t, bin: i } => Some(vec![
-                Op::LoadLocal(a),
-                Op::LoadLocal(b),
-                bin(i),
-                Op::PopJumpIfFalse(u32::from(t)),
-            ]),
-            Op::FusedLCCmpJf { a, c, t, bin: i } => Some(vec![
-                Op::LoadLocal(a),
-                Op::LoadConst(c),
-                bin(i),
-                Op::PopJumpIfFalse(u32::from(t)),
-            ]),
-            Op::FusedLLIdx { a, b } => {
-                Some(vec![Op::LoadLocal(a), Op::LoadLocal(b), Op::IndexLoad])
-            }
-            Op::FusedLCIdx { a, c } => {
-                Some(vec![Op::LoadLocal(a), Op::LoadConst(c), Op::IndexLoad])
-            }
-            Op::FusedForSt { t, d } => Some(vec![Op::ForIter(u32::from(t)), Op::StoreLocal(d)]),
-            Op::FusedLLLIdxSt { a, b, v } => Some(vec![
-                Op::LoadLocal(a),
-                Op::LoadLocal(b),
-                Op::LoadLocal(v),
-                Op::IndexStore,
-            ]),
-            Op::FusedLLCIdxSt { a, b, c } => Some(vec![
-                Op::LoadLocal(a),
-                Op::LoadLocal(b),
-                Op::LoadConst(c),
-                Op::IndexStore,
-            ]),
-            Op::FusedSIdx { b } => Some(vec![Op::LoadLocal(b), Op::IndexLoad]),
-            Op::FusedSLIdxSt { b, v } => {
-                Some(vec![Op::LoadLocal(b), Op::LoadLocal(v), Op::IndexStore])
-            }
-            Op::FusedSCIdxSt { b, c } => {
-                Some(vec![Op::LoadLocal(b), Op::LoadConst(c), Op::IndexStore])
-            }
             _ => None,
         }
     }
@@ -510,26 +238,7 @@ impl Code {
             Op::CallMethod { name, argc } => {
                 format!("CALL_METHOD {} argc={argc}", self.name_at(name))
             }
-            Op::FusedLLBin { a, b, bin } => {
-                format!(
-                    "FUSED LoadLocal({a}) LoadLocal({b}) {:?}",
-                    FUSABLE_BINOPS[bin as usize]
-                )
-            }
-            Op::FusedLCBin { a, c, bin } => {
-                format!(
-                    "FUSED LoadLocal({a}) LOAD_CONST {:?} {:?}",
-                    self.consts.get(c as usize),
-                    FUSABLE_BINOPS[bin as usize]
-                )
-            }
-            other => match other.unfused_seq() {
-                Some(seq) => {
-                    let parts: Vec<String> = seq.into_iter().map(|o| self.format_op(o)).collect();
-                    format!("FUSED [{}]", parts.join("; "))
-                }
-                None => format!("{other:?}"),
-            },
+            other => format!("{other:?}"),
         }
     }
 
@@ -564,18 +273,17 @@ impl Program {
     ///
     /// * every code object ends with `Return`, so straight-line execution
     ///   can never run off the instruction stream;
-    /// * every jump target — including targets absorbed into fused ops — is
-    ///   a valid instruction index;
+    /// * every jump target is a valid instruction index;
     /// * every local-slot, constant-pool and name-table index is in bounds
-    ///   for its code object;
-    /// * every fused op is followed by its full `Nop` padding, so its
-    ///   fall-through pc is a valid instruction index.
-    ///
+    ///   for its code object, no code object has more parameters than local
+    ///   slots, and every function constant names an existing code object;
+    /// * every `ListAppend` reaches at least one slot below the value it
+    ///   pops (its handler reads the list at depth `n - 1`);
     /// * the operand stack never underflows, every reachable pc has one
     ///   consistent stack depth, and each code object's maximum depth is
-    ///   known (returned per code, in order) — which is what lets the VM
-    ///   pre-reserve stack capacity at frame entry and use unchecked
-    ///   push/pop in the dispatch loop.
+    ///   known (returned per code, in order) and at most 2^20 — which is
+    ///   what lets the VM pre-reserve stack capacity at frame entry and
+    ///   use unchecked push/pop in the dispatch loop.
     ///
     /// The VM runs this once at load and refuses programs that fail, making
     /// the per-op bounds checks it skips provably redundant. The compiler
@@ -589,61 +297,48 @@ impl Program {
         let mut max_stacks = Vec::with_capacity(self.codes.len());
         for (ci, code) in self.codes.iter().enumerate() {
             let n = code.ops.len();
-            let ctx = |pc: usize, msg: String| format!("code {ci} ({}) pc {pc}: {msg}", code.name);
             if !matches!(code.ops.last(), Some(Op::Return)) {
                 return Err(format!(
                     "code {ci} ({}): does not end with Return",
                     code.name
                 ));
             }
-            let check_local = |pc: usize, slot: u16| -> Result<(), String> {
-                if slot >= code.n_locals {
-                    return Err(ctx(pc, format!("local slot {slot} >= {}", code.n_locals)));
+            if code.n_params > code.n_locals {
+                return Err(format!(
+                    "code {ci} ({}): {} parameters but {} local slots",
+                    code.name, code.n_params, code.n_locals
+                ));
+            }
+            for c in &code.consts {
+                if let Const::Func(id) = *c {
+                    if id >= self.codes.len() {
+                        return Err(format!(
+                            "code {ci} ({}): function constant names missing code {id}",
+                            code.name
+                        ));
+                    }
                 }
-                Ok(())
-            };
-            let check_const = |pc: usize, idx: u16| -> Result<(), String> {
-                if idx as usize >= code.consts.len() {
-                    return Err(ctx(pc, format!("const index {idx} out of range")));
-                }
-                Ok(())
-            };
-            let check_name = |pc: usize, idx: u16| -> Result<(), String> {
-                if idx as usize >= code.names.len() {
-                    return Err(ctx(pc, format!("name index {idx} out of range")));
-                }
-                Ok(())
-            };
+            }
             for (pc, &op) in code.ops.iter().enumerate() {
-                if let Some(t) = op.jump_target() {
-                    if t as usize >= n {
-                        return Err(ctx(pc, format!("jump target {t} out of range")));
+                let fault = match op {
+                    Op::LoadLocal(i) | Op::StoreLocal(i) if i >= code.n_locals => {
+                        format!("local slot {i} >= {}", code.n_locals)
                     }
-                }
-                if let Some(seq) = op.unfused_seq() {
-                    if pc + seq.len() > n
-                        || code.ops[pc + 1..pc + seq.len()]
-                            .iter()
-                            .any(|&o| o != Op::Nop)
+                    Op::LoadConst(i) | Op::MakeFunction(i) if i as usize >= code.consts.len() => {
+                        format!("const index {i} out of range")
+                    }
+                    Op::LoadGlobal(i) | Op::StoreGlobal(i) | Op::CallMethod { name: i, .. }
+                        if i as usize >= code.names.len() =>
                     {
-                        return Err(ctx(pc, "fused op lacks Nop padding".into()));
+                        format!("name index {i} out of range")
                     }
-                    for (k, sub) in seq.into_iter().enumerate() {
-                        match sub {
-                            Op::LoadLocal(i) | Op::StoreLocal(i) => check_local(pc + k, i)?,
-                            Op::LoadConst(i) => check_const(pc + k, i)?,
-                            _ => {}
-                        }
-                    }
-                    continue;
-                }
-                match op {
-                    Op::LoadLocal(i) | Op::StoreLocal(i) => check_local(pc, i)?,
-                    Op::LoadConst(i) | Op::MakeFunction(i) => check_const(pc, i)?,
-                    Op::LoadGlobal(i) | Op::StoreGlobal(i) => check_name(pc, i)?,
-                    Op::CallMethod { name, .. } => check_name(pc, name)?,
-                    _ => {}
-                }
+                    Op::ListAppend(0) => "ListAppend(0) has no list below its value".into(),
+                    _ => match op.jump_target() {
+                        Some(t) if t as usize >= n => format!("jump target {t} out of range"),
+                        _ => continue,
+                    },
+                };
+                return Err(format!("code {ci} ({}) pc {pc}: {fault}", code.name));
             }
             max_stacks.push(
                 code.max_stack_depth()
@@ -654,8 +349,12 @@ impl Program {
     }
 }
 
-/// `(pops, pushes)` of a straight-line primitive op. Branching ops
-/// (`Jump`/`PopJumpIf*`/`JumpIf*Peek`/`ForIter`), `Return` and fused ops have
+/// The deepest operand stack a code object may use. Frame entry reserves
+/// a code's whole proven depth, so the bound caps that allocation.
+const MAX_STACK_DEPTH: u32 = 1 << 20;
+
+/// `(pops, pushes)` of a straight-line op. Branching ops
+/// (`Jump`/`PopJumpIf*`/`JumpIf*Peek`/`ForIter`) and `Return` have
 /// path-dependent effects and are handled by [`Code::max_stack_depth`]
 /// directly.
 fn linear_stack_effect(op: Op) -> (u32, u32) {
@@ -691,7 +390,6 @@ fn linear_stack_effect(op: Op) -> (u32, u32) {
         Op::Call(k) => (u32::from(k) + 1, 1),
         Op::CallMethod { argc, .. } => (u32::from(argc) + 1, 1),
         Op::UnpackSequence(k) => (1, u32::from(k)),
-        Op::Nop => (0, 0),
         _ => unreachable!("non-linear op in linear_stack_effect: {op:?}"),
     }
 }
@@ -700,12 +398,7 @@ impl Code {
     /// Worklist dataflow over the instruction stream: checks that the
     /// operand stack never underflows and that every reachable pc is entered
     /// at exactly one depth, and returns the maximum depth any reachable
-    /// path attains.
-    ///
-    /// Fused ops are expanded through [`Op::unfused_seq`] and simulated
-    /// sub-op by sub-op, so their transient depths count too; the handlers'
-    /// own transient stack use never exceeds the unfused sequence's. Must
-    /// run after jump targets have been bounds-checked.
+    /// path attains. Must run after jump targets have been bounds-checked.
     fn max_stack_depth(&self) -> Result<u32, String> {
         let n = self.ops.len();
         let mut depth_at: Vec<Option<u32>> = vec![None; n];
@@ -719,66 +412,60 @@ impl Code {
                 }
                 None => depth_at[pc] = Some(d),
             }
-            let op = self.ops[pc];
-            let seq = op.unfused_seq().unwrap_or_else(|| vec![op]);
-            let mut cur = d;
-            let mut falls = true;
-            for (k, &sub) in seq.iter().enumerate() {
-                let sub_pc = pc + k;
-                let need = |cur: u32, pops: u32| -> Result<(), String> {
-                    if cur < pops {
-                        Err(format!(
-                            "pc {sub_pc}: stack underflow (depth {cur}, op pops {pops})"
-                        ))
-                    } else {
-                        Ok(())
-                    }
-                };
-                match sub {
-                    Op::Jump(t) => {
-                        work.push((t as usize, cur));
-                        falls = false;
-                        break;
-                    }
-                    Op::Return => {
-                        need(cur, 1)?;
-                        falls = false;
-                        break;
-                    }
-                    Op::PopJumpIfFalse(t) | Op::PopJumpIfTrue(t) => {
-                        need(cur, 1)?;
-                        cur -= 1;
-                        work.push((t as usize, cur));
-                    }
-                    Op::JumpIfFalsePeek(t) | Op::JumpIfTruePeek(t) => {
-                        // The jump path keeps TOS; the fall-through pops it.
-                        need(cur, 1)?;
-                        work.push((t as usize, cur));
-                        cur -= 1;
-                    }
-                    Op::ForIter(t) => {
-                        // Exhaustion pops the iterator and jumps; the
-                        // fall-through pushes the produced item on top of it.
-                        need(cur, 1)?;
-                        work.push((t as usize, cur - 1));
-                        cur += 1;
-                        max_depth = max_depth.max(cur);
-                    }
-                    sub => {
-                        let (pops, pushes) = linear_stack_effect(sub);
-                        need(cur, pops)?;
-                        cur = cur - pops + pushes;
-                        max_depth = max_depth.max(cur);
-                    }
+            let need = |pops: u32| -> Result<(), String> {
+                if d < pops {
+                    Err(format!(
+                        "pc {pc}: stack underflow (depth {d}, op pops {pops})"
+                    ))
+                } else {
+                    Ok(())
                 }
-            }
-            if falls {
-                let next = pc + seq.len();
-                if next >= n {
-                    return Err(format!("pc {pc}: falls through the end of the code"));
+            };
+            let next = match self.ops[pc] {
+                Op::Jump(t) => {
+                    work.push((t as usize, d));
+                    continue;
                 }
-                work.push((next, cur));
+                Op::Return => {
+                    need(1)?;
+                    continue;
+                }
+                Op::PopJumpIfFalse(t) | Op::PopJumpIfTrue(t) => {
+                    need(1)?;
+                    work.push((t as usize, d - 1));
+                    d - 1
+                }
+                Op::JumpIfFalsePeek(t) | Op::JumpIfTruePeek(t) => {
+                    // The jump path keeps TOS; the fall-through pops it.
+                    need(1)?;
+                    work.push((t as usize, d));
+                    d - 1
+                }
+                Op::ForIter(t) => {
+                    // Exhaustion pops the iterator and jumps; the
+                    // fall-through pushes the produced item on top of it.
+                    need(1)?;
+                    work.push((t as usize, d - 1));
+                    d + 1
+                }
+                op => {
+                    let (pops, pushes) = linear_stack_effect(op);
+                    need(pops)?;
+                    d - pops + pushes
+                }
+            };
+            // Bounding every depth also keeps the arithmetic above from
+            // overflowing: no op pushes more than `u16::MAX` values.
+            if next > MAX_STACK_DEPTH {
+                return Err(format!(
+                    "pc {pc}: stack depth {next} exceeds {MAX_STACK_DEPTH}"
+                ));
             }
+            max_depth = max_depth.max(next);
+            if pc + 1 >= n {
+                return Err(format!("pc {pc}: falls through the end of the code"));
+            }
+            work.push((pc + 1, next));
         }
         Ok(max_depth)
     }

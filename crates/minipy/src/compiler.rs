@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 
 use crate::ast::{BinOp, Expr, Module, Stmt, Target, UnaryOp};
-use crate::bytecode::{fusable_bin_index, Code, Const, Op, Program};
+use crate::bytecode::{Code, Const, Op, Program};
 use crate::error::{MpError, MpResult, Span};
 use crate::parser::parse;
 
@@ -18,164 +18,7 @@ use crate::parser::parse;
 ///
 /// Returns lex, parse or compile errors.
 pub fn compile(source: &str) -> MpResult<Program> {
-    let mut program = compile_unfused(source)?;
-    fuse_program(&mut program);
-    Ok(program)
-}
-
-/// Compiles without the superinstruction fusion pass.
-///
-/// Execution of the unfused program is bit-identical (virtual time, counters,
-/// results) to the fused one — the equivalence tests use this as the
-/// reference.
-///
-/// # Errors
-///
-/// Returns lex, parse or compile errors.
-pub fn compile_unfused(source: &str) -> MpResult<Program> {
-    let module = parse(source)?;
-    compile_module(&module)
-}
-
-/// Rewrites each code object's instruction stream, replacing common
-/// straight-line sequences with superinstructions: `load; load; binop`
-/// (optionally followed by a store or a conditional jump) and
-/// `load; load; IndexLoad`.
-///
-/// Absorbed slots are padded with [`Op::Nop`] so instruction indices — jump
-/// targets, back-edge pcs, JIT region spans, per-code op counts — are
-/// unchanged. A sequence is only fused when no jump lands on any op after
-/// its head (a jump to the head is fine), so the padding `Nop`s are
-/// unreachable.
-pub fn fuse_program(program: &mut Program) {
-    for code in &mut program.codes {
-        fuse_code(code);
-    }
-}
-
-fn fuse_code(code: &mut Code) {
-    let n = code.ops.len();
-    let mut is_target = vec![false; n + 1];
-    for op in &code.ops {
-        if let Some(t) = op.jump_target() {
-            is_target[t as usize] = true;
-        }
-    }
-    let mut i = 0;
-    while i + 2 < n {
-        // The two-op `for`-loop head: `ForIter; StoreLocal`. `continue`
-        // jumps target the `ForIter` itself, so interior targets are rare.
-        if !is_target[i + 1] {
-            if let (Op::ForIter(t), Op::StoreLocal(d)) = (code.ops[i], code.ops[i + 1]) {
-                if let Ok(t) = u16::try_from(t) {
-                    code.ops[i] = Op::FusedForSt { t, d };
-                    code.ops[i + 1] = Op::Nop;
-                    i += 2;
-                    continue;
-                }
-            }
-            // The inner subscript of a nested chain (`A[i][k]`): the
-            // container is already on the stack, so only the index load and
-            // the subscript fuse. Checked before the pair window so it only
-            // fires when no wider local-local fusion applies (a preceding
-            // `LoadLocal` would have been absorbed at the previous position).
-            if let (Op::LoadLocal(b), Op::IndexLoad) = (code.ops[i], code.ops[i + 1]) {
-                code.ops[i] = Op::FusedSIdx { b };
-                code.ops[i + 1] = Op::Nop;
-                i += 2;
-                continue;
-            }
-        }
-        if is_target[i + 1] || is_target[i + 2] {
-            i += 1;
-            continue;
-        }
-        // Every fusion starts with a local load followed by a second load
-        // (local or constant); `s` is the second operand's slot/const index.
-        let pair = match (code.ops[i], code.ops[i + 1]) {
-            (Op::LoadLocal(a), Op::LoadLocal(b)) => Some((a, b, false)),
-            (Op::LoadLocal(a), Op::LoadConst(c)) => Some((a, c, true)),
-            _ => None,
-        };
-        let Some((a, s, second_is_const)) = pair else {
-            i += 1;
-            continue;
-        };
-        let tail = code.ops[i + 2];
-
-        // Widest match first: a binop followed by a store or a conditional
-        // jump fuses to a four-op superinstruction (the accumulate,
-        // increment and loop-header shapes).
-        let four = if i + 3 < n && !is_target[i + 3] {
-            match (fusable_bin_index(tail), code.ops[i + 3]) {
-                (Some(bin), Op::StoreLocal(d)) => Some(if second_is_const {
-                    Op::FusedLCBinSt { a, c: s, d, bin }
-                } else {
-                    Op::FusedLLBinSt { a, b: s, d, bin }
-                }),
-                (Some(bin), Op::PopJumpIfFalse(t)) => u16::try_from(t).ok().map(|t| {
-                    if second_is_const {
-                        Op::FusedLCCmpJf { a, c: s, t, bin }
-                    } else {
-                        Op::FusedLLCmpJf { a, b: s, t, bin }
-                    }
-                }),
-                // Subscript assignment (`xs[i] = y`, `xs[i] = CONST`): the
-                // container and index are local loads, the value is the
-                // third load, and `IndexStore` consumes all three.
-                _ => match (second_is_const, tail, code.ops[i + 3]) {
-                    (false, Op::LoadLocal(v), Op::IndexStore) => {
-                        Some(Op::FusedLLLIdxSt { a, b: s, v })
-                    }
-                    (false, Op::LoadConst(c), Op::IndexStore) => {
-                        Some(Op::FusedLLCIdxSt { a, b: s, c })
-                    }
-                    _ => None,
-                },
-            }
-        } else {
-            None
-        };
-        if let Some(f) = four {
-            code.ops[i] = f;
-            for pad in &mut code.ops[i + 1..i + 4] {
-                *pad = Op::Nop;
-            }
-            i += 4;
-            continue;
-        }
-
-        let three = match tail {
-            Op::IndexLoad => Some(if second_is_const {
-                Op::FusedLCIdx { a, c: s }
-            } else {
-                Op::FusedLLIdx { a, b: s }
-            }),
-            // Subscript store with the container already on the stack
-            // (`C[i][j] = s`): the two loads are the index and the value.
-            Op::IndexStore => Some(if second_is_const {
-                Op::FusedSCIdxSt { b: a, c: s }
-            } else {
-                Op::FusedSLIdxSt { b: a, v: s }
-            }),
-            _ => fusable_bin_index(tail).map(|bin| {
-                if second_is_const {
-                    Op::FusedLCBin { a, c: s, bin }
-                } else {
-                    Op::FusedLLBin { a, b: s, bin }
-                }
-            }),
-        };
-        match three {
-            Some(f) => {
-                code.ops[i] = f;
-                code.ops[i + 1] = Op::Nop;
-                code.ops[i + 2] = Op::Nop;
-                i += 3;
-            }
-            None => i += 1,
-        }
-    }
+    compile_module(&parse(source)?)
 }
 
 /// Compiles an already-parsed module.
@@ -1011,7 +854,7 @@ mod tests {
 
     #[test]
     fn function_locals_get_slots() {
-        let p = compile_unfused("def f(a, b):\n    c = a + b\n    return c\n").unwrap();
+        let p = compile_ok("def f(a, b):\n    c = a + b\n    return c\n");
         let f = &p.codes[1];
         assert_eq!(f.n_params, 2);
         assert_eq!(f.n_locals, 3);
@@ -1022,131 +865,6 @@ mod tests {
             .ops
             .iter()
             .any(|o| matches!(o, Op::LoadGlobal(_) | Op::StoreGlobal(_))));
-    }
-
-    #[test]
-    fn fusion_replaces_sequence_and_pads_with_nops() {
-        // `c = a + b` takes the widest shape: load, load, add, store.
-        let p = compile_ok("def f(a, b):\n    c = a + b\n    return c\n");
-        let f = &p.codes[1];
-        assert_eq!(
-            f.ops[0],
-            Op::FusedLLBinSt {
-                a: 0,
-                b: 1,
-                d: 2,
-                bin: 0
-            }
-        );
-        assert_eq!(&f.ops[1..4], &[Op::Nop, Op::Nop, Op::Nop]);
-        // A bare expression (no store) still gets the three-op fusion.
-        let p3 = compile_ok("def g(a, b):\n    return a + b\n");
-        assert!(p3.codes[1]
-            .ops
-            .iter()
-            .any(|o| matches!(o, Op::FusedLLBin { a: 0, b: 1, bin: 0 })));
-        // Op count is identical to the unfused compile: fusion pads, never
-        // shrinks, so pcs stay valid.
-        let u = compile_unfused("def f(a, b):\n    c = a + b\n    return c\n").unwrap();
-        assert_eq!(f.ops.len(), u.codes[1].ops.len());
-    }
-
-    /// Expands every superinstruction in `program` back to the sequence it
-    /// absorbed, consuming its `Nop` padding. The result must equal the
-    /// unfused compile exactly — fusion is a pure re-encoding.
-    fn unfuse_program(program: &Program) -> Program {
-        let mut out = program.clone();
-        for code in &mut out.codes {
-            let mut i = 0;
-            while i < code.ops.len() {
-                match code.ops[i].unfused_seq() {
-                    Some(seq) => {
-                        for (k, op) in seq.iter().enumerate() {
-                            assert!(
-                                k == 0 || code.ops[i + k] == Op::Nop,
-                                "fused op at {i} not padded with Nops:\n{}",
-                                code.disassemble()
-                            );
-                            code.ops[i + k] = *op;
-                        }
-                        i += seq.len();
-                    }
-                    None => i += 1,
-                }
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn fusion_is_a_pure_reencoding_of_the_unfused_program() {
-        // Exercises all fusion shapes: loop header (`while i < n`),
-        // accumulate (`s = s + xs[i]` — subscript + binop + store),
-        // increment (`i = i + 1`), and an `if` comparison.
-        let src = "def f(n, xs):\n    s = 0\n    i = 0\n    while i < n:\n        s = s + xs[i]\n        if s > 100:\n            s = s - 100\n        i = i + 1\n    return s\n";
-        let fused = compile_ok(src);
-        let unfused = compile_unfused(src).unwrap();
-        assert_eq!(unfuse_program(&fused), unfused);
-
-        // Jumps into the interior of any fused sequence are forbidden.
-        for code in &fused.codes {
-            for op in &code.ops {
-                if let Some(t) = op.jump_target() {
-                    let t = t as usize;
-                    for back in 1..4usize {
-                        if let Some(head) = t.checked_sub(back).map(|h| code.ops[h]) {
-                            if let Some(seq) = head.unfused_seq() {
-                                assert!(
-                                    seq.len() <= back,
-                                    "jump target {t} lands inside the fused op at {}:\n{}",
-                                    t - back,
-                                    code.disassemble()
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // The loop actually produced the wide shapes, not just pair fusions.
-        let f = &fused.codes[1];
-        assert!(
-            f.ops.iter().any(|o| matches!(o, Op::FusedLLCmpJf { .. })),
-            "loop header did not fuse:\n{}",
-            f.disassemble()
-        );
-        assert!(
-            f.ops.iter().any(|o| matches!(o, Op::FusedLCBinSt { .. })),
-            "increment did not fuse:\n{}",
-            f.disassemble()
-        );
-        assert!(
-            f.ops.iter().any(|o| matches!(o, Op::FusedLLIdx { .. })),
-            "subscript did not fuse:\n{}",
-            f.disassemble()
-        );
-    }
-
-    #[test]
-    fn fusion_over_whole_suite_roundtrips() {
-        for w in rigor_workloads_sources() {
-            let fused = compile_ok(&w);
-            let unfused = compile_unfused(&w).unwrap();
-            assert_eq!(unfuse_program(&fused), unfused);
-        }
-    }
-
-    /// A handful of representative sources exercising fusion edge cases
-    /// (the full-suite sweep lives in the integration tests, which can see
-    /// the workloads crate).
-    fn rigor_workloads_sources() -> Vec<String> {
-        vec![
-            "def f(a, b):\n    c = a + b\n    return c\n".into(),
-            "def f(n):\n    i = 0\n    while i < n:\n        i = i + 1\n    return i\n".into(),
-            "def f(xs, i):\n    return xs[i] + xs[0]\n".into(),
-            "def f(x):\n    if x > 0:\n        return x\n    return 0 - x\n".into(),
-        ]
     }
 
     #[test]

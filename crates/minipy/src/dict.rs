@@ -48,6 +48,11 @@ pub struct InsertPlan {
 }
 
 /// MiniPy's hash table.
+///
+/// Entries move on every resize, and nothing outside the table tracks
+/// them: the two-phase `plan_*`/`commit_*` pairs hold a slot index only
+/// across a window in which nothing else touches the dict, and a key
+/// iterator resumes its scan from a position, not from an entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dict {
     slots: Vec<Slot>,
@@ -55,11 +60,6 @@ pub struct Dict {
     used: usize,
     /// Live entries plus tombstones (controls resize).
     fill: usize,
-    /// Bumped on every *structural* change — insertion into a vacant slot,
-    /// removal, resize, clear. Overwriting the value of a present key is not
-    /// structural: slot positions and probe paths are unchanged. The
-    /// interpreter's inline caches key on this to replay a cached probe.
-    version: u64,
 }
 
 impl Default for Dict {
@@ -145,45 +145,6 @@ impl Dict {
             slots: Vec::new(),
             used: 0,
             fill: 0,
-            version: 0,
-        }
-    }
-
-    /// The structural version counter (see the field docs).
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Empties the dict in place, preserving version monotonicity — callers
-    /// must use this rather than replacing the whole `Dict`, which would
-    /// reset the version and could make a stale inline cache look valid.
-    pub fn clear_in_place(&mut self) {
-        self.slots = Vec::new();
-        self.used = 0;
-        self.fill = 0;
-        self.version += 1;
-    }
-
-    /// Reads the entry at a raw slot index as `(key, value)`, if that slot
-    /// holds one. Inline caches use this to re-read a slot they resolved
-    /// earlier; validity is guarded by [`Dict::version`].
-    pub fn slot_entry(&self, slot: usize) -> Option<(Value, Value)> {
-        match self.slots.get(slot) {
-            Some(Slot::Entry { key, value, .. }) => Some((*key, *value)),
-            _ => None,
-        }
-    }
-
-    /// Overwrites the value at a raw slot index; returns `false` if the slot
-    /// no longer holds an entry. Not a structural change (matches `insert` on
-    /// a present key), so the version is not bumped.
-    pub fn slot_set_value(&mut self, slot: usize, value: Value) -> bool {
-        match self.slots.get_mut(slot) {
-            Some(Slot::Entry { value: v, .. }) => {
-                *v = value;
-                true
-            }
-            _ => false,
         }
     }
 
@@ -262,28 +223,13 @@ impl Dict {
     ///
     /// Returns a `TypeError` if `key` is unhashable.
     pub fn try_get(&self, heap: &Heap, key: Value, probes: &mut u64) -> MpResult<Option<Value>> {
-        Ok(self.try_get_slot(heap, key, probes)?.map(|(_, v)| v))
-    }
-
-    /// Like [`Dict::try_get`] but also reports the slot index of a hit, for
-    /// the interpreter's inline caches.
-    ///
-    /// # Errors
-    ///
-    /// Returns a `TypeError` if `key` is unhashable.
-    pub fn try_get_slot(
-        &self,
-        heap: &Heap,
-        key: Value,
-        probes: &mut u64,
-    ) -> MpResult<Option<(usize, Value)>> {
         if self.slots.is_empty() {
             return Ok(None);
         }
         let hash = hash_value(heap, key)?;
         match self.probe(heap, hash, key, probes) {
             Probe::Found(i) => match &self.slots[i] {
-                Slot::Entry { value, .. } => Ok(Some((i, *value))),
+                Slot::Entry { value, .. } => Ok(Some(*value)),
                 _ => unreachable!("probe returned Found for non-entry"),
             },
             Probe::Vacant(_) => Ok(None),
@@ -322,45 +268,26 @@ impl Dict {
         value: Value,
         probes: &mut u64,
     ) -> MpResult<Option<Value>> {
-        Ok(self.insert_slot(heap, key, value, probes)?.1)
-    }
-
-    /// Like [`Dict::insert`] but also reports the slot written, for the
-    /// interpreter's store inline cache. The slot index is only meaningful
-    /// when the previous value is `Some` (an overwrite cannot resize the
-    /// table; a fresh insertion may, invalidating the index).
-    ///
-    /// # Errors
-    ///
-    /// Returns a `TypeError` if `key` is unhashable.
-    pub fn insert_slot(
-        &mut self,
-        heap: &Heap,
-        key: Value,
-        value: Value,
-        probes: &mut u64,
-    ) -> MpResult<(usize, Option<Value>)> {
         let hash = hash_value(heap, key)?;
         if self.slots.is_empty() {
             self.slots = vec![Slot::Empty; MIN_CAPACITY];
         }
         match self.probe(heap, hash, key, probes) {
             Probe::Found(i) => match &mut self.slots[i] {
-                Slot::Entry { value: v, .. } => Ok((i, Some(std::mem::replace(v, value)))),
+                Slot::Entry { value: v, .. } => Ok(Some(std::mem::replace(v, value))),
                 _ => unreachable!("probe returned Found for non-entry"),
             },
             Probe::Vacant(i) => {
                 let was_tombstone = matches!(self.slots[i], Slot::Tombstone);
                 self.slots[i] = Slot::Entry { hash, key, value };
                 self.used += 1;
-                self.version += 1;
                 if !was_tombstone {
                     self.fill += 1;
                 }
                 if self.fill * 3 >= self.slots.len() * 2 {
                     self.resize(probes);
                 }
-                Ok((i, None))
+                Ok(None)
             }
         }
     }
@@ -371,9 +298,9 @@ impl Dict {
     /// [`Dict::commit_insert`] under a disjoint `&mut Dict` — avoiding the
     /// take/put of [`crate::heap::Heap::with_dict_mut`] on the hot store
     /// path. Returns `None` when the table is unallocated (first-ever
-    /// insert); route that through [`Dict::insert_slot`] instead.
+    /// insert); route that through [`Dict::insert`] instead.
     ///
-    /// Probe charging is identical to [`Dict::insert_slot`]: the probe runs
+    /// Probe charging is identical to [`Dict::insert`]: the probe runs
     /// exactly once, here.
     ///
     /// # Errors
@@ -397,34 +324,33 @@ impl Dict {
     }
 
     /// The mutating half of [`Dict::plan_insert`]: writes the planned slot,
-    /// with the same bookkeeping (and possible growth) as
-    /// [`Dict::insert_slot`]. The dict must not have been modified between
-    /// plan and commit.
+    /// with the same bookkeeping (and possible growth) as [`Dict::insert`],
+    /// and returns the previous value. The dict must not have been modified
+    /// between plan and commit.
     pub fn commit_insert(
         &mut self,
         plan: InsertPlan,
         key: Value,
         value: Value,
         probes: &mut u64,
-    ) -> (usize, Option<Value>) {
+    ) -> Option<Value> {
         let InsertPlan { hash, slot, found } = plan;
         if found {
             match &mut self.slots[slot] {
-                Slot::Entry { value: v, .. } => (slot, Some(std::mem::replace(v, value))),
+                Slot::Entry { value: v, .. } => Some(std::mem::replace(v, value)),
                 _ => unreachable!("planned overwrite of a non-entry slot"),
             }
         } else {
             let was_tombstone = matches!(self.slots[slot], Slot::Tombstone);
             self.slots[slot] = Slot::Entry { hash, key, value };
             self.used += 1;
-            self.version += 1;
             if !was_tombstone {
                 self.fill += 1;
             }
             if self.fill * 3 >= self.slots.len() * 2 {
                 self.resize(probes);
             }
-            (slot, None)
+            None
         }
     }
 
@@ -457,7 +383,6 @@ impl Dict {
     pub fn commit_remove(&mut self, slot: usize) -> Value {
         let old = std::mem::replace(&mut self.slots[slot], Slot::Tombstone);
         self.used -= 1;
-        self.version += 1;
         match old {
             Slot::Entry { value, .. } => value,
             _ => unreachable!("planned removal of a non-entry slot"),
@@ -478,7 +403,6 @@ impl Dict {
             Probe::Found(i) => {
                 let old = std::mem::replace(&mut self.slots[i], Slot::Tombstone);
                 self.used -= 1;
-                self.version += 1;
                 match old {
                     Slot::Entry { value, .. } => Ok(Some(value)),
                     _ => unreachable!("probe returned Found for non-entry"),
@@ -492,7 +416,6 @@ impl Dict {
         let target = (self.used * 3).max(MIN_CAPACITY).next_power_of_two();
         let old = std::mem::replace(&mut self.slots, vec![Slot::Empty; target]);
         self.fill = self.used;
-        self.version += 1;
         let mask = (target - 1) as u64;
         for slot in old {
             if let Slot::Entry { hash, key, value } = slot {

@@ -226,11 +226,6 @@ pub struct Heap {
     stats: HeapStats,
     /// Per-invocation string-hash seed (CPython's `PYTHONHASHSEED`).
     hash_seed: u64,
-    /// Bumped by every sweep. Paired with a [`Handle`] this uniquely
-    /// identifies an object lifetime (handles are only recycled through the
-    /// free list, which is only refilled by sweeps) — the interpreter's
-    /// inline caches key on it.
-    generation: u64,
     /// Current mark epoch; see the `mark` field of `HeapSlot`.
     mark_epoch: u64,
 }
@@ -262,7 +257,6 @@ impl Heap {
             adaptive_threshold: true,
             stats: HeapStats::default(),
             hash_seed: seed,
-            generation: 0,
             mark_epoch: 0,
         }
     }
@@ -270,12 +264,6 @@ impl Heap {
     /// The per-invocation string-hash seed.
     pub fn hash_seed(&self) -> u64 {
         self.hash_seed
-    }
-
-    /// The current GC generation: bumped by every sweep, so an inline cache
-    /// stamped with (handle, generation) can never observe a recycled slot.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// The seeded hash of the string behind `h`, memoized per heap slot so
@@ -356,10 +344,12 @@ impl Heap {
     /// Borrows the object behind `h`.
     ///
     /// Handles are minted only by [`Heap::alloc`] and invalidated only by a
-    /// sweep, which frees nothing the interpreter can still reach (the VM
-    /// roots its stack, locals, globals and iterator state, and inline
-    /// caches are generation-stamped). Release builds therefore skip the
-    /// bounds/liveness check on this hottest of paths; debug builds keep it.
+    /// sweep, which frees nothing the interpreter can still reach: the VM
+    /// collects only between instructions, and there every handle it holds
+    /// is a GC root (stack, frame locals, globals, pinned constants) or sits
+    /// in an object reachable from one, such as iterator state. Release
+    /// builds therefore skip the bounds/liveness check on this hottest of
+    /// paths; debug builds keep it.
     #[inline(always)]
     pub fn get(&self, h: Handle) -> &Object {
         debug_assert!(
@@ -719,7 +709,6 @@ impl Heap {
             }
         }
         self.allocs_since_gc = 0;
-        self.generation += 1;
         self.gc_threshold = if self.adaptive_threshold {
             self.base_threshold.max(live * 2)
         } else {

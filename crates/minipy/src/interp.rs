@@ -9,16 +9,25 @@
 
 use std::sync::Arc;
 
-use crate::bytecode::{Op, OpClass, FUSABLE_BINOPS};
+use crate::builtins::BuiltinFn;
+use crate::bytecode::Op;
 use crate::error::{MpError, MpResult, RuntimeErrorKind};
-use crate::frame::{op_class_index, Frame};
+use crate::frame::Frame;
 use crate::heap::{Object, Str};
 use crate::jit::{BackedgeEvent, GuardOutcome};
-use crate::value::{Handle, Value};
-use crate::vm::{CallIc, CallTarget, DictIc, Vm};
+use crate::value::Value;
+use crate::vm::Vm;
 
 /// Ops between housekeeping checks (GC/jitter/budget).
 const HOUSEKEEPING_INTERVAL: u32 = 64;
+
+/// What a `Call` resolved its callee to.
+enum CallTarget {
+    /// A user function (code object id).
+    Function(usize),
+    /// A builtin function.
+    Builtin(BuiltinFn),
+}
 
 impl Vm {
     /// Pushes onto the operand stack without a capacity check.
@@ -171,10 +180,8 @@ impl Vm {
 
             // SAFETY: every reachable pc is in bounds for verified bytecode.
             // `Program::validate` (checked at load) proves all jump targets
-            // `< n`, that the last op is `Return` (which never falls through),
-            // and that fused ops carry their full `Nop` padding — so a fused
-            // fall-through lands on or before the final `Return` too.
-            // `class_idx` is built with one entry per op.
+            // `< n` and that the last op is `Return` (which never falls
+            // through). `class_idx` is built with one entry per op.
             let (op, class_idx) =
                 unsafe { (*ops.get_unchecked(pc), *cs.class_idx.get_unchecked(pc)) };
             let compiled = jit_enabled && self.jit_compiled_at(code_id, pc);
@@ -183,7 +190,6 @@ impl Vm {
             pc += 1;
 
             match op {
-                Op::Nop => {}
                 Op::LoadConst(i) => {
                     // SAFETY: `Program::validate` proves every encoded const
                     // index `< consts.len()`.
@@ -237,132 +243,6 @@ impl Vm {
                         None => self.binary_op(op, a, b)?,
                     };
                     self.push(r);
-                }
-                Op::FusedLLBin { a, b, bin } => {
-                    let va = self.local(a);
-                    let vb = self.local(b);
-                    let r = self.fused_binop(code_id, op_pc, jit_enabled, va, vb, bin)?;
-                    self.push(r);
-                    pc = op_pc + 3;
-                }
-                Op::FusedLCBin { a, c, bin } => {
-                    let va = self.local(a);
-                    // SAFETY: validated const index (see `Op::LoadConst`).
-                    let vb = unsafe { *cs.consts.get_unchecked(c as usize) };
-                    let r = self.fused_binop(code_id, op_pc, jit_enabled, va, vb, bin)?;
-                    self.push(r);
-                    pc = op_pc + 3;
-                }
-                Op::FusedLLBinSt { a, b, d, bin } => {
-                    let va = self.local(a);
-                    let vb = self.local(b);
-                    let r = self.fused_binop(code_id, op_pc, jit_enabled, va, vb, bin)?;
-                    self.fused_store(code_id, op_pc, jit_enabled, r, d)?;
-                    pc = op_pc + 4;
-                }
-                Op::FusedLCBinSt { a, c, d, bin } => {
-                    let va = self.local(a);
-                    // SAFETY: validated const index (see `Op::LoadConst`).
-                    let vb = unsafe { *cs.consts.get_unchecked(c as usize) };
-                    let r = self.fused_binop(code_id, op_pc, jit_enabled, va, vb, bin)?;
-                    self.fused_store(code_id, op_pc, jit_enabled, r, d)?;
-                    pc = op_pc + 4;
-                }
-                Op::FusedLLCmpJf { a, b, t, bin } => {
-                    let va = self.local(a);
-                    let vb = self.local(b);
-                    let r = self.fused_binop(code_id, op_pc, jit_enabled, va, vb, bin)?;
-                    pc = self.fused_jump_if_false(code_id, op_pc, jit_enabled, r, t)?;
-                }
-                Op::FusedLCCmpJf { a, c, t, bin } => {
-                    let va = self.local(a);
-                    // SAFETY: validated const index (see `Op::LoadConst`).
-                    let vb = unsafe { *cs.consts.get_unchecked(c as usize) };
-                    let r = self.fused_binop(code_id, op_pc, jit_enabled, va, vb, bin)?;
-                    pc = self.fused_jump_if_false(code_id, op_pc, jit_enabled, r, t)?;
-                }
-                Op::FusedLLIdx { a, b } => {
-                    let obj = self.local(a);
-                    let idx = self.local(b);
-                    let v = self.fused_index_load(code_id, op_pc, jit_enabled, obj, idx)?;
-                    self.push(v);
-                    pc = op_pc + 3;
-                }
-                Op::FusedLCIdx { a, c } => {
-                    let obj = self.local(a);
-                    // SAFETY: validated const index (see `Op::LoadConst`).
-                    let idx = unsafe { *cs.consts.get_unchecked(c as usize) };
-                    let v = self.fused_index_load(code_id, op_pc, jit_enabled, obj, idx)?;
-                    self.push(v);
-                    pc = op_pc + 3;
-                }
-                Op::FusedLLLIdxSt { a, b, v } => {
-                    let obj = self.local(a);
-                    let idx = self.local(b);
-                    let val = self.local(v);
-                    self.fused_index_store(code_id, op_pc, jit_enabled, obj, idx, val)?;
-                    pc = op_pc + 4;
-                }
-                Op::FusedLLCIdxSt { a, b, c } => {
-                    let obj = self.local(a);
-                    let idx = self.local(b);
-                    // SAFETY: validated const index (see `Op::LoadConst`).
-                    let val = unsafe { *cs.consts.get_unchecked(c as usize) };
-                    self.fused_index_store(code_id, op_pc, jit_enabled, obj, idx, val)?;
-                    pc = op_pc + 4;
-                }
-                Op::FusedSIdx { b } => {
-                    // The container is already on the operand stack and stays
-                    // there (peeked, not popped) across the absorbed
-                    // subscript's housekeeping boundary: it may be an
-                    // unrooted fresh value (an outer subscript's result), and
-                    // the stack slot is its only GC root — exactly as unfused
-                    // execution would leave it rooted.
-                    let idx = self.local(b);
-                    let idx_pc = op_pc + 1;
-                    self.fused_sub_op(code_id, idx_pc, jit_enabled, OpClass::Memory)?;
-                    let obj = self.pop();
-                    let v = match self.dict_ic_load(code_id, idx_pc, obj, idx) {
-                        Some(v) => v,
-                        None => self.index_load(code_id, idx_pc, obj, idx)?,
-                    };
-                    self.push(v);
-                    pc = op_pc + 2;
-                }
-                Op::FusedSLIdxSt { b, v } => {
-                    let idx = self.local(b);
-                    let val = self.local(v);
-                    self.fused_stack_index_store(code_id, op_pc, jit_enabled, idx, val)?;
-                    pc = op_pc + 3;
-                }
-                Op::FusedSCIdxSt { b, c } => {
-                    let idx = self.local(b);
-                    // SAFETY: validated const index (see `Op::LoadConst`).
-                    let val = unsafe { *cs.consts.get_unchecked(c as usize) };
-                    self.fused_stack_index_store(code_id, op_pc, jit_enabled, idx, val)?;
-                    pc = op_pc + 3;
-                }
-                Op::FusedForSt { t, d } => {
-                    let it = self.peek(0);
-                    match self.iterator_next(it)? {
-                        Some(v) => {
-                            // The produced value visits the operand stack
-                            // across the absorbed store's housekeeping
-                            // boundary, exactly as unfused `ForIter` would
-                            // leave it there for `StoreLocal` to pop.
-                            self.push(v);
-                            self.fused_sub_op(code_id, op_pc + 1, jit_enabled, OpClass::Stack)?;
-                            let v = self.pop();
-                            self.set_local(d, v);
-                            pc = op_pc + 2;
-                        }
-                        None => {
-                            // Exhaustion jumps past the loop: only the
-                            // `ForIter` half executes, so no sub-op replay.
-                            self.pop();
-                            pc = t as usize;
-                        }
-                    }
                 }
                 Op::CmpIn | Op::CmpNotIn => {
                     let container = self.pop();
@@ -467,19 +347,14 @@ impl Vm {
                 Op::IndexLoad => {
                     let idx = self.pop();
                     let obj = self.pop();
-                    let v = match self.dict_ic_load(code_id, op_pc, obj, idx) {
-                        Some(v) => v,
-                        None => self.index_load(code_id, op_pc, obj, idx)?,
-                    };
+                    let v = self.index_load(obj, idx)?;
                     self.push(v);
                 }
                 Op::IndexStore => {
                     let val = self.pop();
                     let idx = self.pop();
                     let obj = self.pop();
-                    if !self.dict_ic_store(code_id, op_pc, obj, idx, val) {
-                        self.index_store(code_id, op_pc, obj, idx, val)?;
-                    }
+                    self.index_store(obj, idx, val)?;
                 }
                 Op::IndexDel => {
                     let idx = self.pop();
@@ -501,6 +376,8 @@ impl Vm {
                 }
                 Op::ListAppend(n) => {
                     let v = self.pop();
+                    // `Program::validate` rejects `ListAppend(0)`, so the
+                    // depth cannot wrap past the peek's validated range.
                     let list = self.peek(n as usize - 1);
                     match list {
                         Value::Obj(h) => match self.heap.get_mut(h) {
@@ -528,7 +405,7 @@ impl Vm {
                     self.counters.calls += 1;
                     let argc = argc as usize;
                     let callee = self.peek(argc);
-                    match self.resolve_callee(code_id, op_pc, callee)? {
+                    match self.resolve_callee(callee)? {
                         CallTarget::Function(target) => {
                             // Write the return address back before switching
                             // the cached view to the callee's frame.
@@ -629,282 +506,22 @@ impl Vm {
         }
     }
 
-    /// Replays one absorbed sub-op of a superinstruction exactly as unfused
-    /// execution would at its original pc: housekeeping bump/check, per-pc
-    /// JIT query, per-class charge. Returns the compiled flag for the pc.
-    #[inline]
-    fn fused_sub_op(
-        &mut self,
-        code_id: usize,
-        pc: usize,
-        jit_enabled: bool,
-        class: OpClass,
-    ) -> MpResult<bool> {
-        self.ops_since_housekeeping += 1;
-        if self.ops_since_housekeeping >= HOUSEKEEPING_INTERVAL {
-            self.housekeeping()?;
-        }
-        let compiled = jit_enabled && self.jit_compiled_at(code_id, pc);
-        self.charge_batched(op_class_index(class), compiled);
-        Ok(compiled)
-    }
-
-    /// Executes the common body of every fused superinstruction: the second
-    /// absorbed load (at `op_pc + 1`) and the binary op (at `op_pc + 2`),
-    /// returning the result instead of pushing it.
-    ///
-    /// Virtual time, counters and GC timing are bit-identical to unfused
-    /// execution: each sub-op replays its housekeeping/charge sequence, and
-    /// the operand values never leave their roots (frame locals / pinned
-    /// consts), so a GC at a sub-op boundary sees the same reachable set as
-    /// the unfused stack would give it.
-    #[inline]
-    fn fused_binop(
-        &mut self,
-        code_id: usize,
-        op_pc: usize,
-        jit_enabled: bool,
-        va: Value,
-        vb: Value,
-        bin: u8,
-    ) -> MpResult<Value> {
-        self.fused_sub_op(code_id, op_pc + 1, jit_enabled, OpClass::Stack)?;
-        let bin_pc = op_pc + 2;
-        let c3 = self.fused_sub_op(code_id, bin_pc, jit_enabled, OpClass::Arith)?;
-        if jit_enabled {
-            self.observe_types_values(va, vb, code_id, bin_pc, c3);
-        }
-        let op = FUSABLE_BINOPS[bin as usize];
-        match Self::binop_fast(op, va, vb) {
-            Some(r) => Ok(r),
-            None => self.binary_op(op, va, vb),
-        }
-    }
-
-    /// The absorbed `StoreLocal` tail of a four-op superinstruction
-    /// (at `op_pc + 3`). The result visits the operand stack across the
-    /// sub-op's housekeeping boundary so a GC there roots it exactly as the
-    /// unfused sequence would (the binop pushed it at `op_pc + 2`).
-    #[inline]
-    fn fused_store(
-        &mut self,
-        code_id: usize,
-        op_pc: usize,
-        jit_enabled: bool,
-        r: Value,
-        d: u16,
-    ) -> MpResult<()> {
-        self.push(r);
-        self.fused_sub_op(code_id, op_pc + 3, jit_enabled, OpClass::Stack)?;
-        let v = self.pop();
-        self.set_local(d, v);
-        Ok(())
-    }
-
-    /// The absorbed `PopJumpIfFalse` tail of a four-op superinstruction
-    /// (at `op_pc + 3`); returns the next pc. Same stack-rooting contract as
-    /// [`Vm::fused_store`].
-    #[inline]
-    fn fused_jump_if_false(
-        &mut self,
-        code_id: usize,
-        op_pc: usize,
-        jit_enabled: bool,
-        r: Value,
-        t: u16,
-    ) -> MpResult<usize> {
-        self.push(r);
-        self.fused_sub_op(code_id, op_pc + 3, jit_enabled, OpClass::Branch)?;
-        let v = self.pop();
-        Ok(if self.heap.truthy(v) {
-            op_pc + 4
-        } else {
-            t as usize
-        })
-    }
-
-    /// The absorbed `IndexLoad` tail of a subscript superinstruction: replays
-    /// the second load (at `op_pc + 1`) and the subscript (at `op_pc + 2`,
-    /// with its inline cache keyed on that original pc).
-    #[inline]
-    fn fused_index_load(
-        &mut self,
-        code_id: usize,
-        op_pc: usize,
-        jit_enabled: bool,
-        obj: Value,
-        idx: Value,
-    ) -> MpResult<Value> {
-        self.fused_sub_op(code_id, op_pc + 1, jit_enabled, OpClass::Stack)?;
-        let idx_pc = op_pc + 2;
-        self.fused_sub_op(code_id, idx_pc, jit_enabled, OpClass::Memory)?;
-        match self.dict_ic_load(code_id, idx_pc, obj, idx) {
-            Some(v) => Ok(v),
-            None => self.index_load(code_id, idx_pc, obj, idx),
-        }
-    }
-
-    /// The absorbed tail of a subscript-assignment superinstruction: replays
-    /// the second and third loads (`op_pc + 1`, `op_pc + 2`) and the
-    /// `IndexStore` (at `op_pc + 3`, with its inline cache keyed on that
-    /// original pc). All three operands stay rooted in frame locals / pinned
-    /// consts across every sub-op boundary, exactly as the unfused stack
-    /// would root them.
-    #[inline]
-    fn fused_index_store(
-        &mut self,
-        code_id: usize,
-        op_pc: usize,
-        jit_enabled: bool,
-        obj: Value,
-        idx: Value,
-        val: Value,
-    ) -> MpResult<()> {
-        self.fused_sub_op(code_id, op_pc + 1, jit_enabled, OpClass::Stack)?;
-        self.fused_sub_op(code_id, op_pc + 2, jit_enabled, OpClass::Stack)?;
-        let st_pc = op_pc + 3;
-        self.fused_sub_op(code_id, st_pc, jit_enabled, OpClass::Memory)?;
-        if !self.dict_ic_store(code_id, st_pc, obj, idx, val) {
-            self.index_store(code_id, st_pc, obj, idx, val)?;
-        }
-        Ok(())
-    }
-
-    /// The absorbed tail of a container-on-stack subscript assignment
-    /// (`C[i][j] = s`): replays the value load (`op_pc + 1`) and the
-    /// `IndexStore` (`op_pc + 2`, inline cache keyed on that pc). The
-    /// container is popped only after every sub-op has replayed — it may be
-    /// an unrooted fresh value whose only GC root is its stack slot.
-    #[inline]
-    fn fused_stack_index_store(
-        &mut self,
-        code_id: usize,
-        op_pc: usize,
-        jit_enabled: bool,
-        idx: Value,
-        val: Value,
-    ) -> MpResult<()> {
-        self.fused_sub_op(code_id, op_pc + 1, jit_enabled, OpClass::Stack)?;
-        let st_pc = op_pc + 2;
-        self.fused_sub_op(code_id, st_pc, jit_enabled, OpClass::Memory)?;
-        let obj = self.pop();
-        if !self.dict_ic_store(code_id, st_pc, obj, idx, val) {
-            self.index_store(code_id, st_pc, obj, idx, val)?;
-        }
-        Ok(())
-    }
-
-    /// Resolves a `Call` callee through the per-site call inline cache.
-    ///
-    /// The cache is keyed on the callee handle and guarded by the heap
-    /// generation (bumped at every sweep), so a recycled handle can never
-    /// produce a stale target.
-    fn resolve_callee(&mut self, code_id: usize, pc: usize, callee: Value) -> MpResult<CallTarget> {
+    /// Resolves a `Call` callee to a user function or a builtin.
+    fn resolve_callee(&self, callee: Value) -> MpResult<CallTarget> {
         let Value::Obj(h) = callee else {
             return Err(MpError::type_error(format!(
                 "'{}' object is not callable",
                 self.heap.type_name(callee)
             )));
         };
-        if let Some(ic) = self.ics.call[code_id][pc] {
-            if ic.callee == h && ic.generation == self.heap.generation() {
-                return Ok(ic.target);
-            }
+        match *self.heap.get(h) {
+            Object::Function { code_id: target } => Ok(CallTarget::Function(target)),
+            Object::Builtin(b) => Ok(CallTarget::Builtin(b)),
+            _ => Err(MpError::type_error(format!(
+                "'{}' object is not callable",
+                self.heap.type_name(callee)
+            ))),
         }
-        let target = match *self.heap.get(h) {
-            Object::Function { code_id: target } => CallTarget::Function(target),
-            Object::Builtin(b) => CallTarget::Builtin(b),
-            _ => {
-                return Err(MpError::type_error(format!(
-                    "'{}' object is not callable",
-                    self.heap.type_name(callee)
-                )));
-            }
-        };
-        self.ics.call[code_id][pc] = Some(CallIc {
-            callee: h,
-            generation: self.heap.generation(),
-            target,
-        });
-        Ok(target)
-    }
-
-    /// Attempts a dict inline-cache hit for an `IndexLoad` site.
-    ///
-    /// A hit replays the cached probe count exactly: the guard (same handle,
-    /// same heap generation, same dict version, equal key) implies an
-    /// unchanged table layout, so a full lookup would walk the identical
-    /// probe sequence. Virtual time and probe counters match the slow path
-    /// bit for bit.
-    fn dict_ic_load(&mut self, code_id: usize, pc: usize, obj: Value, idx: Value) -> Option<Value> {
-        let Value::Obj(h) = obj else { return None };
-        let ic = self.ics.dict[code_id][pc]?;
-        if ic.dict != h || ic.generation != self.heap.generation() || ic.key != idx {
-            return None;
-        }
-        let value = match self.heap.get(h) {
-            Object::Dict(d) if d.version() == ic.version => {
-                let (_, value) = d.slot_entry(ic.slot as usize)?;
-                value
-            }
-            _ => return None,
-        };
-        self.charge_probes(ic.probes);
-        Some(value)
-    }
-
-    /// Attempts a dict inline-cache hit for an `IndexStore` overwrite.
-    ///
-    /// Only value overwrites of the cached slot qualify (they are the only
-    /// store that leaves the table layout — and thus the dict version —
-    /// unchanged). Returns `false` to route anything else to the slow path.
-    fn dict_ic_store(
-        &mut self,
-        code_id: usize,
-        pc: usize,
-        obj: Value,
-        idx: Value,
-        val: Value,
-    ) -> bool {
-        let Value::Obj(h) = obj else { return false };
-        let Some(ic) = self.ics.dict[code_id][pc] else {
-            return false;
-        };
-        if ic.dict != h || ic.generation != self.heap.generation() || ic.key != idx {
-            return false;
-        }
-        let ok = match self.heap.get_mut(h) {
-            Object::Dict(d) if d.version() == ic.version => d.slot_set_value(ic.slot as usize, val),
-            _ => false,
-        };
-        if ok {
-            self.charge_probes(ic.probes);
-        }
-        ok
-    }
-
-    /// Installs a dict inline-cache entry after a slow-path hit.
-    fn cache_dict_slot(
-        &mut self,
-        code_id: usize,
-        pc: usize,
-        h: Handle,
-        key: Value,
-        slot: usize,
-        probes: u64,
-    ) {
-        let version = match self.heap.get(h) {
-            Object::Dict(d) => d.version(),
-            _ => return,
-        };
-        self.ics.dict[code_id][pc] = Some(DictIc {
-            dict: h,
-            generation: self.heap.generation(),
-            version,
-            key,
-            slot: slot as u32,
-            probes,
-        });
     }
 
     fn push_call_frame(&mut self, target: usize, argc: usize) -> MpResult<()> {
@@ -1016,24 +633,6 @@ impl Vm {
         self.observe_mask(code_id, pc, mask, compiled);
     }
 
-    /// Same mask computation as [`Vm::observe_types_binary`], but from operand
-    /// values directly — fused handlers never push the intermediates, so
-    /// there is nothing on the stack to peek at.
-    fn observe_types_values(
-        &mut self,
-        a: Value,
-        b: Value,
-        code_id: usize,
-        pc: usize,
-        compiled: bool,
-    ) {
-        if self.jit.is_none() {
-            return;
-        }
-        let mask = self.heap.type_tag(a).bit() | self.heap.type_tag(b).bit();
-        self.observe_mask(code_id, pc, mask, compiled);
-    }
-
     fn observe_mask(&mut self, code_id: usize, pc: usize, mask: u16, compiled: bool) {
         let deopt_penalty = self.cost.deopt_penalty;
         let jit = self.jit.as_mut().expect("caller checked");
@@ -1087,8 +686,8 @@ impl Vm {
                 Op::CmpEq => Some(Value::Bool(x == y)),
                 Op::CmpNe => Some(Value::Bool(x != y)),
                 Op::CmpLt | Op::CmpLe | Op::CmpGt | Op::CmpGe => {
-                    // NaN has no ordering: fall through so the full path can
-                    // raise the same error unfused execution would.
+                    // NaN has no ordering: fall through so the full path
+                    // raises its error.
                     let ord = x.partial_cmp(&y)?;
                     Some(Value::Bool(match op {
                         Op::CmpLt => ord.is_lt(),
@@ -1394,7 +993,7 @@ impl Vm {
         Ok(i as usize)
     }
 
-    fn index_load(&mut self, code_id: usize, pc: usize, obj: Value, idx: Value) -> MpResult<Value> {
+    fn index_load(&mut self, obj: Value, idx: Value) -> MpResult<Value> {
         match obj {
             Value::Obj(h) => match self.heap.get(h) {
                 Object::List(items) => {
@@ -1419,13 +1018,10 @@ impl Vm {
                     // rejected at insert), so probing is oblivious to whether
                     // the dict sits in the heap.
                     let mut probes = 0;
-                    let found = d.try_get_slot(&self.heap, idx, &mut probes)?;
+                    let found = d.try_get(&self.heap, idx, &mut probes)?;
                     self.charge_probes(probes);
                     match found {
-                        Some((slot, value)) => {
-                            self.cache_dict_slot(code_id, pc, h, idx, slot, probes);
-                            Ok(value)
-                        }
+                        Some(value) => Ok(value),
                         None => Err(MpError::runtime(
                             RuntimeErrorKind::Key,
                             format!("key not found: {}", self.heap.render_repr(idx)),
@@ -1444,14 +1040,7 @@ impl Vm {
         }
     }
 
-    fn index_store(
-        &mut self,
-        code_id: usize,
-        pc: usize,
-        obj: Value,
-        idx: Value,
-        val: Value,
-    ) -> MpResult<()> {
+    fn index_store(&mut self, obj: Value, idx: Value, val: Value) -> MpResult<()> {
         match obj {
             Value::Obj(h) => match self.heap.get(h) {
                 Object::List(items) => {
@@ -1467,22 +1056,17 @@ impl Vm {
                     // Two-phase store: probe under the shared heap borrow,
                     // commit under the disjoint mutable one — no take/put of
                     // the whole dict per store.
-                    let (slot, old) = match d.plan_insert(&self.heap, idx, &mut probes)? {
+                    match d.plan_insert(&self.heap, idx, &mut probes)? {
                         Some(plan) => match self.heap.get_mut(h) {
                             Object::Dict(d) => d.commit_insert(plan, idx, val, &mut probes),
                             _ => unreachable!("type checked above"),
                         },
                         // First insert into an unallocated table.
                         None => self.heap.with_dict_mut(h, |dict, heap| {
-                            dict.insert_slot(heap, idx, val, &mut probes)
+                            dict.insert(heap, idx, val, &mut probes)
                         })?,
                     };
                     self.charge_probes(probes);
-                    if old.is_some() {
-                        // Overwrite of an existing key: the table layout is
-                        // unchanged, so the slot/probe pair is cacheable.
-                        self.cache_dict_slot(code_id, pc, h, idx, slot, probes);
-                    }
                     Ok(())
                 }
                 _ => Err(MpError::type_error(format!(

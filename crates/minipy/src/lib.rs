@@ -60,7 +60,7 @@ pub mod value;
 pub mod vm;
 
 pub use bytecode::Program;
-pub use compiler::{compile, compile_unfused};
+pub use compiler::compile;
 pub use cost::CostModel;
 pub use error::{MpError, MpResult, RuntimeErrorKind};
 pub use frame::DynCounters;

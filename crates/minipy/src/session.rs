@@ -40,8 +40,9 @@ impl CompiledProgram {
         })
     }
 
-    /// Freezes an already-compiled program (e.g. one produced by
-    /// [`crate::compiler::compile_unfused`] for equivalence sweeps).
+    /// Freezes an already-compiled program (e.g. a hand-built or mutated
+    /// one). Starting a session from it panics unless the program passes
+    /// [`Program::validate`].
     pub fn from_program(program: Program) -> CompiledProgram {
         CompiledProgram {
             program: Arc::new(program),

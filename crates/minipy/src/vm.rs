@@ -11,7 +11,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::builtins::{resolve_builtin, resolve_method, BuiltinFn, MethodId};
+use crate::builtins::{resolve_builtin, resolve_method, MethodId};
 use crate::bytecode::{Const, OpClass, Program};
 use crate::clock::VirtualClock;
 use crate::compiler::compile;
@@ -22,7 +22,7 @@ use crate::gc;
 use crate::heap::{Heap, Object};
 use crate::jit::{JitConfig, JitState};
 use crate::noise::{sample_layout_factor, NoiseConfig, OsJitter};
-use crate::value::{Handle, Value};
+use crate::value::Value;
 
 /// Which execution engine a session uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,66 +132,6 @@ pub(crate) struct CodeStatics {
     pub(crate) max_stack: u32,
 }
 
-/// A monomorphic per-site dict-lookup cache: replays a previously resolved
-/// probe when nothing that could move the entry has happened. Valid only
-/// while the heap generation matches (no sweep — no handle recycling), the
-/// dict's structural version matches (no insert/remove/resize/clear), and the
-/// key is the *identical* `Value` (handle identity for objects).
-#[derive(Clone, Copy)]
-pub(crate) struct DictIc {
-    pub(crate) dict: Handle,
-    pub(crate) generation: u64,
-    pub(crate) version: u64,
-    pub(crate) key: Value,
-    pub(crate) slot: u32,
-    /// The probe count of the original lookup; replayed on a hit so the
-    /// virtual-time charge and `dict_probes` counter are bit-identical to an
-    /// uncached lookup (same table layout + same hash ⇒ same probe path).
-    pub(crate) probes: u64,
-}
-
-/// What a `Call` site resolved to.
-#[derive(Clone, Copy)]
-pub(crate) enum CallTarget {
-    /// A user function (code object id).
-    Function(usize),
-    /// A builtin function.
-    Builtin(BuiltinFn),
-}
-
-/// A monomorphic per-site callee cache, valid while the heap generation is
-/// unchanged (the handle cannot have been recycled).
-#[derive(Clone, Copy)]
-pub(crate) struct CallIc {
-    pub(crate) callee: Handle,
-    pub(crate) generation: u64,
-    pub(crate) target: CallTarget,
-}
-
-/// Per-(code, pc) inline-cache slots, sized to each code's op count at load.
-#[derive(Default)]
-pub(crate) struct InlineCaches {
-    pub(crate) dict: Vec<Vec<Option<DictIc>>>,
-    pub(crate) call: Vec<Vec<Option<CallIc>>>,
-}
-
-impl InlineCaches {
-    fn for_program(program: &Program) -> InlineCaches {
-        InlineCaches {
-            dict: program
-                .codes
-                .iter()
-                .map(|c| vec![None; c.ops.len()])
-                .collect(),
-            call: program
-                .codes
-                .iter()
-                .map(|c| vec![None; c.ops.len()])
-                .collect(),
-        }
-    }
-}
-
 /// One VM invocation: program + heap + engine + clock + noise.
 pub struct Vm {
     pub(crate) program: Arc<Program>,
@@ -224,7 +164,6 @@ pub struct Vm {
     /// observable — but integer counters batch).
     pub(crate) pending_ops: [u64; 8],
     pub(crate) pending_jit_ops: u64,
-    pub(crate) ics: InlineCaches,
     /// Recycled frame-locals buffers (capped; allocation cost is virtual, so
     /// pooling changes wall-clock only).
     pub(crate) locals_pool: Vec<Vec<Value>>,
@@ -373,8 +312,6 @@ impl Vm {
             }
         }
 
-        let ics = InlineCaches::for_program(&program);
-
         let jit = match config.engine {
             EngineKind::Interp => None,
             EngineKind::Jit(jc) => {
@@ -401,7 +338,6 @@ impl Vm {
             counters: DynCounters::default(),
             pending_ops: [0; 8],
             pending_jit_ops: 0,
-            ics,
             locals_pool: Vec::new(),
             jit,
             stdout: String::new(),

@@ -2,9 +2,7 @@
 //! same results, always — the JIT differs in virtual time only.
 
 use integration_tests::test_seed;
-use minipy::{
-    compile_unfused, CompiledProgram, DynCounters, JitConfig, NoiseConfig, Session, Value, VmConfig,
-};
+use minipy::{CompiledProgram, DynCounters, JitConfig, NoiseConfig, Session, Value, VmConfig};
 use proptest::prelude::*;
 use rigor_workloads::{random_program, suite, Size};
 
@@ -50,45 +48,41 @@ fn sweep(
     (sums, times, s.vm().counters())
 }
 
-/// The fast-path contract, checked over the whole suite on both engines:
-/// superinstruction fusion and frozen (parse-once) sessions must be
-/// invisible — identical checksums, bit-identical virtual-time sequences,
-/// and identical counters (op-class charge totals, probes, GC, JIT events)
-/// versus unfused and fresh-compiled execution.
+/// The parse-once contract, checked over the whole suite on both engines:
+/// a frozen program shared across sessions must be invisible — identical
+/// checksums, bit-identical virtual-time sequences and identical counters
+/// (op-class charge totals, probes, GC, JIT events) versus sessions that
+/// compile the source themselves.
 #[test]
 fn fast_path_sweep_is_bit_identical_across_execution_modes() {
     for w in suite() {
         let src = w.source(Size::Small);
         let seed = test_seed(w.name);
-        let fused = CompiledProgram::compile(&src).expect("compile");
-        let unfused = CompiledProgram::from_program(compile_unfused(&src).expect("compile"));
+        let frozen = CompiledProgram::compile(&src).expect("compile");
         for mk in [VmConfig::interp as fn() -> VmConfig, eager_jit] {
-            let (sums_fused, times_fused, counters_fused) = sweep(&fused, mk(), seed, 2);
-            let (sums_unfused, times_unfused, counters_unfused) = sweep(&unfused, mk(), seed, 2);
-            assert_eq!(
-                sums_fused, sums_unfused,
-                "fusion changed results on {}",
-                w.name
-            );
-            assert_eq!(
-                times_fused, times_unfused,
-                "fusion moved virtual time on {}",
-                w.name
-            );
-            assert_eq!(
-                counters_fused, counters_unfused,
-                "fusion changed counters on {}",
-                w.name
-            );
-
-            // Fresh sessions (compile per invocation) match frozen sessions.
+            let (sums, times, counters) = sweep(&frozen, mk(), seed, 2);
             let mut fresh = Session::start(&src, seed, mk()).expect("session");
-            let fresh_times: Vec<f64> = (0..2)
-                .map(|_| fresh.run_iteration().expect("iteration").virtual_ns)
-                .collect();
+            let mut fresh_sums = Vec::new();
+            let mut fresh_times = Vec::new();
+            for _ in 0..2 {
+                let r = fresh.run_iteration().expect("iteration");
+                fresh_sums.push(fresh.render(r.value));
+                fresh_times.push(r.virtual_ns);
+            }
             assert_eq!(
-                fresh_times, times_fused,
+                fresh_sums, sums,
+                "frozen session changed results on {}",
+                w.name
+            );
+            assert_eq!(
+                fresh_times, times,
                 "frozen session diverged from fresh session on {}",
+                w.name
+            );
+            assert_eq!(
+                fresh.vm().counters(),
+                counters,
+                "frozen session changed counters on {}",
                 w.name
             );
         }

@@ -89,6 +89,42 @@ fn tolerance_and_correction_flags_are_honored() {
     );
 }
 
+/// A `last-N` baseline over a campaign that measured both engines pools
+/// each engine apart: the JIT is gated against JIT invocations only, never
+/// against a pool that mixes in the interpreter's (which reads as a ~6x
+/// "improvement" on unchanged code).
+#[test]
+fn last_n_baseline_over_both_engines_gates_like_with_like() {
+    let store = tmp_store("pool-engines");
+    let dir = store.clone();
+    let store = store.display();
+    // One worker keeps the archive in grid order: the last four runs are
+    // leibniz's two interpreter cells, then its two JIT cells.
+    assert_eq!(
+        rigor_cli::run(&argv(&format!(
+            "campaign --benchmarks sieve,leibniz --seeds 1,2 -n 2 -i 8 --size small \
+             --workers 1 --quiet --store {store}"
+        ))),
+        0
+    );
+    for window in ["last-2", "last-4"] {
+        let json = dir.join(format!("{window}.json"));
+        assert_eq!(
+            rigor_cli::run(&argv(&format!(
+                "check leibniz --engine jit --seed 2 -n 2 -i 8 --size small --quiet \
+                 --store {store} --baseline {window} --json {}",
+                json.display()
+            ))),
+            0
+        );
+        let report = fs::read_to_string(&json).expect("gate report written");
+        assert!(
+            report.contains("\"status\": \"pass\""),
+            "{window}: {report}"
+        );
+    }
+}
+
 #[test]
 fn history_renders_archived_runs_and_check_needs_a_baseline() {
     let store = tmp_store("history");
