@@ -688,15 +688,13 @@ impl<'a> Archive<'a> {
         matches!(self, Archive::Local { store, .. } if store.recovered_torn_tail())
     }
 
-    /// The archived runs in archive order: all of them, or only the newest
-    /// `last`.
+    /// The archived runs in archive order: all of them, or, from a service,
+    /// only the `last` with the highest seqs (`GET /history?last=N`), which
+    /// hold every run a `last-N` baseline selects. A local store lends all
+    /// its runs.
     fn runs(&self, last: Option<usize>) -> Result<Cow<'_, [RunRecord]>, CliError> {
         match self {
-            Archive::Local { store, .. } => {
-                let runs = store.records();
-                let skip = last.map_or(0, |n| runs.len().saturating_sub(n));
-                Ok(Cow::Borrowed(&runs[skip..]))
-            }
+            Archive::Local { store, .. } => Ok(Cow::Borrowed(store.records())),
             Archive::Remote { url, client } => {
                 Ok(Cow::Owned(client.history(last).map_err(remote_err(url))?))
             }

@@ -279,9 +279,13 @@ impl fmt::Display for CellId {
 /// One schedulable unit of a campaign: a fully-resolved experiment.
 #[derive(Clone)]
 pub struct Cell {
-    /// The cell's position in grid-expansion order; doubles as the
-    /// deterministic archive sequence number of the cell's run.
+    /// The cell's position in grid-expansion order.
     pub index: usize,
+    /// The archive sequence number of the cell's run: the campaign's seq
+    /// base plus `index`. [`CampaignSpec::cells`] numbers from 0;
+    /// `Campaign::run` numbers from [`CellSink::seq_base`], past every run
+    /// the archive already holds, so the newest seq is the newest run.
+    pub seq: u64,
     /// What the cell measures.
     pub id: CellId,
     /// The cell's fully-resolved config (`threads` forced to 1 — the
@@ -372,6 +376,18 @@ pub trait CellSink: Send + Sync {
         self.archive_cell(cell, measurement)
     }
 
+    /// The seq of a new campaign's first cell: the archive's next free
+    /// sequence number, so the grid's runs are newer than every run
+    /// archived before it. Sinks without sequence numbers keep the
+    /// default, 0, and number cells by grid index.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable message when the archive cannot be read.
+    fn seq_base(&self) -> Result<u64, String> {
+        Ok(0)
+    }
+
     /// The precision recorded for `cell` by an earlier campaign, if any —
     /// lets a resumed adaptive campaign count invocations already spent.
     /// Sinks without a precision side-channel report `None`.
@@ -443,7 +459,7 @@ impl CellSink for MemorySink {
             .or_insert_with(|| (cell.id.canonical(), measurement.clone()));
         Ok(CellReceipt {
             run_id: format!("mem-{:016x}", fnv1a(cell.id.canonical().as_bytes())),
-            seq: cell.index as u64,
+            seq: cell.seq,
         })
     }
 
@@ -451,7 +467,7 @@ impl CellSink for MemorySink {
         let cells = self.cells.lock().expect("memory sink poisoned");
         Ok(cells.get(&cell.index).map(|_| CellReceipt {
             run_id: format!("mem-{:016x}", fnv1a(cell.id.canonical().as_bytes())),
-            seq: cell.index as u64,
+            seq: cell.seq,
         }))
     }
 
@@ -652,6 +668,7 @@ impl CampaignSpec {
                         })?;
                         cells.push(Cell {
                             index: cells.len(),
+                            seq: cells.len() as u64,
                             id,
                             config,
                             workload: workload.clone(),
@@ -671,6 +688,11 @@ pub struct CampaignJournalMeta {
     pub fingerprint: String,
     /// Cells in the grid.
     pub cells: u32,
+    /// The seq of grid cell 0 (absent: 0, as journals that predate it
+    /// numbered cells by grid index), so a resumed campaign archives its
+    /// remaining cells at the seqs an uninterrupted one would.
+    #[serde(default)]
+    pub seq_base: u64,
 }
 
 fn meta_line(meta: &CampaignJournalMeta) -> JsonValue {
@@ -1016,6 +1038,7 @@ mod tests {
         let meta = CampaignJournalMeta {
             fingerprint: spec().fingerprint(),
             cells: 8,
+            seq_base: 5,
         };
         let mut w = CampaignJournalWriter::create(&path, &meta).unwrap();
         assert!(w.is_empty());
@@ -1053,12 +1076,22 @@ mod tests {
     }
 
     #[test]
+    fn a_journal_without_a_seq_base_numbers_from_zero() {
+        let head = format!(
+            "{{\"campaign\":\"{MAGIC}\",\"version\":{VERSION},\"fingerprint\":\"abcd\",\"cells\":2}}"
+        );
+        let journal = CampaignJournal::parse(&format!("{head}\n")).unwrap();
+        assert_eq!(journal.meta.seq_base, 0);
+    }
+
+    #[test]
     fn journal_rejects_garbage_and_foreign_files() {
         assert!(CampaignJournal::parse("").is_err());
         assert!(CampaignJournal::parse("{\"foo\":1}\n").is_err());
         let meta = CampaignJournalMeta {
             fingerprint: "abcd".into(),
             cells: 2,
+            seq_base: 0,
         };
         let head = serde_json::to_string(&meta_line(&meta)).unwrap();
         let text = format!("{head}\nnot json\n{head}\n");

@@ -7,8 +7,8 @@
 //! with a bootstrap interval.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use rigor_stats::bootstrap::bootstrap_ratio_ci;
+use rand::SeedableRng;
+use rigor_stats::bootstrap::{bootstrap_ratio_ci, percentile_ci, IndexSampler};
 use rigor_stats::ci::ConfidenceInterval;
 use rigor_stats::descriptive::{geomean, mean};
 use rigor_stats::effect::cohens_d;
@@ -171,21 +171,19 @@ fn geomean_speedup_ci(
         return None;
     }
     let point: Vec<f64> = mean_pairs.iter().map(|(b, c)| mean(b) / mean(c)).collect();
-    let estimate = geomean(&point);
+    let samplers: Vec<(IndexSampler, IndexSampler)> = mean_pairs
+        .iter()
+        .map(|(b, c)| (IndexSampler::new(b.len()), IndexSampler::new(c.len())))
+        .collect();
     let mut rng = StdRng::seed_from_u64(seed);
     const RESAMPLES: usize = 2_000;
     let mut samples = Vec::with_capacity(RESAMPLES);
+    let mut ratios = Vec::with_capacity(mean_pairs.len());
     for _ in 0..RESAMPLES {
-        let mut ratios = Vec::with_capacity(mean_pairs.len());
-        for (b, c) in mean_pairs {
-            let rb: f64 = (0..b.len())
-                .map(|_| b[rng.gen_range(0..b.len())])
-                .sum::<f64>()
-                / b.len() as f64;
-            let rc: f64 = (0..c.len())
-                .map(|_| c[rng.gen_range(0..c.len())])
-                .sum::<f64>()
-                / c.len() as f64;
+        ratios.clear();
+        for ((b, c), (sample_b, sample_c)) in mean_pairs.iter().zip(&samplers) {
+            let rb = sample_b.resample_mean(b, &mut rng);
+            let rc = sample_c.resample_mean(c, &mut rng);
             if rc > 0.0 {
                 ratios.push(rb / rc);
             }
@@ -195,12 +193,7 @@ fn geomean_speedup_ci(
             samples.push(g);
         }
     }
-    Some(ConfidenceInterval {
-        estimate,
-        lower: rigor_stats::quantile(&samples, (1.0 - confidence) / 2.0),
-        upper: rigor_stats::quantile(&samples, 1.0 - (1.0 - confidence) / 2.0),
-        confidence,
-    })
+    Some(percentile_ci(geomean(&point), samples, confidence))
 }
 
 #[cfg(test)]
@@ -370,5 +363,90 @@ mod tests {
         assert_eq!(s.per_benchmark.len(), 1);
         assert_eq!(s.failures.len(), 1);
         assert_eq!(s.failures[0].0, "c");
+    }
+
+    /// The buffered definition of [`geomean_speedup_ci`]: each resample
+    /// side filled with `gen_range` draws and summed, the ratios collected
+    /// per resample, both tails read with `quantile` (a sorted copy).
+    fn reference_geomean_ci(
+        mean_pairs: &[(Vec<f64>, Vec<f64>)],
+        confidence: f64,
+        seed: u64,
+    ) -> Option<ConfidenceInterval> {
+        use rand::Rng;
+        if mean_pairs.is_empty() {
+            return None;
+        }
+        let point: Vec<f64> = mean_pairs.iter().map(|(b, c)| mean(b) / mean(c)).collect();
+        let estimate = geomean(&point);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut samples = Vec::with_capacity(2_000);
+        for _ in 0..2_000 {
+            let mut ratios = Vec::with_capacity(mean_pairs.len());
+            for (b, c) in mean_pairs {
+                let rb: f64 = (0..b.len())
+                    .map(|_| b[rng.gen_range(0..b.len())])
+                    .sum::<f64>()
+                    / b.len() as f64;
+                let rc: f64 = (0..c.len())
+                    .map(|_| c[rng.gen_range(0..c.len())])
+                    .sum::<f64>()
+                    / c.len() as f64;
+                if rc > 0.0 {
+                    ratios.push(rb / rc);
+                }
+            }
+            let g = geomean(&ratios);
+            if g.is_finite() {
+                samples.push(g);
+            }
+        }
+        Some(ConfidenceInterval {
+            estimate,
+            lower: rigor_stats::quantile(&samples, (1.0 - confidence) / 2.0),
+            upper: rigor_stats::quantile(&samples, 1.0 - (1.0 - confidence) / 2.0),
+            confidence,
+        })
+    }
+
+    #[test]
+    fn geomean_ci_matches_its_buffered_reference_bit_for_bit() {
+        let bits = |ci: Option<ConfidenceInterval>| {
+            ci.map(|c| [c.estimate, c.lower, c.upper, c.confidence].map(f64::to_bits))
+        };
+        let side = |n: usize, level: f64, step: f64| -> Vec<f64> {
+            (0..n)
+                .map(|i| level + step * ((i * 7) % 5) as f64)
+                .collect()
+        };
+        let suites: Vec<Vec<(Vec<f64>, Vec<f64>)>> = vec![
+            vec![],
+            // Timing-like: two to twelve invocations a side.
+            (2..=12)
+                .map(|n| (side(n, 100.0, 1.5), side(14 - n, 25.0, 0.25)))
+                .collect(),
+            // Ties, a candidate that resamples to zero (its ratio is
+            // skipped) and a negative side (its geomean is NaN, so the
+            // resample is skipped).
+            vec![
+                (vec![3.0, 3.0], vec![1.0, 1.0, 1.0]),
+                (vec![2.0, 4.0, 8.0], vec![0.0, 0.0, 2.0]),
+                (vec![-1.0, 5.0], vec![1.0, 2.0]),
+            ],
+            // Signed zeros and subnormals.
+            vec![
+                (vec![-0.0, 0.0, -0.0], vec![1.0, 2.0]),
+                (vec![5e-324, 1e-323], vec![1e-323, 5e-324, 2e-323]),
+            ],
+        ];
+        for pairs in &suites {
+            for confidence in [0.5, 0.9, 0.95, 0.99, 0.999] {
+                assert_eq!(
+                    bits(geomean_speedup_ci(pairs, confidence, 0xFEED)),
+                    bits(reference_geomean_ci(pairs, confidence, 0xFEED)),
+                    "pairs={pairs:?} confidence={confidence}"
+                );
+            }
+        }
     }
 }

@@ -186,14 +186,14 @@ impl Campaign {
         if let Some(planner) = &self.spec.planner {
             planner.validate().map_err(CampaignError::Planner)?;
         }
-        let cells = self.spec.cells()?;
+        let mut cells = self.spec.cells()?;
         let fingerprint = self.spec.fingerprint();
         let total = cells.len();
 
         // Resume: the archive is authoritative for *what* is done; the
-        // journal only proves the path belongs to this grid.
-        let mut skipped: Vec<(Cell, String)> = Vec::new();
-        let mut pending: Vec<Cell> = Vec::new();
+        // journal proves the path belongs to this grid and keeps the seq
+        // base the campaign started from.
+        let mut journaled_base = None;
         if self.resume {
             if let Some(path) = &self.journal_path {
                 if let Some(journal) = CampaignJournal::load_tolerant(path)
@@ -202,8 +202,21 @@ impl Campaign {
                     journal
                         .check_matches(&fingerprint, total as u32)
                         .map_err(CampaignError::JournalMismatch)?;
+                    journaled_base = Some(journal.meta.seq_base);
                 }
             }
+        }
+        let seq_base = match journaled_base {
+            Some(base) => base,
+            None => sink.seq_base().map_err(CampaignError::Sink)?,
+        };
+        for cell in &mut cells {
+            cell.seq = seq_base + cell.index as u64;
+        }
+
+        let mut skipped: Vec<(Cell, String)> = Vec::new();
+        let mut pending: Vec<Cell> = Vec::new();
+        if self.resume {
             for cell in cells {
                 match sink.completed_cell(&cell).map_err(CampaignError::Sink)? {
                     Some(receipt) => skipped.push((cell, receipt.run_id)),
@@ -223,6 +236,7 @@ impl Campaign {
                 let meta = CampaignJournalMeta {
                     fingerprint: fingerprint.clone(),
                     cells: total as u32,
+                    seq_base,
                 };
                 let mut w = CampaignJournalWriter::create(path, &meta)
                     .map_err(|e| CampaignError::Journal(e.to_string()))?;

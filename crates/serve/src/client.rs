@@ -537,9 +537,10 @@ impl RemoteStore {
         Err(last.expect("conflict retry loop exits early unless a conflict was seen"))
     }
 
-    /// Fetches the server archive (optionally only the last `n` runs) as
-    /// verified records — every line's length and content hash is
-    /// re-checked locally, so transit corruption is detected.
+    /// Fetches the server archive (optionally only the `n` runs with the
+    /// highest seqs, oldest first) as verified records — every line's
+    /// length and content hash is re-checked locally, so transit
+    /// corruption is detected.
     ///
     /// # Errors
     ///
@@ -660,7 +661,7 @@ impl CellSink for RemoteStore {
     ) -> Result<CellReceipt, String> {
         let label = cell.id.canonical();
         let record = RunRecord::new(
-            cell.index as u64,
+            cell.seq,
             Some(label.clone()),
             &cell.config,
             vec![measurement.clone()],
@@ -691,6 +692,21 @@ impl CellSink for RemoteStore {
                 Ok(receipt)
             }
         }
+    }
+
+    /// The server's next free seq, or past the spooled runs if those go
+    /// higher. One bare attempt, outside the retry and breaker bookkeeping:
+    /// a campaign may start with the server down, and then numbers its
+    /// cells past the runs it knows of, the spooled ones.
+    fn seq_base(&self) -> Result<u64, String> {
+        let server = self
+            .try_once("GET", "/seq", "")
+            .ok()
+            .filter(|(status, _)| *status == 200)
+            .and_then(|(_, body)| self.parse::<NextSeq>(&body).ok())
+            .map_or(0, |answer| answer.next_seq);
+        let spool = self.spool.lock().expect("spool lock");
+        Ok(server.max(spool.as_ref().map_or(0, Store::next_seq)))
     }
 
     fn completed_cell(&self, cell: &Cell) -> Result<Option<CellReceipt>, String> {

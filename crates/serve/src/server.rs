@@ -9,7 +9,8 @@
 //! | `GET /seq`        | next free sequence number                              |
 //! | `GET /completed`  | `?label=` → receipt of the run with that label, or 404 |
 //! | `PUT /runs`       | idempotent upload of one record line                   |
-//! | `GET /history`    | the archive as integrity-checked record lines (JSONL)  |
+//! | `GET /history`    | the archive as integrity-checked record lines (JSONL); |
+//! |                   | `?last=N`: the N runs with the highest seqs            |
 //! | `POST /check`     | regression gate vs. a server-side baseline             |
 //! | `POST /trend`     | changepoint analysis of the server-side history        |
 //!
@@ -472,9 +473,12 @@ fn route(req: &Request, store: &Mutex<Store>) -> Response {
         ("GET", "/history") => {
             let last: Option<usize> = req.query_param("last").and_then(|v| v.parse().ok());
             let store = store.lock().expect("store lock");
+            let runs = match last {
+                Some(n) => store.last_n(n),
+                None => store.runs().collect(),
+            };
             let mut lines = String::new();
-            let skip = last.map(|n| store.len().saturating_sub(n)).unwrap_or(0);
-            for r in store.runs().skip(skip) {
+            for r in runs {
                 lines.push_str(&record_line(r));
                 lines.push('\n');
             }

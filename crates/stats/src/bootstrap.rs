@@ -1,14 +1,142 @@
 //! Nonparametric bootstrap confidence intervals.
+//!
+//! Every interval here is a seeded function of its inputs and reproduces
+//! bit for bit: a resample draws its indices as `rng.gen_range(0..n)`
+//! does, `next_u64() % n` (through [`IndexSampler`], which computes the
+//! same remainder without a division), a resample mean adds its draws in
+//! draw order, and both tails come from the replicates by selection, with
+//! the values a sort would give ([`percentile_ci`]).
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{RngCore, SeedableRng};
 
 use crate::ci::ConfidenceInterval;
 use crate::descriptive::mean;
-use crate::quantile::quantile;
+use crate::quantile::quantile_pair;
 
 /// Default number of bootstrap resamples.
 pub const DEFAULT_RESAMPLES: usize = 2_000;
+
+/// Uniform indices into `0..n`, drawn exactly as `rng.gen_range(0..n)`
+/// draws them: one `next_u64()`, reduced `% n`.
+///
+/// The remainder is computed without a division, from a reciprocal worked
+/// out once per sample size (Granlund & Montgomery, "Division by invariant
+/// integers using multiplication", PLDI 1994, fig. 4.1): a multiply-high
+/// gives the quotient, exact for every 64-bit numerator and every `n`
+/// from 1 to `u64::MAX`, so the draws, and every interval built from
+/// them, are the ones `gen_range` gives.
+#[derive(Debug, Clone, Copy)]
+pub struct IndexSampler {
+    n: u64,
+    /// ⌊2⁶⁴·(2ˡ − n)/n⌋ + 1 for l = ⌈log₂ n⌉; fits in 64 bits.
+    magic: u64,
+    shift1: u32,
+    shift2: u32,
+}
+
+impl IndexSampler {
+    /// The sampler of indices into `0..n`.
+    ///
+    /// # Panics
+    ///
+    /// If `n` is 0: there is no index to draw.
+    pub fn new(n: usize) -> IndexSampler {
+        assert!(n > 0, "cannot sample empty range");
+        let n = n as u64;
+        let l = u64::BITS - (n - 1).leading_zeros();
+        let magic = ((((1u128 << l) - u128::from(n)) << 64) / u128::from(n)) as u64 + 1;
+        IndexSampler {
+            n,
+            magic,
+            shift1: l.min(1),
+            shift2: l.saturating_sub(1),
+        }
+    }
+
+    /// `x % n`.
+    #[inline]
+    fn index(&self, x: u64) -> usize {
+        let t = ((u128::from(self.magic) * u128::from(x)) >> 64) as u64;
+        let quotient = (t + ((x - t) >> self.shift1)) >> self.shift2;
+        (x - quotient * self.n) as usize
+    }
+
+    /// The next index from `rng`: what `rng.gen_range(0..n)` returns.
+    #[inline]
+    fn draw<R: RngCore>(&self, rng: &mut R) -> usize {
+        self.index(rng.next_u64())
+    }
+
+    /// The mean of one resample of `xs`, added up as the draws arrive: the
+    /// sum starts from `-0.0`, as `f64`'s `Sum` does, and adds in draw
+    /// order, so it is bit for bit the [`mean`] of the resample without the
+    /// resample.
+    ///
+    /// ```
+    /// use rand::{rngs::StdRng, Rng, SeedableRng};
+    /// let xs = [3.0, 1.5, -2.0, 8.25, 0.5, 4.0, 7.0];
+    /// let sampler = rigor_stats::IndexSampler::new(xs.len());
+    /// let (mut a, mut b) = (StdRng::seed_from_u64(1), StdRng::seed_from_u64(1));
+    /// for _ in 0..100 {
+    ///     let resample: Vec<f64> = (0..xs.len())
+    ///         .map(|_| xs[b.gen_range(0..xs.len())])
+    ///         .collect();
+    ///     let mean = sampler.resample_mean(&xs, &mut a);
+    ///     assert_eq!(mean.to_bits(), rigor_stats::mean(&resample).to_bits());
+    /// }
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// If `xs` does not hold `n` values.
+    #[inline]
+    pub fn resample_mean<R: RngCore>(&self, xs: &[f64], rng: &mut R) -> f64 {
+        assert_eq!(xs.len() as u64, self.n, "sampler built for another size");
+        let mut sum = -0.0;
+        for _ in 0..xs.len() {
+            sum += xs[self.draw(rng)];
+        }
+        sum / xs.len() as f64
+    }
+}
+
+/// The percentile interval of `replicates` around `estimate`: the
+/// `(1 − confidence)/2` and `1 − (1 − confidence)/2` type-7 quantiles.
+/// NaN bounds when there are no replicates.
+pub fn percentile_ci(
+    estimate: f64,
+    mut replicates: Vec<f64>,
+    confidence: f64,
+) -> ConfidenceInterval {
+    let alpha = 1.0 - confidence;
+    let (lower, upper) = quantile_pair(&mut replicates, alpha / 2.0, 1.0 - alpha / 2.0);
+    ConfidenceInterval {
+        estimate,
+        lower,
+        upper,
+        confidence,
+    }
+}
+
+/// `statistic` of each of `resamples` resamples of `xs`, drawn one after
+/// another from one seeded stream.
+fn replicates<F>(xs: &[f64], statistic: F, resamples: usize, seed: u64) -> Vec<f64>
+where
+    F: Fn(&[f64]) -> f64,
+{
+    let mut rng = StdRng::seed_from_u64(seed);
+    let sampler = IndexSampler::new(xs.len());
+    let mut buf = vec![0.0; xs.len()];
+    (0..resamples)
+        .map(|_| {
+            for b in buf.iter_mut() {
+                *b = xs[sampler.draw(&mut rng)];
+            }
+            statistic(&buf)
+        })
+        .collect()
+}
 
 /// Percentile-bootstrap CI for an arbitrary statistic of one sample.
 ///
@@ -26,36 +154,32 @@ where
     if xs.len() < 2 {
         return None;
     }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut buf = vec![0.0; xs.len()];
-    let mut stats = Vec::with_capacity(resamples);
-    for _ in 0..resamples {
-        for b in buf.iter_mut() {
-            *b = xs[rng.gen_range(0..xs.len())];
-        }
-        stats.push(statistic(&buf));
-    }
-    let alpha = 1.0 - confidence;
-    Some(ConfidenceInterval {
-        estimate: statistic(xs),
-        lower: quantile(&stats, alpha / 2.0),
-        upper: quantile(&stats, 1.0 - alpha / 2.0),
-        confidence,
-    })
+    let stats = replicates(xs, &statistic, resamples, seed);
+    Some(percentile_ci(statistic(xs), stats, confidence))
 }
 
-/// Percentile-bootstrap CI for the mean.
+/// Percentile-bootstrap CI for the mean: [`bootstrap_ci`] of [`mean`],
+/// with each resample's mean summed as it is drawn.
 pub fn bootstrap_mean_ci(
     xs: &[f64],
     confidence: f64,
     resamples: usize,
     seed: u64,
 ) -> Option<ConfidenceInterval> {
-    bootstrap_ci(xs, mean, confidence, resamples, seed)
+    if xs.len() < 2 {
+        return None;
+    }
+    let mut rng = StdRng::seed_from_u64(seed);
+    let sampler = IndexSampler::new(xs.len());
+    let means = (0..resamples)
+        .map(|_| sampler.resample_mean(xs, &mut rng))
+        .collect();
+    Some(percentile_ci(mean(xs), means, confidence))
 }
 
 /// Percentile-bootstrap CI for the ratio of means mean(a)/mean(b), resampling
 /// the two samples independently (they come from independent invocations).
+/// A resample whose `b` mean is zero is skipped.
 ///
 /// ```
 /// let baseline = [100.0, 102.0, 98.0, 101.0, 99.0, 100.5];
@@ -76,33 +200,22 @@ pub fn bootstrap_ratio_ci(
         return None;
     }
     let mut rng = StdRng::seed_from_u64(seed);
+    let (sample_a, sample_b) = (IndexSampler::new(a.len()), IndexSampler::new(b.len()));
     let mut ratios = Vec::with_capacity(resamples);
-    let mut buf_a = vec![0.0; a.len()];
-    let mut buf_b = vec![0.0; b.len()];
     for _ in 0..resamples {
-        for x in buf_a.iter_mut() {
-            *x = a[rng.gen_range(0..a.len())];
-        }
-        for x in buf_b.iter_mut() {
-            *x = b[rng.gen_range(0..b.len())];
-        }
-        let mb = mean(&buf_b);
+        let ma = sample_a.resample_mean(a, &mut rng);
+        let mb = sample_b.resample_mean(b, &mut rng);
         if mb != 0.0 {
-            ratios.push(mean(&buf_a) / mb);
+            ratios.push(ma / mb);
         }
     }
-    let alpha = 1.0 - confidence;
-    Some(ConfidenceInterval {
-        estimate: mean(a) / mean(b),
-        lower: quantile(&ratios, alpha / 2.0),
-        upper: quantile(&ratios, 1.0 - alpha / 2.0),
-        confidence,
-    })
+    Some(percentile_ci(mean(a) / mean(b), ratios, confidence))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
 
     fn sample(n: usize, seed: u64) -> Vec<f64> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -194,16 +307,7 @@ where
     }
     let theta_hat = statistic(xs);
 
-    // Bootstrap replicates.
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut buf = vec![0.0; n];
-    let mut reps = Vec::with_capacity(resamples);
-    for _ in 0..resamples {
-        for b in buf.iter_mut() {
-            *b = xs[rng.gen_range(0..n)];
-        }
-        reps.push(statistic(&buf));
-    }
+    let mut reps = replicates(xs, &statistic, resamples, seed);
 
     // Bias correction: the normal quantile of the fraction of replicates
     // below the point estimate.
@@ -250,10 +354,11 @@ where
     };
     let a1 = adjust(normal_quantile(alpha / 2.0));
     let a2 = adjust(normal_quantile(1.0 - alpha / 2.0));
+    let (lower, upper) = quantile_pair(&mut reps, a1.min(a2), a1.max(a2));
     Some(ConfidenceInterval {
         estimate: theta_hat,
-        lower: quantile(&reps, a1.min(a2)),
-        upper: quantile(&reps, a1.max(a2)),
+        lower,
+        upper,
         confidence,
     })
 }
@@ -261,6 +366,7 @@ where
 #[cfg(test)]
 mod bca_tests {
     use super::*;
+    use rand::Rng;
 
     fn skewed_sample(n: usize, seed: u64) -> Vec<f64> {
         // Log-normal-ish: right-skewed like benchmark timings.
@@ -312,5 +418,309 @@ mod bca_tests {
     #[test]
     fn bca_degenerate_inputs() {
         assert!(bootstrap_bca_ci(&[1.0, 2.0], mean, 0.95, 100, 1).is_none());
+    }
+}
+
+#[cfg(test)]
+mod exactness_tests {
+    //! The sampler is exactly `x % n`, and every bootstrap interval has the
+    //! bits of its buffered definition: fill each resample with
+    //! `gen_range` draws, take its statistic, then read each tail with
+    //! `quantile` (a sorted copy).
+
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use proptest::prelude::*;
+    use rand::Rng;
+
+    use super::*;
+    use crate::descriptive::median;
+    use crate::dist::{normal_cdf, normal_quantile};
+    use crate::quantile::quantile;
+
+    fn reference_ci<F: Fn(&[f64]) -> f64>(
+        xs: &[f64],
+        statistic: F,
+        confidence: f64,
+        resamples: usize,
+        seed: u64,
+    ) -> Option<ConfidenceInterval> {
+        if xs.len() < 2 {
+            return None;
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut buf = vec![0.0; xs.len()];
+        let mut stats = Vec::with_capacity(resamples);
+        for _ in 0..resamples {
+            for b in buf.iter_mut() {
+                *b = xs[rng.gen_range(0..xs.len())];
+            }
+            stats.push(statistic(&buf));
+        }
+        let alpha = 1.0 - confidence;
+        Some(ConfidenceInterval {
+            estimate: statistic(xs),
+            lower: quantile(&stats, alpha / 2.0),
+            upper: quantile(&stats, 1.0 - alpha / 2.0),
+            confidence,
+        })
+    }
+
+    fn reference_ratio_ci(
+        a: &[f64],
+        b: &[f64],
+        confidence: f64,
+        resamples: usize,
+        seed: u64,
+    ) -> Option<ConfidenceInterval> {
+        if a.len() < 2 || b.len() < 2 || mean(b) == 0.0 {
+            return None;
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut ratios = Vec::with_capacity(resamples);
+        let mut buf_a = vec![0.0; a.len()];
+        let mut buf_b = vec![0.0; b.len()];
+        for _ in 0..resamples {
+            for x in buf_a.iter_mut() {
+                *x = a[rng.gen_range(0..a.len())];
+            }
+            for x in buf_b.iter_mut() {
+                *x = b[rng.gen_range(0..b.len())];
+            }
+            let mb = mean(&buf_b);
+            if mb != 0.0 {
+                ratios.push(mean(&buf_a) / mb);
+            }
+        }
+        let alpha = 1.0 - confidence;
+        Some(ConfidenceInterval {
+            estimate: mean(a) / mean(b),
+            lower: quantile(&ratios, alpha / 2.0),
+            upper: quantile(&ratios, 1.0 - alpha / 2.0),
+            confidence,
+        })
+    }
+
+    fn reference_bca_ci<F: Fn(&[f64]) -> f64>(
+        xs: &[f64],
+        statistic: F,
+        confidence: f64,
+        resamples: usize,
+        seed: u64,
+    ) -> Option<ConfidenceInterval> {
+        let n = xs.len();
+        if n < 3 {
+            return None;
+        }
+        let theta_hat = statistic(xs);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut buf = vec![0.0; n];
+        let mut reps = Vec::with_capacity(resamples);
+        for _ in 0..resamples {
+            for b in buf.iter_mut() {
+                *b = xs[rng.gen_range(0..n)];
+            }
+            reps.push(statistic(&buf));
+        }
+        let below = reps.iter().filter(|&&r| r < theta_hat).count() as f64;
+        let frac =
+            (below / resamples as f64).clamp(1.0 / resamples as f64, 1.0 - 1.0 / resamples as f64);
+        let z0 = normal_quantile(frac);
+        let mut jack = Vec::with_capacity(n);
+        let mut loo = Vec::with_capacity(n - 1);
+        for i in 0..n {
+            loo.clear();
+            loo.extend(
+                xs.iter()
+                    .enumerate()
+                    .filter(|(j, _)| *j != i)
+                    .map(|(_, &x)| x),
+            );
+            jack.push(statistic(&loo));
+        }
+        let jack_mean = mean(&jack);
+        let (mut num, mut den) = (0.0, 0.0);
+        for &j in &jack {
+            let d = jack_mean - j;
+            num += d * d * d;
+            den += d * d;
+        }
+        let a = if den > 0.0 {
+            num / (6.0 * den.powf(1.5))
+        } else {
+            0.0
+        };
+        let alpha = 1.0 - confidence;
+        let adjust = |z_alpha: f64| -> f64 {
+            let w = z0 + z_alpha;
+            let denom = 1.0 - a * w;
+            if denom.abs() < 1e-12 {
+                return if w > 0.0 { 1.0 } else { 0.0 };
+            }
+            normal_cdf(z0 + w / denom).clamp(0.0, 1.0)
+        };
+        let a1 = adjust(normal_quantile(alpha / 2.0));
+        let a2 = adjust(normal_quantile(1.0 - alpha / 2.0));
+        Some(ConfidenceInterval {
+            estimate: theta_hat,
+            lower: quantile(&reps, a1.min(a2)),
+            upper: quantile(&reps, a1.max(a2)),
+            confidence,
+        })
+    }
+
+    /// What a call returned, bit for bit, or that it panicked.
+    type Outcome = Result<Option<[u64; 4]>, ()>;
+
+    fn outcome(call: impl FnOnce() -> Option<ConfidenceInterval>) -> Outcome {
+        catch_unwind(AssertUnwindSafe(call))
+            .map(|ci| ci.map(|c| [c.estimate, c.lower, c.upper, c.confidence].map(f64::to_bits)))
+            .map_err(drop)
+    }
+
+    const LEVELS: [f64; 5] = [0.5, 0.9, 0.95, 0.99, 0.999];
+
+    /// A sample of `n` values in one of five shapes: timing-like, heavy
+    /// ties (zeros among them), signed zeros, subnormals of either sign,
+    /// and huge magnitudes of either sign.
+    fn sample(n: usize, shape: usize, seed: u64) -> Vec<f64> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let sign = |rng: &mut StdRng| if rng.gen_bool(0.5) { -1.0 } else { 1.0 };
+        (0..n)
+            .map(|_| match shape {
+                0 => 100.0 + rng.gen_range(-5.0..5.0),
+                1 => f64::from(rng.gen_range(0..3u32)),
+                2 => {
+                    if n == 2 || rng.gen_bool(0.5) {
+                        -0.0
+                    } else {
+                        0.0
+                    }
+                }
+                3 => sign(&mut rng) * f64::from_bits(rng.gen_range(1..8u64)),
+                _ => sign(&mut rng) * 1e300 * (1.0 + rng.gen::<f64>()),
+            })
+            .collect()
+    }
+
+    /// Every public interval, against its reference, on one case.
+    fn assert_identical(a: &[f64], b: &[f64], confidence: f64, resamples: usize, seed: u64) {
+        let case = format!("a={a:?} b={b:?} confidence={confidence} resamples={resamples}");
+        assert_eq!(
+            outcome(|| bootstrap_mean_ci(a, confidence, resamples, seed)),
+            outcome(|| reference_ci(a, mean, confidence, resamples, seed)),
+            "bootstrap_mean_ci {case}"
+        );
+        assert_eq!(
+            outcome(|| bootstrap_ci(a, median, confidence, resamples, seed)),
+            outcome(|| reference_ci(a, median, confidence, resamples, seed)),
+            "bootstrap_ci {case}"
+        );
+        assert_eq!(
+            outcome(|| bootstrap_ratio_ci(a, b, confidence, resamples, seed)),
+            outcome(|| reference_ratio_ci(a, b, confidence, resamples, seed)),
+            "bootstrap_ratio_ci {case}"
+        );
+        assert_eq!(
+            outcome(|| bootstrap_bca_ci(a, mean, confidence, resamples, seed)),
+            outcome(|| reference_bca_ci(a, mean, confidence, resamples, seed)),
+            "bootstrap_bca_ci {case}"
+        );
+    }
+
+    #[test]
+    fn every_size_shape_count_and_level_matches_the_buffered_reference() {
+        // Counts 0 and 1 leave no interval (the BCa bias clamp panics on
+        // both sides); count 5 at level 0.5 puts both tails exactly on an
+        // order statistic; the others land between two.
+        const COUNTS: [usize; 5] = [0, 1, 2, 5, 31];
+        for n in 1..=300 {
+            let shape = n % 5;
+            let a = sample(n, shape, n as u64);
+            // A short `b` that often resamples to all zeros, so the ratio
+            // skips some resamples.
+            let b = sample(2 + n % 4, 1, 1000 + n as u64);
+            let confidence = LEVELS[(n / 25) % 5];
+            assert_identical(&a, &b, confidence, COUNTS[(n / 5) % 5], n as u64);
+        }
+    }
+
+    #[test]
+    fn two_thousand_resamples_match_the_buffered_reference_at_every_level() {
+        for (n, shape) in [
+            (2, 0),
+            (2, 2),
+            (3, 1),
+            (5, 3),
+            (17, 4),
+            (40, 0),
+            (40, 2),
+            (64, 1),
+        ] {
+            let a = sample(n, shape, 7 * n as u64);
+            let b = sample(3, 1, 11 * n as u64 + 1);
+            for confidence in LEVELS {
+                assert_identical(&a, &b, confidence, DEFAULT_RESAMPLES, n as u64 + 99);
+            }
+        }
+        let a = sample(300, 0, 300);
+        let b = sample(300, 0, 301);
+        assert_identical(&a, &b, 0.95, DEFAULT_RESAMPLES, 300);
+    }
+
+    #[test]
+    fn mixed_signed_zero_replicates_keep_the_stable_sort_signs() {
+        // Ratios of ±0.0 means: replicates hold both zeros, and the tails
+        // read zero order statistics whose sign only the input order fixes.
+        for seed in 0..40 {
+            let a = [-0.0, 0.0, -0.0];
+            let b = [1.0, 2.0];
+            for resamples in [1, 2, 3, 9, 64] {
+                assert_identical(&a, &b, 0.5, resamples, seed);
+            }
+        }
+        assert_identical(&[-0.0, -0.0], &[1.0, 1.0], 0.95, 2, 0);
+    }
+
+    /// Sample sizes with the reciprocal's edge cases: anything up to 2³²,
+    /// powers of two, their neighbours, and `u64::MAX`.
+    fn sizes() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            1u64..=(1 << 32),
+            (0u32..64).prop_map(|k| 1u64 << k),
+            (1u32..=64).prop_map(|k| u64::MAX >> (64 - k)),
+            (0u32..64).prop_map(|k| (1u64 << k) + 1),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[cfg(target_pointer_width = "64")]
+        #[test]
+        fn the_sampler_is_the_remainder(n in sizes(), x in any::<u64>()) {
+            let sampler = IndexSampler::new(n as usize);
+            for x in [x, 0, n - 1, n, u64::MAX] {
+                prop_assert_eq!(sampler.index(x) as u64, x % n);
+            }
+        }
+    }
+
+    #[test]
+    fn the_sampler_draws_what_gen_range_draws() {
+        for n in [1usize, 2, 3, 7, 10, 1000, 1 << 20] {
+            let sampler = IndexSampler::new(n);
+            let (mut ours, mut theirs) = (StdRng::seed_from_u64(5), StdRng::seed_from_u64(5));
+            for _ in 0..1000 {
+                assert_eq!(sampler.draw(&mut ours), theirs.gen_range(0..n));
+            }
+        }
+        assert_eq!(IndexSampler::new(usize::MAX).index(u64::MAX), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot sample empty range")]
+    fn an_empty_range_has_no_sampler() {
+        IndexSampler::new(0);
     }
 }

@@ -43,7 +43,8 @@ pub use allocate::{
 pub use anova::{kruskal_wallis, one_way_anova};
 pub use autocorr::{autocorrelation, autocorrelations, effective_sample_size};
 pub use bootstrap::{
-    bootstrap_bca_ci, bootstrap_ci, bootstrap_mean_ci, bootstrap_ratio_ci, DEFAULT_RESAMPLES,
+    bootstrap_bca_ci, bootstrap_ci, bootstrap_mean_ci, bootstrap_ratio_ci, percentile_ci,
+    IndexSampler, DEFAULT_RESAMPLES,
 };
 pub use changepoint::{
     merge_equivalent, segment, select_penalty_factor, Segment, SegmentConfig, PENALTY_GRID,

@@ -262,6 +262,15 @@ pub struct CompactionReport {
     pub bytes_after: u64,
 }
 
+/// The `n` runs with the highest seqs, in ascending seq order (runs that
+/// share a seq keep their archive order): what `last` and `last-N` select,
+/// whatever order the runs were appended in.
+pub(crate) fn newest(runs: &[RunRecord], n: usize) -> Vec<&RunRecord> {
+    let mut by_seq: Vec<&RunRecord> = runs.iter().collect();
+    by_seq.sort_by_key(|r| r.seq);
+    by_seq.split_off(by_seq.len().saturating_sub(n))
+}
+
 /// [`Store::get`] over any run slice.
 pub(crate) fn find_run<'r>(
     runs: &'r [RunRecord],
@@ -428,11 +437,11 @@ impl Store {
         self.next_seq
     }
 
-    /// The last `n` archived runs (fewer when the archive is shorter), in
-    /// append order.
+    /// The `n` newest archived runs by seq (at least one; fewer when the
+    /// archive is shorter), oldest first. A campaign's workers append cells
+    /// in the order they finish, so these need not be the last lines.
     pub fn last_n(&self, n: usize) -> Vec<&RunRecord> {
-        let start = self.runs.len().saturating_sub(n.max(1));
-        self.runs[start..].iter().collect()
+        newest(&self.runs, n.max(1))
     }
 
     /// The run labelled exactly `label`, if any.
@@ -474,9 +483,9 @@ impl Store {
 
     /// Archives one run under an explicit sequence number instead of the
     /// next free one. The campaign orchestrator uses this to give every
-    /// cell its grid index as `seq`, so a cell's archived line is
-    /// byte-identical whatever order concurrent workers complete in (the
-    /// content hash covers `seq`).
+    /// cell its campaign's seq base plus its grid index as `seq`, so a
+    /// cell's archived line is byte-identical whatever order concurrent
+    /// workers complete in (the content hash covers `seq`).
     ///
     /// # Errors
     ///

@@ -2,8 +2,9 @@
 //!
 //! Four forms are understood:
 //!
-//! * `last` — the most recent archived run,
-//! * `last-N` — the newest N runs pooled into one baseline sample,
+//! * `last` — the newest archived run: the one with the highest seq,
+//! * `last-N` — the N runs with the highest seqs, pooled into one baseline
+//!   sample,
 //! * `segment` — every run since each benchmark's level last shifted
 //!   (the current trend segment; see [`crate::history`]),
 //! * anything else — a run id prefix or exact label.
@@ -15,16 +16,17 @@ use rigor::pool_measurements;
 use rigor::steady::SteadyStateDetector;
 use rigor::trend::TrendConfig;
 
-use crate::archive::{find_run, Store, StoreError};
+use crate::archive::{find_run, newest, Store, StoreError};
 use crate::history::segment_baseline;
 use crate::record::RunRecord;
 
 /// A parsed `--baseline` reference.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BaselineRef {
-    /// The most recent archived run.
+    /// The newest archived run: the one with the highest seq, which a
+    /// campaign's workers need not have appended last.
     Last,
-    /// The newest N runs, pooled.
+    /// The N runs with the highest seqs, pooled.
     LastN(usize),
     /// The current trend segment, per benchmark: every run since the
     /// benchmark's level last shifted.
@@ -57,7 +59,8 @@ impl BaselineRef {
         BaselineRef::Id(text.to_string())
     }
 
-    /// Resolves the reference against an open store, newest last.
+    /// Resolves the reference against an open store, in ascending seq
+    /// order for `last`/`last-N`.
     ///
     /// For [`BaselineRef::Segment`] this returns every archived run — the
     /// candidate set; which runs actually contribute is decided *per
@@ -72,20 +75,20 @@ impl BaselineRef {
     }
 
     /// [`BaselineRef::select`] over runs in archive order, such as the
-    /// history fetched from a shared archive service.
+    /// history fetched from a shared archive service. `last` and `last-N`
+    /// go by seq, not by position, so any set of runs that holds the
+    /// newest N by seq selects the same baseline.
     ///
     /// # Errors
     ///
     /// As [`BaselineRef::select`].
     pub fn select_in<'r>(&self, runs: &'r [RunRecord]) -> Result<Vec<&'r RunRecord>, StoreError> {
-        let Some(latest) = runs.last() else {
+        if runs.is_empty() {
             return Err(StoreError::Empty);
-        };
+        }
         match self {
-            BaselineRef::Last => Ok(vec![latest]),
-            BaselineRef::LastN(n) => Ok(runs[runs.len().saturating_sub((*n).max(1))..]
-                .iter()
-                .collect()),
+            BaselineRef::Last => Ok(newest(runs, 1)),
+            BaselineRef::LastN(n) => Ok(newest(runs, (*n).max(1))),
             BaselineRef::Segment => Ok(runs.iter().collect()),
             BaselineRef::Id(reference) => Ok(vec![find_run(runs, reference)?]),
         }
@@ -211,6 +214,43 @@ mod tests {
             ),
             Err(StoreError::Empty)
         ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn last_and_last_n_go_by_seq_not_by_line() {
+        // Two workers append a grid's cells in the order they finish.
+        let dir = std::env::temp_dir().join(format!(
+            "rigor-store-baseline-seq-test-{}",
+            std::process::id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut store = Store::open(&dir).unwrap();
+        let config = ExperimentConfig::interp();
+        for seq in [1, 0, 2, 3, 5, 4, 7, 6] {
+            store
+                .append_at_seq(seq, Some(format!("cell-{seq}")), &config, vec![])
+                .unwrap();
+        }
+        let seqs = |runs: Vec<&RunRecord>| runs.iter().map(|r| r.seq).collect::<Vec<_>>();
+        assert_eq!(seqs(BaselineRef::Last.select(&store).unwrap()), [7]);
+        assert_eq!(
+            seqs(BaselineRef::LastN(3).select(&store).unwrap()),
+            [5, 6, 7]
+        );
+        assert_eq!(seqs(store.last_n(3)), [5, 6, 7]);
+        assert_eq!(
+            seqs(BaselineRef::LastN(20).select(&store).unwrap()),
+            [0, 1, 2, 3, 4, 5, 6, 7]
+        );
+        // Any subset holding the newest runs selects the same baseline,
+        // whatever its order.
+        let reversed: Vec<RunRecord> = store.records().iter().rev().cloned().collect();
+        assert_eq!(seqs(BaselineRef::Last.select_in(&reversed).unwrap()), [7]);
+        assert_eq!(
+            seqs(BaselineRef::LastN(2).select_in(&reversed).unwrap()),
+            [6, 7]
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -5,9 +5,11 @@
 //! threads; [`Store`] is single-writer by design. `SharedStore` wraps it in
 //! a mutex so concurrent `archive_cell` calls serialize on the fsynced
 //! append — the append order varies with scheduling, but each cell's line
-//! is byte-identical regardless (its `seq` is the cell's grid index and the
-//! content hash covers it), so two archives of the same campaign always
-//! hold the same content-id *set*.
+//! is byte-identical regardless (its `seq` is the campaign's seq base, the
+//! archive's next free seq when the campaign started, plus the cell's grid
+//! index, and the content hash covers it), so two archives of the same
+//! campaign from the same starting archive always hold the same content-id
+//! *set*.
 //!
 //! Idempotency: the completed-check and the append happen under one lock
 //! acquisition, so a cell replayed in a crash-recovery window is returned
@@ -23,7 +25,7 @@ use crate::record::RunRecord;
 
 /// A [`Store`] behind a writer lock; the on-disk [`CellSink`] of campaign
 /// runs. Each completed cell becomes one archived run whose label is the
-/// cell's canonical id and whose `seq` is the cell's grid index.
+/// cell's canonical id and whose `seq` is the cell's [`Cell::seq`].
 #[derive(Debug)]
 pub struct SharedStore {
     store: Mutex<Store>,
@@ -81,7 +83,7 @@ impl CellSink for SharedStore {
         }
         store
             .append_at_seq(
-                cell.index as u64,
+                cell.seq,
                 Some(label),
                 &cell.config,
                 vec![measurement.clone()],
@@ -107,7 +109,7 @@ impl CellSink for SharedStore {
             return Ok(receipt(existing));
         }
         let record = RunRecord::new(
-            cell.index as u64,
+            cell.seq,
             Some(label),
             &cell.config,
             vec![measurement.clone()],
@@ -117,6 +119,10 @@ impl CellSink for SharedStore {
             .append_record(record)
             .map(receipt)
             .map_err(|e| e.to_string())
+    }
+
+    fn seq_base(&self) -> Result<u64, String> {
+        Ok(self.store.lock().expect("store lock poisoned").next_seq())
     }
 
     fn completed_precision(&self, cell: &Cell) -> Result<Option<CellPrecision>, String> {
@@ -168,10 +174,12 @@ mod tests {
         let m = measurement("sieve");
 
         assert_eq!(shared.completed_cell(&cells[0]).unwrap(), None);
+        assert_eq!(shared.seq_base().unwrap(), 0);
         let a = shared.archive_cell(&cells[0], &m).unwrap();
         let b = shared.archive_cell(&cells[0], &m).unwrap();
         assert_eq!(a, b, "replay returns the original receipt");
-        assert_eq!(a.seq, cells[0].index as u64);
+        assert_eq!(a.seq, cells[0].seq);
+        assert_eq!(shared.seq_base().unwrap(), 1);
         assert_eq!(shared.completed_cell(&cells[0]).unwrap(), Some(a));
         assert_eq!(shared.completed_cell(&cells[1]).unwrap(), None);
 

@@ -56,7 +56,7 @@ fn clean_run(dir: &PathBuf) -> (Vec<u8>, Vec<u8>) {
     )
 }
 
-/// The content-id set of every archived run, with its grid seq.
+/// The content-id set of every archived run, with its seq.
 fn id_set(dir: &PathBuf) -> BTreeSet<(u64, String)> {
     let store = Store::open(dir).expect("open");
     store.runs().map(|r| (r.seq, r.id.clone())).collect()
@@ -156,7 +156,7 @@ fn interrupted_concurrent_campaign_resumes_to_the_same_content_id_set() {
     assert_eq!(resumed.skipped, 2);
 
     // Same content-id set as the uninterrupted run, and — because each
-    // cell's line carries its grid index as seq and is byte-identical under
+    // cell's line carries its seq and is byte-identical under
     // any completion order — the same archive lines up to ordering.
     assert_eq!(id_set(&work_dir), id_set(&clean_dir));
     let mut clean_lines: Vec<&[u8]> = clean_archive.split(|&b| b == b'\n').collect();
@@ -166,6 +166,61 @@ fn interrupted_concurrent_campaign_resumes_to_the_same_content_id_set() {
     work_lines.sort();
     assert_eq!(clean_lines, work_lines);
 
+    fs::remove_dir_all(&clean_dir).ok();
+    fs::remove_dir_all(&work_dir).ok();
+}
+
+/// A campaign into an archive that already holds runs numbers its cells
+/// past them, so the newest seq is its last grid cell, and a killed run
+/// resumes to the seqs, and bytes, of an uninterrupted one.
+#[test]
+fn a_campaign_after_earlier_runs_takes_the_seqs_after_them() {
+    let earlier_runs = |dir: &PathBuf| {
+        let mut store = Store::open(dir).expect("open store");
+        for label in ["nightly-1", "nightly-2", "nightly-3"] {
+            store
+                .append(Some(label.to_string()), &ExperimentConfig::interp(), vec![])
+                .expect("append");
+        }
+    };
+    let clean_dir = temp_dir("after-clean");
+    earlier_runs(&clean_dir);
+    let (clean_archive, clean_journal) = clean_run(&clean_dir);
+    let seqs: Vec<u64> = Store::open(&clean_dir)
+        .expect("open")
+        .runs()
+        .map(|r| r.seq)
+        .collect();
+    assert_eq!(seqs, [0, 1, 2, 3, 4, 5, 6]);
+    let meta = String::from_utf8(clean_journal).expect("utf-8 journal");
+    assert!(meta.contains("\"seq_base\":3"), "{meta}");
+
+    // Killed after two cells, then resumed: the archive now holds five
+    // runs, but the journal keeps the campaign's base.
+    let work_dir = temp_dir("after-work");
+    earlier_runs(&work_dir);
+    let journal = work_dir.join("campaign.jsonl");
+    let sink = SharedStore::open(&work_dir).expect("open store");
+    let partial = Campaign::new(spec())
+        .workers(1)
+        .journal(&journal)
+        .max_cells(2)
+        .run(&sink)
+        .expect("interrupted campaign");
+    assert_eq!(partial.executed, 2);
+    drop(sink);
+    let sink = SharedStore::open(&work_dir).expect("reopen store");
+    let resumed = Campaign::new(spec())
+        .workers(1)
+        .journal(&journal)
+        .resume(true)
+        .run(&sink)
+        .expect("resumed campaign");
+    assert!(resumed.is_complete());
+    assert_eq!(
+        fs::read(work_dir.join(ARCHIVE_FILE)).expect("read archive"),
+        clean_archive
+    );
     fs::remove_dir_all(&clean_dir).ok();
     fs::remove_dir_all(&work_dir).ok();
 }

@@ -1,5 +1,12 @@
 //! End-to-end pipeline integration tests: workload source → suite → runner →
 //! steady-state detection → rigorous comparison.
+//!
+//! Regenerate the pinned suite comparison after a *deliberate* change to
+//! its statistics with:
+//! `BLESS=1 cargo test -p integration-tests --test pipeline`.
+
+use std::fs;
+use std::path::PathBuf;
 
 use integration_tests::test_seed;
 use rigor::{compare, compare_suite, ExperimentConfig, SteadyStateDetector};
@@ -132,4 +139,42 @@ fn interp_is_steady_immediately_jit_is_not() {
     let sj = rigor::common_steady_start(mj.series(), &det).expect("jit steady");
     assert_eq!(si, 0, "interpreter has no warmup");
     assert!(sj >= 1, "JIT must show warmup, got steady start {sj}");
+}
+
+/// Fig 5's headline, pinned: `compare_suite` over the committed
+/// `BENCH_vm.json`, each interpreter measurement against the JIT one of the
+/// same benchmark. Its per-benchmark speedup CIs, p-values, failures and
+/// geomean CI are seeded functions of that file, so they must not move by a
+/// bit unless the statistics are changed on purpose.
+#[test]
+fn suite_comparison_of_the_committed_vm_baseline_is_pinned() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let text = fs::read_to_string(root.join("../BENCH_vm.json")).expect("BENCH_vm.json");
+    let measurements = rigor::from_json(&text).expect("BENCH_vm.json parses");
+    let pairs: Vec<_> = measurements
+        .iter()
+        .filter(|m| m.engine == "interp")
+        .map(|base| {
+            let cand = measurements
+                .iter()
+                .find(|m| m.engine == "jit" && m.benchmark == base.benchmark)
+                .expect("every benchmark on both engines");
+            (base.clone(), cand.clone())
+        })
+        .collect();
+    assert_eq!(pairs.len(), 29);
+    let comparison = compare_suite(&pairs, &SteadyStateDetector::default(), 0.95);
+    let actual = serde_json::to_string_pretty(&comparison).expect("plain data") + "\n";
+    let pinned = root.join("fixtures/suite_comparison.json");
+    if std::env::var_os("BLESS").is_some() {
+        fs::write(&pinned, &actual).expect("bless the suite comparison");
+    }
+    let expected =
+        fs::read_to_string(&pinned).expect("pinned comparison missing — regenerate with BLESS=1");
+    assert_eq!(
+        actual, expected,
+        "compare_suite over BENCH_vm.json drifted from its pinned bytes; if the \
+         change is deliberate, regenerate with BLESS=1"
+    );
+    assert!(comparison.geomean.is_some_and(|g| g.excludes(1.0)));
 }

@@ -395,6 +395,130 @@ fn remote_check_and_trend_match_their_local_forms() {
 }
 
 #[test]
+fn last_baselines_take_the_highest_seqs_on_both_forms() {
+    let store = tmp_store("seq-order");
+    let dir = store.clone();
+    let store = store.display();
+    assert_eq!(
+        rigor_cli::run(&argv(&format!(
+            "campaign --benchmarks sieve,leibniz --seeds 1,2 -n 2 -i 8 --size small \
+             --workers 1 --quiet --store {store}"
+        ))),
+        0
+    );
+    // Reorder the cells as two workers may finish them: seq 4, leibniz's
+    // first interpreter cell, lands on the last line.
+    let journal = dir.join(rigor_store::ARCHIVE_FILE);
+    let text = fs::read_to_string(&journal).expect("campaign archive");
+    let lines: Vec<&str> = text.lines().collect();
+    let reordered: Vec<&str> = [0, 1, 2, 3, 4, 6, 7, 8, 5]
+        .iter()
+        .map(|&i| lines[i])
+        .collect();
+    fs::write(&journal, reordered.join("\n") + "\n").expect("reordered archive");
+
+    let server = rigor_serve::ArchiveServer::bind("127.0.0.1:0", &dir).expect("bind");
+    let handle = server.handle();
+    let url = handle.addr().to_string();
+    let join = std::thread::spawn(move || server.serve().expect("serve"));
+    // `last` is seq 7 (leibniz/jit, seed 2) and `last-2` seqs 6 and 7, so
+    // re-measuring that cell passes; the last line would gate it against
+    // the interpreter.
+    for window in ["last", "last-2"] {
+        let code = same_local_and_remote(
+            &dir,
+            &url,
+            &format!("seq-{window}"),
+            &format!(
+                "check leibniz --engine jit --seed 2 -n 2 -i 8 --size small --quiet \
+                 --baseline {window}"
+            ),
+        );
+        assert_eq!(code, 0, "{window}");
+        let report = fs::read_to_string(dir.join(format!("seq-{window}-local.json"))).unwrap();
+        assert!(
+            report.contains("\"status\": \"pass\""),
+            "{window}: {report}"
+        );
+    }
+    handle.stop();
+    join.join().expect("server thread");
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// Seqs go up from command to command: a campaign archived after other
+/// runs, a smaller one after a larger one included, numbers its cells past
+/// them, locally and through `rigor serve`, so `last` and `last-N` gate
+/// against its cells on both forms.
+#[test]
+fn last_baselines_select_the_newest_campaign_on_both_forms() {
+    let local = tmp_store("newest-local");
+    let served = tmp_store("newest-served");
+    let work = tmp_store("newest-work");
+    fs::create_dir_all(&served).expect("served store dir");
+    let server = rigor_serve::ArchiveServer::bind("127.0.0.1:0", &served).expect("bind");
+    let handle = server.handle();
+    let url = handle.addr().to_string();
+    let join = std::thread::spawn(move || server.serve().expect("serve"));
+    let shape = "-n 2 -i 8 --size small --quiet --workers 1";
+    for command in [
+        "archive leibniz",
+        "archive leibniz",
+        "archive leibniz",
+        "campaign --benchmarks sieve,leibniz --engines interp,jit --seeds 1",
+        "campaign --benchmarks sieve --engines interp,jit --seeds 2",
+    ] {
+        for target in [
+            format!("--store {}", local.display()),
+            format!("--store-url {url} --store {}", work.display()),
+        ] {
+            assert_eq!(
+                rigor_cli::run(&argv(&format!("{command} {shape} {target}"))),
+                0,
+                "{command} {target}"
+            );
+        }
+    }
+    let seqs = |dir: &std::path::Path| -> Vec<(u64, String)> {
+        let store = rigor_store::Store::open(dir).expect("open store");
+        let mut seqs: Vec<(u64, String)> = store.runs().map(|r| (r.seq, r.id.clone())).collect();
+        seqs.sort();
+        seqs
+    };
+    let archived = seqs(&local);
+    assert_eq!(
+        archived.iter().map(|(seq, _)| *seq).collect::<Vec<_>>(),
+        (0..9).collect::<Vec<u64>>()
+    );
+    assert_eq!(archived, seqs(&served));
+
+    // `last` is seq 8 (sieve/jit, seed 2) and `last-2` seqs 7 and 8.
+    for (window, engine) in [("last", "jit"), ("last-2", "interp")] {
+        let code = same_local_and_remote(
+            &served,
+            &url,
+            &format!("newest-{window}"),
+            &format!(
+                "check sieve --engine {engine} --seed 2 -n 2 -i 8 --size small --quiet \
+                 --baseline {window}"
+            ),
+        );
+        assert_eq!(code, 0, "{window}");
+        let report =
+            fs::read_to_string(served.join(format!("newest-{window}-local.json"))).unwrap();
+        assert!(
+            report.contains("\"status\": \"pass\""),
+            "{window}: {report}"
+        );
+    }
+    handle.stop();
+    join.join().expect("server thread");
+    for dir in [&local, &served, &work] {
+        fs::remove_dir_all(dir).ok();
+    }
+}
+
+#[test]
 fn archive_history_and_an_unknown_baseline_agree_on_both_forms() {
     let local = tmp_store("one-path-local");
     let served = tmp_store("one-path-served");
