@@ -4,6 +4,7 @@
 use std::fmt;
 
 use minipy::EngineKind;
+use rigor_workloads::verify::parse_size;
 use rigor_workloads::Size;
 
 /// Options shared by the measuring subcommands.
@@ -262,12 +263,8 @@ pub fn parse_args(argv: &[String]) -> Result<(Command, GlobalOpts), ParseError> 
                 };
             }
             "--size" => {
-                opts.size = match next_value(arg, &mut it)?.as_str() {
-                    "small" => Size::Small,
-                    "default" => Size::Default,
-                    "large" => Size::Large,
-                    other => return Err(err(format!("unknown size '{other}'"))),
-                };
+                let v = next_value(arg, &mut it)?;
+                opts.size = parse_size(&v).ok_or_else(|| err(format!("unknown size '{v}'")))?;
             }
             "--engine" => {
                 opts.engine = match next_value(arg, &mut it)?.as_str() {
@@ -503,12 +500,10 @@ pub fn parse_args(argv: &[String]) -> Result<(Command, GlobalOpts), ParseError> 
                     .split(',')
                     .filter(|s| !s.is_empty())
                 {
-                    sizes.push(match s {
-                        "small" => Size::Small,
-                        "default" => Size::Default,
-                        "large" => Size::Large,
-                        other => return Err(err(format!("unknown size '{other}' in --sizes"))),
-                    });
+                    sizes.push(
+                        parse_size(s)
+                            .ok_or_else(|| err(format!("unknown size '{s}' in --sizes")))?,
+                    );
                 }
                 if sizes.is_empty() {
                     return Err(err("--sizes requires a comma-separated list"));

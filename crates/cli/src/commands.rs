@@ -713,10 +713,7 @@ impl<'a> Archive<'a> {
                 let record = store
                     .append(label, cfg, measurements)
                     .map_err(store_err(dir))?;
-                Ok(CellReceipt {
-                    run_id: record.id.clone(),
-                    seq: record.seq,
-                })
+                Ok(record.receipt())
             }
             Archive::Remote { url, client } => client
                 .archive_run(label, cfg, measurements)

@@ -16,9 +16,10 @@
 //! - a campaign's [`CampaignSpec::fingerprint`] hashes the full grid
 //!   description, so a resumed campaign can refuse a journal written by a
 //!   different grid;
-//! - the campaign journal (one meta line + one line per completed cell,
-//!   flushed per line — the same crash contract as [`crate::checkpoint`])
-//!   records which cells finished, in completion order.
+//! - the campaign journal is one identity line (fingerprint, cell count,
+//!   seq base), written once per run. Which cells are done is the
+//!   archive's to say: a sink hands back what it archived, precision
+//!   included, through [`CellSink::completed_cell`].
 //!
 //! Inter-cell pacing comes from a seeded [`ArrivalProcess`]: delays are a
 //! pure function of (campaign seed, cell index), so a campaign replays the
@@ -26,24 +27,26 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::{self, Write};
+use std::io;
 use std::path::Path;
 use std::sync::Mutex;
 use std::time::Duration;
 
 use minipy::EngineKind;
 use rigor_workloads::{find, Workload};
-use serde::json::{get_field, DeError, JsonValue};
 use serde::{Deserialize, Serialize};
 
 use crate::config::{ConfigError, ExperimentConfig};
+use crate::jsonl::{journal_lines, Header};
 use crate::measurement::BenchmarkMeasurement;
 use crate::planner::PlannerConfig;
 
-/// Magic tag of a campaign journal's meta line.
-const MAGIC: &str = "rigor-campaign";
-/// Campaign-journal format version.
-const VERSION: u32 = 1;
+/// The header of a campaign journal's one line.
+const HEADER: Header = Header {
+    tag: "campaign",
+    magic: "rigor-campaign",
+    version: 1,
+};
 
 /// Why a campaign could not be expanded, started or resumed.
 #[derive(Debug, Clone, PartialEq)]
@@ -293,6 +296,9 @@ pub struct Cell {
     pub config: ExperimentConfig,
     /// The workload to measure.
     pub workload: Workload,
+    /// How precisely the adaptive planner measured the cell: set with the
+    /// final config when the cell is archived, `None` on the fixed grid.
+    pub precision: Option<CellPrecision>,
 }
 
 // Manual: `Workload` carries source generators, not data.
@@ -323,24 +329,30 @@ pub struct CellPrecision {
 }
 
 /// Proof that a cell's measurement reached durable storage.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellReceipt {
     /// Content-addressed id of the archived run.
     pub run_id: String,
     /// The run's sequence number in the archive.
     pub seq: u64,
+    /// The archived precision record, for a cell of an adaptive campaign:
+    /// what a resumed campaign charges the cell at.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub precision: Option<CellPrecision>,
 }
 
 /// Where completed cells stream to. Implemented by `rigor-store`'s
-/// `SharedStore` (the archive behind a writer lock); [`MemorySink`] is the
-/// in-process stand-in for tests.
+/// `SharedStore` (the archive behind a writer lock) and `rigor-serve`'s
+/// `RemoteStore`; [`MemorySink`] is the in-process stand-in for tests.
 ///
 /// Contract: `archive_cell` must be **idempotent** — archiving a cell that
 /// is already present returns the existing receipt instead of appending a
-/// duplicate — and callers may invoke it from many threads at once.
+/// duplicate — and callers may invoke it from many threads at once. A sink
+/// archives everything the cell carries, its precision included, and its
+/// receipts hand that precision back.
 pub trait CellSink: Send + Sync {
-    /// Durably stores a completed cell's measurement and returns its
-    /// receipt.
+    /// Durably stores a completed cell's measurement, under the cell's
+    /// config and with its precision, and returns its receipt.
     ///
     /// # Errors
     ///
@@ -359,23 +371,6 @@ pub trait CellSink: Send + Sync {
     /// A human-readable message when the lookup fails.
     fn completed_cell(&self, cell: &Cell) -> Result<Option<CellReceipt>, String>;
 
-    /// Like [`CellSink::archive_cell`], but also records how precisely the
-    /// cell was measured. Sinks without a precision side-channel fall back
-    /// to plain archiving.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message when the append fails.
-    fn archive_cell_precise(
-        &self,
-        cell: &Cell,
-        measurement: &BenchmarkMeasurement,
-        precision: &CellPrecision,
-    ) -> Result<CellReceipt, String> {
-        let _ = precision;
-        self.archive_cell(cell, measurement)
-    }
-
     /// The seq of a new campaign's first cell: the archive's next free
     /// sequence number, so the grid's runs are newer than every run
     /// archived before it. Sinks without sequence numbers keep the
@@ -387,26 +382,17 @@ pub trait CellSink: Send + Sync {
     fn seq_base(&self) -> Result<u64, String> {
         Ok(0)
     }
-
-    /// The precision recorded for `cell` by an earlier campaign, if any —
-    /// lets a resumed adaptive campaign count invocations already spent.
-    /// Sinks without a precision side-channel report `None`.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message when the lookup fails.
-    fn completed_precision(&self, cell: &Cell) -> Result<Option<CellPrecision>, String> {
-        let _ = cell;
-        Ok(None)
-    }
 }
+
+/// A cell as a [`MemorySink`] holds it: canonical id, measurement,
+/// precision.
+type MemoryCell = (String, BenchmarkMeasurement, Option<CellPrecision>);
 
 /// An in-memory [`CellSink`] keyed by cell index; the test stand-in for the
 /// on-disk archive.
 #[derive(Default)]
 pub struct MemorySink {
-    cells: Mutex<BTreeMap<usize, (String, BenchmarkMeasurement)>>,
-    precisions: Mutex<BTreeMap<usize, CellPrecision>>,
+    cells: Mutex<BTreeMap<usize, MemoryCell>>,
 }
 
 impl MemorySink {
@@ -422,7 +408,7 @@ impl MemorySink {
             .lock()
             .expect("memory sink poisoned")
             .iter()
-            .map(|(i, (id, m))| (*i, id.clone(), m.clone()))
+            .map(|(i, (id, m, _))| (*i, id.clone(), m.clone()))
             .collect()
     }
 
@@ -436,14 +422,25 @@ impl MemorySink {
         self.len() == 0
     }
 
-    /// Precision records, as (index, precision), in index order.
+    /// Precision records of the cells archived with one, as (index,
+    /// precision), in index order.
     pub fn precisions(&self) -> Vec<(usize, CellPrecision)> {
-        self.precisions
+        self.cells
             .lock()
             .expect("memory sink poisoned")
             .iter()
-            .map(|(i, p)| (*i, p.clone()))
+            .filter_map(|(i, (_, _, p))| Some((*i, p.clone()?)))
             .collect()
+    }
+
+    /// The receipt of `cell` as held: a digest of its id stands in for a
+    /// content id.
+    fn receipt(cell: &Cell, (_, _, precision): &MemoryCell) -> CellReceipt {
+        CellReceipt {
+            run_id: format!("mem-{:016x}", fnv1a(cell.id.canonical().as_bytes())),
+            seq: cell.seq,
+            precision: precision.clone(),
+        }
     }
 }
 
@@ -454,41 +451,21 @@ impl CellSink for MemorySink {
         measurement: &BenchmarkMeasurement,
     ) -> Result<CellReceipt, String> {
         let mut cells = self.cells.lock().expect("memory sink poisoned");
-        cells
-            .entry(cell.index)
-            .or_insert_with(|| (cell.id.canonical(), measurement.clone()));
-        Ok(CellReceipt {
-            run_id: format!("mem-{:016x}", fnv1a(cell.id.canonical().as_bytes())),
-            seq: cell.seq,
-        })
+        let held = cells.entry(cell.index).or_insert_with(|| {
+            (
+                cell.id.canonical(),
+                measurement.clone(),
+                cell.precision.clone(),
+            )
+        });
+        Ok(MemorySink::receipt(cell, held))
     }
 
     fn completed_cell(&self, cell: &Cell) -> Result<Option<CellReceipt>, String> {
         let cells = self.cells.lock().expect("memory sink poisoned");
-        Ok(cells.get(&cell.index).map(|_| CellReceipt {
-            run_id: format!("mem-{:016x}", fnv1a(cell.id.canonical().as_bytes())),
-            seq: cell.seq,
-        }))
-    }
-
-    fn archive_cell_precise(
-        &self,
-        cell: &Cell,
-        measurement: &BenchmarkMeasurement,
-        precision: &CellPrecision,
-    ) -> Result<CellReceipt, String> {
-        let receipt = self.archive_cell(cell, measurement)?;
-        self.precisions
-            .lock()
-            .expect("memory sink poisoned")
-            .entry(cell.index)
-            .or_insert_with(|| precision.clone());
-        Ok(receipt)
-    }
-
-    fn completed_precision(&self, cell: &Cell) -> Result<Option<CellPrecision>, String> {
-        let precisions = self.precisions.lock().expect("memory sink poisoned");
-        Ok(precisions.get(&cell.index).cloned())
+        Ok(cells
+            .get(&cell.index)
+            .map(|held| MemorySink::receipt(cell, held)))
     }
 }
 
@@ -672,6 +649,7 @@ impl CampaignSpec {
                             id,
                             config,
                             workload: workload.clone(),
+                            precision: None,
                         });
                     }
                 }
@@ -681,9 +659,12 @@ impl CampaignSpec {
     }
 }
 
-/// Identity line of a campaign journal.
+/// A campaign journal: one identity line, written when a run starts, so a
+/// resume can refuse another grid and number the remaining cells as the
+/// interrupted run did. The archive, not the journal, says which cells are
+/// done.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CampaignJournalMeta {
+pub struct CampaignJournal {
     /// The campaign's grid fingerprint ([`CampaignSpec::fingerprint`]).
     pub fingerprint: String,
     /// Cells in the grid.
@@ -695,176 +676,53 @@ pub struct CampaignJournalMeta {
     pub seq_base: u64,
 }
 
-fn meta_line(meta: &CampaignJournalMeta) -> JsonValue {
-    let mut fields = vec![
-        ("campaign".to_string(), JsonValue::Str(MAGIC.to_string())),
-        ("version".to_string(), VERSION.to_value()),
-    ];
-    if let JsonValue::Object(meta_fields) = meta.to_value() {
-        fields.extend(meta_fields);
-    }
-    JsonValue::Object(fields)
-}
-
-/// One completed-cell line of a campaign journal.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CellDone {
-    /// The cell's grid index.
-    pub index: u32,
-    /// The cell's canonical id.
-    pub id: String,
-    /// Content-addressed id of the archived run.
-    pub run_id: String,
-}
-
-/// Appends completed cells to a campaign journal, one flushed line each —
-/// the same crash contract as [`crate::checkpoint::JournalWriter`].
-#[derive(Debug)]
-pub struct CampaignJournalWriter {
-    file: std::fs::File,
-    written: u32,
-}
-
-impl CampaignJournalWriter {
-    /// Creates (truncating) a campaign journal at `path` and writes the
-    /// meta line.
-    ///
-    /// # Errors
-    ///
-    /// When the file cannot be created or written.
-    pub fn create(path: &Path, meta: &CampaignJournalMeta) -> io::Result<CampaignJournalWriter> {
-        let mut file = std::fs::File::create(path)?;
-        let line = serde_json::to_string(&meta_line(meta))
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        writeln!(file, "{line}")?;
-        file.flush()?;
-        Ok(CampaignJournalWriter { file, written: 0 })
-    }
-
-    /// Appends one completed cell; returns the journaled-cell count.
-    ///
-    /// # Errors
-    ///
-    /// When the write fails.
-    pub fn append_cell(&mut self, done: &CellDone) -> io::Result<u32> {
-        let line = JsonValue::Object(vec![("cell".to_string(), done.to_value())]);
-        let text = serde_json::to_string(&line)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        writeln!(self.file, "{text}")?;
-        // Flush per cell: the whole point is surviving a kill mid-campaign.
-        self.file.flush()?;
-        self.written += 1;
-        Ok(self.written)
-    }
-
-    /// Cells journaled so far (meta line excluded).
-    pub fn len(&self) -> u32 {
-        self.written
-    }
-
-    /// True when no cell has been journaled yet.
-    pub fn is_empty(&self) -> bool {
-        self.written == 0
-    }
-}
-
-/// A loaded campaign journal: the campaign identity plus every completed
-/// cell, keyed by grid index.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CampaignJournal {
-    /// Identity of the journaled campaign.
-    pub meta: CampaignJournalMeta,
-    /// Completed cells, by grid index.
-    pub completed: BTreeMap<u32, CellDone>,
-    /// True when the file ended in a truncated line (kill mid-write); the
-    /// valid prefix above is still usable.
-    pub truncated: bool,
-}
-
 fn parse_err(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
 impl CampaignJournal {
-    /// Parses campaign-journal text.
+    /// Writes (truncating) the journal at `path`: its one line.
     ///
     /// # Errors
     ///
-    /// A missing/invalid meta line, an unknown line shape, or garbage
-    /// anywhere except a truncated final line.
-    pub fn parse(text: &str) -> io::Result<CampaignJournal> {
-        let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-        let first = lines
-            .first()
-            .ok_or_else(|| parse_err("empty journal: no meta line"))?;
-        let head: JsonValue = serde_json::from_str(first)
-            .map_err(|e| parse_err(format!("campaign meta line: {e}")))?;
-        let magic: Option<String> = get_field(&head, "campaign").ok();
-        if magic.as_deref() != Some(MAGIC) {
-            return Err(parse_err(format!(
-                "not a campaign journal (missing `\"campaign\":\"{MAGIC}\"` tag)"
-            )));
-        }
-        let version: u32 =
-            get_field(&head, "version").map_err(|e| parse_err(format!("journal version: {e}")))?;
-        if version != VERSION {
-            return Err(parse_err(format!(
-                "unsupported campaign-journal version {version} (expected {VERSION})"
-            )));
-        }
-        let meta = CampaignJournalMeta::from_value(&head)
-            .map_err(|e| parse_err(format!("campaign meta line: {e}")))?;
-
-        let mut journal = CampaignJournal {
-            meta,
-            completed: BTreeMap::new(),
-            truncated: false,
-        };
-        for (idx, line) in lines.iter().enumerate().skip(1) {
-            let last = idx + 1 == lines.len();
-            match CampaignJournal::parse_line(line) {
-                Ok(done) => {
-                    journal.completed.insert(done.index, done);
-                }
-                Err(_) if last => {
-                    // Kill mid-write: keep the valid prefix.
-                    journal.truncated = true;
-                }
-                Err(e) => return Err(parse_err(format!("journal line {}: {e}", idx + 1))),
-            }
-        }
-        Ok(journal)
+    /// When the file cannot be written.
+    pub fn write(&self, path: &Path) -> io::Result<()> {
+        std::fs::write(path, format!("{}\n", HEADER.line(self)))
     }
 
-    fn parse_line(line: &str) -> Result<CellDone, DeError> {
-        let v: JsonValue = serde_json::from_str(line).map_err(|e| DeError::new(e.to_string()))?;
-        if v.get("cell").is_some() {
-            get_field(&v, "cell")
-        } else {
-            Err(DeError::new("expected a `cell` line"))
-        }
-    }
-
-    /// Loads a campaign journal, tolerating the two states a kill can leave
-    /// behind besides a parseable file: no file at all, or a file without
-    /// one complete meta line. Both mean "nothing was journaled" and return
-    /// `Ok(None)`; anything else unparseable is real corruption.
+    /// Parses journal text. `None` when no line is complete: a run killed
+    /// before its first newline journaled nothing. Only the first line is
+    /// read, so the per-cell lines earlier versions appended are ignored.
     ///
     /// # Errors
     ///
-    /// I/O errors other than not-found, and corruption past the meta line.
-    pub fn load_tolerant(path: &Path) -> io::Result<Option<CampaignJournal>> {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e),
-        };
-        // A journal killed before its first newline has no complete line:
-        // treat it as never written.
-        if !text.contains('\n') {
+    /// A complete first line that is not a campaign journal's.
+    pub fn parse(text: &str) -> io::Result<Option<CampaignJournal>> {
+        let (lines, _) = journal_lines(text.as_bytes());
+        let Some(&(_, head)) = lines.first() else {
             return Ok(None);
+        };
+        let head = HEADER
+            .check(head)
+            .map_err(|e| parse_err(format!("not a campaign journal: {e}")))?;
+        CampaignJournal::from_value(&head)
+            .map(Some)
+            .map_err(|e| parse_err(format!("campaign journal: {e}")))
+    }
+
+    /// Loads the journal at `path`; `None` when there is no file, or
+    /// nothing complete in it.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors other than not-found, and what [`CampaignJournal::parse`]
+    /// rejects.
+    pub fn load(path: &Path) -> io::Result<Option<CampaignJournal>> {
+        match std::fs::read_to_string(path) {
+            Ok(text) => CampaignJournal::parse(&text),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(e),
         }
-        CampaignJournal::parse(&text).map(Some)
     }
 
     /// Checks that this journal belongs to the campaign described by
@@ -874,16 +732,16 @@ impl CampaignJournal {
     ///
     /// A human-readable description of the first mismatch.
     pub fn check_matches(&self, fingerprint: &str, cells: u32) -> Result<(), String> {
-        if self.meta.fingerprint != fingerprint {
+        if self.fingerprint != fingerprint {
             return Err(format!(
                 "journal belongs to campaign {}, this grid is {}",
-                self.meta.fingerprint, fingerprint
+                self.fingerprint, fingerprint
             ));
         }
-        if self.meta.cells != cells {
+        if self.cells != cells {
             return Err(format!(
                 "journal expects {} cells, this grid has {}",
-                self.meta.cells, cells
+                self.cells, cells
             ));
         }
         Ok(())
@@ -1035,67 +893,57 @@ mod tests {
             "rigor-campaign-journal-{}.jsonl",
             std::process::id()
         ));
-        let meta = CampaignJournalMeta {
+        let journal = CampaignJournal {
             fingerprint: spec().fingerprint(),
             cells: 8,
             seq_base: 5,
         };
-        let mut w = CampaignJournalWriter::create(&path, &meta).unwrap();
-        assert!(w.is_empty());
-        for i in 0..3u32 {
-            let done = CellDone {
-                index: i,
-                id: format!("cell-{i}"),
-                run_id: format!("run-{i}"),
-            };
-            assert_eq!(w.append_cell(&done).unwrap(), i + 1);
-        }
-        assert_eq!(w.len(), 3);
-        drop(w);
-
-        let j = CampaignJournal::load_tolerant(&path).unwrap().unwrap();
-        assert_eq!(j.meta, meta);
-        assert_eq!(j.completed.len(), 3);
-        assert!(!j.truncated);
-        assert!(j.check_matches(&spec().fingerprint(), 8).is_ok());
-        assert!(j.check_matches(&spec().fingerprint(), 9).is_err());
-        assert!(j.check_matches("0000000000000000", 8).is_err());
-
-        // Tear the final line: the valid prefix survives.
+        journal.write(&path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, &text[..text.trim_end().len() - 10]).unwrap();
-        let j = CampaignJournal::load_tolerant(&path).unwrap().unwrap();
-        assert!(j.truncated);
-        assert_eq!(j.completed.len(), 2);
+        assert_eq!(text.lines().count(), 1, "the journal is its identity line");
+        assert_eq!(CampaignJournal::load(&path).unwrap(), Some(journal.clone()));
+        assert!(journal.check_matches(&spec().fingerprint(), 8).is_ok());
+        assert!(journal.check_matches(&spec().fingerprint(), 9).is_err());
+        assert!(journal.check_matches("0000000000000000", 8).is_err());
 
-        // A file killed before the meta line completed is "never written".
-        std::fs::write(&path, &text[..5]).unwrap();
-        assert!(CampaignJournal::load_tolerant(&path).unwrap().is_none());
+        // The per-cell lines earlier versions appended, a torn one among
+        // them, are not read.
+        let cell_lines =
+            "{\"cell\":{\"index\":0,\"id\":\"sieve/interp/2x3/7\",\"run_id\":\"ab\"}}\n\
+                          not json\n{\"cell\":{\"ind";
+        std::fs::write(&path, format!("{text}{cell_lines}")).unwrap();
+        assert_eq!(CampaignJournal::load(&path).unwrap(), Some(journal));
+
+        // A file killed before its line completed, even one whose text
+        // parses, and no file at all are "never written".
+        std::fs::write(&path, text.trim_end()).unwrap();
+        assert!(CampaignJournal::load(&path).unwrap().is_none());
         std::fs::remove_file(&path).ok();
-        assert!(CampaignJournal::load_tolerant(&path).unwrap().is_none());
+        assert!(CampaignJournal::load(&path).unwrap().is_none());
     }
 
     #[test]
     fn a_journal_without_a_seq_base_numbers_from_zero() {
-        let head = format!(
-            "{{\"campaign\":\"{MAGIC}\",\"version\":{VERSION},\"fingerprint\":\"abcd\",\"cells\":2}}"
-        );
-        let journal = CampaignJournal::parse(&format!("{head}\n")).unwrap();
-        assert_eq!(journal.meta.seq_base, 0);
+        let head = r#"{"campaign":"rigor-campaign","version":1,"fingerprint":"abcd","cells":2}"#;
+        let journal = CampaignJournal::parse(&format!("{head}\n"))
+            .unwrap()
+            .unwrap();
+        assert_eq!(journal.seq_base, 0);
     }
 
     #[test]
     fn journal_rejects_garbage_and_foreign_files() {
-        assert!(CampaignJournal::parse("").is_err());
-        assert!(CampaignJournal::parse("{\"foo\":1}\n").is_err());
-        let meta = CampaignJournalMeta {
-            fingerprint: "abcd".into(),
-            cells: 2,
-            seq_base: 0,
-        };
-        let head = serde_json::to_string(&meta_line(&meta)).unwrap();
-        let text = format!("{head}\nnot json\n{head}\n");
-        assert!(CampaignJournal::parse(&text).is_err());
+        for text in [
+            "{\"foo\":1}\n",
+            "not json\n",
+            "{\"journal\":\"rigor-checkpoint\",\"version\":1}\n",
+            "{\"campaign\":\"rigor-campaign\",\"version\":2,\"fingerprint\":\"abcd\",\"cells\":2}\n",
+            "{\"campaign\":\"rigor-campaign\",\"version\":1,\"cells\":2}\n",
+        ] {
+            assert!(CampaignJournal::parse(text).is_err(), "{text}");
+        }
+        // Nothing complete is nothing journaled, not garbage.
+        assert_eq!(CampaignJournal::parse("").unwrap(), None);
     }
 
     #[test]
@@ -1115,5 +963,19 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(sink.len(), 1);
         assert_eq!(sink.completed_cell(&cells[0]).unwrap(), Some(a));
+
+        // A cell's precision rides into the sink and back out of it.
+        let mut precise = cells[1].clone();
+        precise.precision = Some(CellPrecision {
+            invocations_used: 6,
+            rel_half_width: Some(0.01),
+            target_rel_half_width: 0.02,
+            target_met: true,
+        });
+        let a = sink.archive_cell(&precise, &m).unwrap();
+        assert_eq!(a.precision, precise.precision);
+        assert_eq!(sink.archive_cell(&cells[1], &m).unwrap(), a, "replay");
+        assert_eq!(sink.completed_cell(&cells[1]).unwrap(), Some(a));
+        assert_eq!(sink.precisions().len(), 1);
     }
 }

@@ -13,8 +13,9 @@
 //! ```
 //!
 //! Lines are flushed as they are written, so after a crash the file holds
-//! every finished invocation plus at most one truncated line — which
-//! [`Journal::load`] tolerates, exactly like `telemetry::parse_trace`.
+//! every finished invocation plus at most one unterminated line, which
+//! [`Journal::load`] drops and flags; a complete line that fails to parse
+//! is an error naming its line (the rule of every [`crate::jsonl`] reader).
 //! Because invocation seeds are pure functions of the experiment seed,
 //! replaying journaled records and running only the missing invocations
 //! reproduces the uninterrupted experiment bit-for-bit.
@@ -27,12 +28,15 @@ use serde::json::{get_field, DeError, JsonValue};
 use serde::{Deserialize, Serialize};
 
 use crate::config::ExperimentConfig;
+use crate::jsonl::{journal_lines, Header};
 use crate::measurement::{CensoredInvocation, InvocationRecord};
 
-/// Magic tag of the meta line.
-const MAGIC: &str = "rigor-checkpoint";
-/// Journal format version.
-const VERSION: u32 = 1;
+/// The header of the meta line.
+const HEADER: Header = Header {
+    tag: "journal",
+    magic: "rigor-checkpoint",
+    version: 1,
+};
 
 /// Identity of the experiment a journal belongs to. Resume refuses to mix
 /// journals across experiments: replaying records measured under a different
@@ -64,17 +68,6 @@ impl JournalMeta {
     }
 }
 
-fn meta_line(meta: &JournalMeta) -> JsonValue {
-    let mut fields = vec![
-        ("journal".to_string(), JsonValue::Str(MAGIC.to_string())),
-        ("version".to_string(), VERSION.to_value()),
-    ];
-    if let JsonValue::Object(meta_fields) = meta.to_value() {
-        fields.extend(meta_fields);
-    }
-    JsonValue::Object(fields)
-}
-
 /// Appends completed invocations to a journal file, one flushed line each.
 #[derive(Debug)]
 pub struct JournalWriter {
@@ -90,9 +83,7 @@ impl JournalWriter {
     /// When the file cannot be created or written.
     pub fn create(path: &Path, meta: &JournalMeta) -> io::Result<JournalWriter> {
         let mut file = std::fs::File::create(path)?;
-        let line = serde_json::to_string(&meta_line(meta))
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        writeln!(file, "{line}")?;
+        writeln!(file, "{}", HEADER.line(meta))?;
         file.flush()?;
         Ok(JournalWriter { file, written: 0 })
     }
@@ -147,8 +138,9 @@ pub struct Journal {
     pub records: BTreeMap<u32, InvocationRecord>,
     /// Censored invocations, by index.
     pub censored: BTreeMap<u32, CensoredInvocation>,
-    /// True when the file ended in a truncated line (crash mid-write); the
-    /// valid prefix above is still usable.
+    /// True when the file ended in an unterminated line (crash
+    /// mid-write), which was dropped unparsed; the complete lines above are
+    /// still usable.
     pub truncated: bool,
 }
 
@@ -161,28 +153,16 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// A missing/invalid meta line, an unknown line shape, or garbage
-    /// anywhere except a truncated final line.
+    /// A missing/invalid meta line, or a complete line that is not a
+    /// `record` or `censored` line (named by its 1-based number).
     pub fn parse(text: &str) -> io::Result<Journal> {
-        let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-        let first = lines
+        let (lines, truncated) = journal_lines(text.as_bytes());
+        let &(_, head) = lines
             .first()
-            .ok_or_else(|| parse_err("empty journal: no meta line"))?;
-        let head: JsonValue = serde_json::from_str(first)
-            .map_err(|e| parse_err(format!("journal meta line: {e}")))?;
-        let magic: Option<String> = get_field(&head, "journal").ok();
-        if magic.as_deref() != Some(MAGIC) {
-            return Err(parse_err(format!(
-                "not a checkpoint journal (missing `\"journal\":\"{MAGIC}\"` tag)"
-            )));
-        }
-        let version: u32 =
-            get_field(&head, "version").map_err(|e| parse_err(format!("journal version: {e}")))?;
-        if version != VERSION {
-            return Err(parse_err(format!(
-                "unsupported journal version {version} (expected {VERSION})"
-            )));
-        }
+            .ok_or_else(|| parse_err("no complete meta line"))?;
+        let head = HEADER
+            .check(head)
+            .map_err(|e| parse_err(format!("not a checkpoint journal: {e}")))?;
         let meta = JournalMeta::from_value(&head)
             .map_err(|e| parse_err(format!("journal meta line: {e}")))?;
 
@@ -190,22 +170,22 @@ impl Journal {
             meta,
             records: BTreeMap::new(),
             censored: BTreeMap::new(),
-            truncated: false,
+            truncated,
         };
-        for (idx, line) in lines.iter().enumerate().skip(1) {
-            let last = idx + 1 == lines.len();
-            match Journal::parse_line(line) {
-                Ok(ParsedLine::Record(r)) => {
+        for (idx, &(offset, line)) in lines.iter().enumerate().skip(1) {
+            let line = &text[offset..offset + line.len()];
+            if line.trim().is_empty() {
+                continue;
+            }
+            match Journal::parse_line(line)
+                .map_err(|e| parse_err(format!("journal line {}: {e}", idx + 1)))?
+            {
+                ParsedLine::Record(r) => {
                     journal.records.insert(r.invocation, r);
                 }
-                Ok(ParsedLine::Censored(c)) => {
+                ParsedLine::Censored(c) => {
                     journal.censored.insert(c.invocation, c);
                 }
-                Err(_) if last => {
-                    // Crash mid-write: keep the valid prefix.
-                    journal.truncated = true;
-                }
-                Err(e) => return Err(parse_err(format!("journal line {}: {e}", idx + 1))),
             }
         }
         Ok(journal)
@@ -355,9 +335,43 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A complete `record` line, newline included.
+    fn record_line(inv: u32) -> String {
+        let line = JsonValue::Object(vec![("record".into(), record(inv).to_value())]);
+        format!("{}\n", serde_json::to_string(&line).unwrap())
+    }
+
+    #[test]
+    fn a_corrupt_complete_last_line_is_an_error_naming_its_line() {
+        let text = format!(
+            "{}\n{}{}\n",
+            HEADER.line(&meta()),
+            record_line(0),
+            &record_line(1)[..40]
+        );
+        let err = Journal::parse(&text).unwrap_err().to_string();
+        assert!(err.contains("journal line 3"), "{err}");
+    }
+
+    #[test]
+    fn an_unterminated_tail_is_dropped_and_flagged_even_when_it_parses() {
+        let text = format!(
+            "{}\n{}{}",
+            HEADER.line(&meta()),
+            record_line(0),
+            record_line(1)
+        );
+        let j = Journal::parse(text.trim_end()).unwrap();
+        assert!(j.truncated);
+        assert_eq!(j.completed(), 1, "the unterminated record is not replayed");
+        let j = Journal::parse(&text).unwrap();
+        assert!(!j.truncated);
+        assert_eq!(j.completed(), 2);
+    }
+
     #[test]
     fn garbage_in_the_middle_is_an_error() {
-        let mut text = serde_json::to_string(&meta_line(&meta())).unwrap();
+        let mut text = HEADER.line(&meta());
         text.push('\n');
         text.push_str("not json\n");
         text.push_str(
@@ -376,8 +390,9 @@ mod tests {
         assert!(Journal::parse("").is_err());
         assert!(Journal::parse("{\"foo\":1}\n").is_err());
         let wrong_version = "{\"journal\":\"rigor-checkpoint\",\"version\":99,\"benchmark\":\"x\",\
-             \"engine\":\"interp\",\"experiment_seed\":1,\"invocations\":1,\"iterations\":1}";
-        assert!(Journal::parse(wrong_version).is_err());
+             \"engine\":\"interp\",\"experiment_seed\":1,\"invocations\":1,\"iterations\":1}\n";
+        let err = Journal::parse(wrong_version).unwrap_err().to_string();
+        assert!(err.contains("unsupported version 99"), "{err}");
     }
 
     #[test]

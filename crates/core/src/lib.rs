@@ -68,6 +68,7 @@ pub mod compare;
 pub mod config;
 pub mod export;
 pub mod fault;
+pub mod jsonl;
 pub mod measurement;
 pub mod naive;
 pub mod orchestrator;
@@ -85,9 +86,8 @@ pub mod verify;
 pub mod warmup;
 
 pub use campaign::{
-    ArrivalProcess, CampaignError, CampaignJournal, CampaignJournalMeta, CampaignJournalWriter,
-    CampaignSpec, Cell, CellDone, CellId, CellPrecision, CellReceipt, CellSink, ConfigVariant,
-    MemorySink,
+    ArrivalProcess, CampaignError, CampaignJournal, CampaignSpec, Cell, CellId, CellPrecision,
+    CellReceipt, CellSink, ConfigVariant, MemorySink,
 };
 pub use checkpoint::{Journal, JournalMeta, JournalWriter};
 pub use compare::{compare, compare_suite, CompareError, SpeedupResult, SuiteComparison};

@@ -1,6 +1,6 @@
 //! The campaign orchestrator: executes a cell grid on the crate's in-order
-//! worker pool, streaming each completed cell into a [`CellSink`] and a
-//! campaign journal as it finishes.
+//! worker pool, streaming each completed cell into a [`CellSink`] as it
+//! finishes.
 //!
 //! Scheduling model: workers take pending cells in grid order from one
 //! shared index, each after claiming one of the run's execution tickets
@@ -16,11 +16,10 @@
 //! `cell_completed`).
 //!
 //! Resume: the **archive is authoritative** — on [`Campaign::resume`] every
-//! cell the sink already holds is skipped; the campaign journal only
-//! verifies the grid identity (fingerprint + cell count), so a torn run
-//! picks up exactly at its first incomplete cell. The journal is rewritten
-//! from scratch on every run (replayed cells re-journaled first), so it
-//! always ends up complete.
+//! cell the sink already holds is skipped, so a torn run picks up exactly
+//! at its first incomplete cell. The campaign journal is one identity line
+//! (fingerprint, cell count, seq base), written once per run: it verifies
+//! the grid and keeps the seq base the campaign started from.
 //!
 //! Adaptive mode: when the spec carries a [`PlannerConfig`], the fixed grid
 //! walk becomes a feedback-driven scheduler. A pilot round measures every
@@ -32,9 +31,13 @@
 //! are barriers, so the estimate set each plan sees — and therefore the
 //! whole refinement trajectory — is independent of the worker count. Only
 //! **final** measurements are archived (target met, ceiling reached, or the
-//! budget-exhausted sweep), each with a [`CellPrecision`] record, so a
-//! killed-and-resumed adaptive campaign re-pilots its unarchived cells and
-//! converges to the same archive.
+//! budget-exhausted sweep), each cell carrying its [`CellPrecision`]; a
+//! resume charges archived cells at their recorded size and re-pilots the
+//! rest. Without a binding budget, grants are need-based and per cell, so
+//! a killed-and-resumed campaign converges to the uninterrupted archive.
+//! Under a binding `--budget` the squeeze splits what is left over the
+//! cells still live, and a resume sees another live set: it can move
+//! invocations between cells, and still spends within the budget.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -42,8 +45,7 @@ use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::campaign::{
-    CampaignError, CampaignJournal, CampaignJournalMeta, CampaignJournalWriter, CampaignSpec, Cell,
-    CellDone, CellPrecision, CellSink,
+    CampaignError, CampaignJournal, CampaignSpec, Cell, CellPrecision, CellSink,
 };
 use crate::measurement::BenchmarkMeasurement;
 use crate::planner::{compute_plan, CellEstimate, PlannerConfig};
@@ -67,7 +69,7 @@ pub struct CampaignReport {
     /// Canonical ids of executed cells whose measurement was quarantined.
     pub quarantined: Vec<String>,
     /// Cells that failed (canonical id, error) — compile-class measurement
-    /// errors or sink failures; not journaled, so a rerun retries them.
+    /// errors or sink failures; not archived, so a rerun retries them.
     pub failures: Vec<(String, String)>,
     /// Cells left unscheduled (a [`Campaign::max_cells`] budget ran out).
     pub remaining: usize,
@@ -133,9 +135,8 @@ impl Campaign {
         self
     }
 
-    /// Journals completed cells to `path` (builder style). The file is
-    /// rewritten on every run; combined with [`Campaign::resume`], replayed
-    /// cells are re-journaled first so the file always ends up complete.
+    /// Writes the campaign's identity line to `path` when a run starts
+    /// (builder style), for a later [`Campaign::resume`] to check.
     pub fn journal(mut self, path: impl Into<PathBuf>) -> Campaign {
         self.journal_path = Some(path.into());
         self
@@ -196,13 +197,13 @@ impl Campaign {
         let mut journaled_base = None;
         if self.resume {
             if let Some(path) = &self.journal_path {
-                if let Some(journal) = CampaignJournal::load_tolerant(path)
+                if let Some(journal) = CampaignJournal::load(path)
                     .map_err(|e| CampaignError::Journal(e.to_string()))?
                 {
                     journal
                         .check_matches(&fingerprint, total as u32)
                         .map_err(CampaignError::JournalMismatch)?;
-                    journaled_base = Some(journal.meta.seq_base);
+                    journaled_base = Some(journal.seq_base);
                 }
             }
         }
@@ -214,46 +215,45 @@ impl Campaign {
             cell.seq = seq_base + cell.index as u64;
         }
 
-        let mut skipped: Vec<(Cell, String)> = Vec::new();
+        // Skip what the archive holds, and start the adaptive ledger at
+        // what those cells spent and which of them are short of target.
         let mut pending: Vec<Cell> = Vec::new();
-        if self.resume {
-            for cell in cells {
-                match sink.completed_cell(&cell).map_err(CampaignError::Sink)? {
-                    Some(receipt) => skipped.push((cell, receipt.run_id)),
-                    None => pending.push(cell),
+        let mut skipped = 0;
+        let (mut spent, mut unmet) = (0, Vec::new());
+        for cell in cells {
+            let archived = if self.resume {
+                sink.completed_cell(&cell).map_err(CampaignError::Sink)?
+            } else {
+                None
+            };
+            let Some(receipt) = archived else {
+                pending.push(cell);
+                continue;
+            };
+            skipped += 1;
+            match receipt.precision {
+                Some(p) => {
+                    spent += u64::from(p.invocations_used);
+                    if !p.target_met {
+                        unmet.push(cell.id.canonical());
+                    }
                 }
+                // Archived without a precision record, by a fixed-grid run
+                // of the same cell: charge its configured size.
+                None => spent += u64::from(cell.config.invocations),
             }
-        } else {
-            pending = cells;
         }
-        let ledger = match self.spec.planner {
-            Some(_) => resumed_ledger(sink, &skipped)?,
-            None => (0, Vec::new()),
-        };
 
-        let journal = match &self.journal_path {
-            Some(path) => {
-                let meta = CampaignJournalMeta {
-                    fingerprint: fingerprint.clone(),
-                    cells: total as u32,
-                    seq_base,
-                };
-                let mut w = CampaignJournalWriter::create(path, &meta)
-                    .map_err(|e| CampaignError::Journal(e.to_string()))?;
-                // Re-journal replayed cells first: the journal must end up
-                // complete whether or not this run was a resume.
-                for (cell, run_id) in &skipped {
-                    w.append_cell(&CellDone {
-                        index: cell.index as u32,
-                        id: cell.id.canonical(),
-                        run_id: run_id.clone(),
-                    })
-                    .map_err(|e| CampaignError::Journal(e.to_string()))?;
-                }
-                Some(Mutex::new(w))
-            }
-            None => None,
-        };
+        if let Some(path) = &self.journal_path {
+            let journal = CampaignJournal {
+                fingerprint: fingerprint.clone(),
+                cells: total as u32,
+                seq_base,
+            };
+            journal
+                .write(path)
+                .map_err(|e| CampaignError::Journal(e.to_string()))?;
+        }
 
         let report = with_events(&self.observers, "campaign", |events| {
             events.send(ExperimentEvent::CampaignStarted {
@@ -265,7 +265,7 @@ impl Campaign {
             if self.resume {
                 events.send(ExperimentEvent::CampaignResumed {
                     campaign: fingerprint.clone(),
-                    completed: skipped.len() as u32,
+                    completed: skipped as u32,
                     cells: total as u32,
                 });
             }
@@ -273,18 +273,17 @@ impl Campaign {
                 sink,
                 events,
                 total,
-                journal,
                 tickets: AtomicUsize::new(self.max_cells.unwrap_or(usize::MAX)),
-                completed: AtomicU32::new(skipped.len() as u32),
+                completed: AtomicU32::new(skipped as u32),
                 quarantined: Mutex::new(Vec::new()),
                 failures: Mutex::new(Vec::new()),
             };
             let report = match self.spec.planner {
-                Some(planner) => self.run_adaptive(&run, planner, pending, ledger),
+                Some(planner) => self.run_adaptive(&run, planner, pending, (spent, unmet)),
                 None => self.run_fixed(&run, &pending),
             };
             CampaignReport {
-                executed: run.completed.into_inner() as usize - skipped.len(),
+                executed: run.completed.into_inner() as usize - skipped,
                 quarantined: run
                     .quarantined
                     .into_inner()
@@ -296,7 +295,7 @@ impl Campaign {
         Ok(CampaignReport {
             fingerprint,
             total,
-            skipped: skipped.len(),
+            skipped,
             ..report
         })
     }
@@ -309,7 +308,7 @@ impl Campaign {
             self.workers,
             &run.tickets,
             |worker, cell| match self.measure(cell, cell.config.invocations) {
-                Ok(m) => run.archive(cell, &m, None, worker),
+                Ok(m) => run.archive(cell, &m, worker),
                 Err(e) => run.fail(cell, e),
             },
         );
@@ -346,14 +345,14 @@ impl Campaign {
                 if !est.target_met(target) {
                     unmet.push(cell.id.canonical());
                 }
-                let precision = CellPrecision {
+                cell.config = cell.config.with_invocations(est.invocations);
+                cell.precision = Some(CellPrecision {
                     invocations_used: est.invocations,
                     rel_half_width: est.rel_half_width,
                     target_rel_half_width: target,
                     target_met: est.target_met(target),
-                };
-                cell.config = cell.config.with_invocations(est.invocations);
-                run.archive(&cell, &m, Some(&precision), 0);
+                });
+                run.archive(&cell, &m, 0);
             };
 
         // Live cells: latest measurement + estimate, keyed by grid index.
@@ -495,42 +494,12 @@ impl Campaign {
     }
 }
 
-/// The adaptive ledger of a resume — invocations spent, ids short of
-/// target — over the cells an earlier run archived. Archived cells are
-/// final at their archived size; their precision records reconstruct the
-/// invocations already spent.
-fn resumed_ledger(
-    sink: &dyn CellSink,
-    skipped: &[(Cell, String)],
-) -> Result<(u64, Vec<String>), CampaignError> {
-    let mut spent = 0;
-    let mut unmet = Vec::new();
-    for (cell, _) in skipped {
-        match sink
-            .completed_precision(cell)
-            .map_err(CampaignError::Sink)?
-        {
-            Some(p) => {
-                spent += u64::from(p.invocations_used);
-                if !p.target_met {
-                    unmet.push(cell.id.canonical());
-                }
-            }
-            // Archived without a precision record (a sink without the
-            // side-channel): count the cell's configured size.
-            None => spent += u64::from(cell.config.invocations),
-        }
-    }
-    Ok((spent, unmet))
-}
-
 /// The state one campaign run shares between its workers and its report.
 struct CampaignRun<'a> {
     sink: &'a dyn CellSink,
     events: &'a EventSink,
     /// Cells in the grid.
     total: usize,
-    journal: Option<Mutex<CampaignJournalWriter>>,
     /// Measurement jobs this run may still start, across adaptive rounds.
     tickets: AtomicUsize,
     /// Cells archived so far, resumed ones included.
@@ -540,16 +509,9 @@ struct CampaignRun<'a> {
 }
 
 impl CampaignRun<'_> {
-    /// Streams a measured cell to the sink (with its precision record on
-    /// the adaptive path) and the journal, then emits `cell_completed`.
+    /// Streams a measured cell to the sink, then emits `cell_completed`.
     /// Never panics the worker: every failure becomes a `failures` entry.
-    fn archive(
-        &self,
-        cell: &Cell,
-        measurement: &BenchmarkMeasurement,
-        precision: Option<&CellPrecision>,
-        worker: usize,
-    ) {
+    fn archive(&self, cell: &Cell, measurement: &BenchmarkMeasurement, worker: usize) {
         let id = cell.id.canonical();
         if measurement.quarantined {
             self.quarantined
@@ -557,30 +519,10 @@ impl CampaignRun<'_> {
                 .expect("quarantine list poisoned")
                 .push(id.clone());
         }
-        let archived = match precision {
-            Some(p) => self.sink.archive_cell_precise(cell, measurement, p),
-            None => self.sink.archive_cell(cell, measurement),
-        };
-        let receipt = match archived {
+        let receipt = match self.sink.archive_cell(cell, measurement) {
             Ok(r) => r,
             Err(e) => return self.fail(cell, format!("sink: {e}")),
         };
-        if let Some(journal) = &self.journal {
-            let done = CellDone {
-                index: cell.index as u32,
-                id: id.clone(),
-                run_id: receipt.run_id.clone(),
-            };
-            // Journal failures are reported, not fatal: losing the journal
-            // must not lose the archived cell.
-            if let Err(e) = journal
-                .lock()
-                .expect("journal writer poisoned")
-                .append_cell(&done)
-            {
-                eprintln!("rigor: campaign journal write failed (cell {id}): {e}");
-            }
-        }
         let completed = self.completed.fetch_add(1, Ordering::Relaxed) + 1;
         self.events.send(ExperimentEvent::CellCompleted {
             cell: id,

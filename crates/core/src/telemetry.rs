@@ -39,6 +39,7 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use serde::json::DeError;
 use serde::{Deserialize, Serialize};
 
 use crate::measurement::IterationCounters;
@@ -836,45 +837,43 @@ impl<W: Write + Send> ExperimentObserver for JsonlTraceObserver<W> {
 /// a truncated line (the writer crashed mid-write).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParsedTrace {
-    /// The successfully parsed events, in file order.
+    /// The parsed events of every complete line, in file order.
     pub events: Vec<ExperimentEvent>,
-    /// Set when the final non-empty line failed to parse but a valid prefix
-    /// existed: the trace is usable but incomplete.
+    /// Set when the trace ended in an unterminated line, which was dropped
+    /// unparsed: the trace is usable but incomplete.
     pub warning: Option<String>,
 }
 
 /// Parses a JSONL trace back into events.
 ///
-/// A crash mid-write leaves a truncated final line; that is tolerated — the
-/// valid prefix is returned together with a warning — because a trace that
-/// survived a crash is exactly the trace worth reading. A bad line anywhere
-/// *else* (or a trace with no valid events at all) is still an error: that
-/// is corruption, not truncation.
+/// A crash mid-write leaves an unterminated final line; that is tolerated —
+/// the complete lines are returned together with a warning — because a
+/// trace that survived a crash is exactly the trace worth reading. A
+/// complete line that is not an event is corruption, not truncation (the
+/// rule of every [`crate::jsonl`] reader).
 ///
 /// # Errors
 ///
-/// When a non-final non-empty line is not a valid event, or the first
-/// non-empty line is invalid.
+/// The first complete non-blank line that is not a valid event, named by
+/// its 1-based line number.
 pub fn parse_trace(jsonl: &str) -> Result<ParsedTrace, serde_json::Error> {
-    let lines: Vec<&str> = jsonl.lines().filter(|l| !l.trim().is_empty()).collect();
+    let (lines, torn) = crate::jsonl::journal_lines(jsonl.as_bytes());
     let mut events = Vec::with_capacity(lines.len());
-    for (idx, line) in lines.iter().enumerate() {
-        match serde_json::from_str(line) {
-            Ok(ev) => events.push(ev),
-            Err(e) if idx + 1 == lines.len() && !events.is_empty() => {
-                return Ok(ParsedTrace {
-                    events,
-                    warning: Some(format!(
-                        "trace ends in a truncated line (crash mid-write?): {e}"
-                    )),
-                });
-            }
-            Err(e) => return Err(e),
+    for (idx, &(offset, line)) in lines.iter().enumerate() {
+        let line = &jsonl[offset..offset + line.len()];
+        if line.trim().is_empty() {
+            continue;
         }
+        let event = serde_json::from_str(line).map_err(|e| {
+            serde_json::Error::from(DeError::new(format!("trace line {}: {e}", idx + 1)))
+        })?;
+        events.push(event);
     }
     Ok(ParsedTrace {
         events,
-        warning: None,
+        warning: torn.then(|| {
+            "trace ends in a truncated line (crash mid-write?); it was dropped".to_string()
+        }),
     })
 }
 
@@ -1131,7 +1130,8 @@ mod tests {
 
     #[test]
     fn parse_trace_rejects_garbage() {
-        // A trace with no valid prefix is corruption, not truncation.
+        // A complete line that is not an event is corruption, not
+        // truncation.
         assert!(parse_trace("{\"event\": \"nope\"}\n").is_err());
         assert!(parse_trace("not json\n").is_err());
     }
@@ -1151,6 +1151,24 @@ mod tests {
         assert_eq!(parsed.events, sample_events()[..sample_events().len() - 1]);
         let warning = parsed.warning.expect("truncation must be reported");
         assert!(warning.contains("truncated"));
+    }
+
+    #[test]
+    fn a_corrupt_complete_last_line_is_an_error_naming_its_line() {
+        let good = serde_json::to_string(&sample_events()[0]).unwrap();
+        let err = parse_trace(&format!("{good}\n{good}\n{}\n", &good[..10])).unwrap_err();
+        assert!(err.to_string().contains("trace line 3"), "{err}");
+    }
+
+    #[test]
+    fn an_unterminated_tail_is_dropped_and_flagged_even_when_it_parses() {
+        let good = serde_json::to_string(&sample_events()[0]).unwrap();
+        let parsed = parse_trace(&format!("{good}\n{good}")).unwrap();
+        assert_eq!(parsed.events.len(), 1);
+        assert!(parsed.warning.is_some());
+        // Nothing complete at all is an empty trace, flagged, not an error.
+        let parsed = parse_trace(&good).unwrap();
+        assert!(parsed.events.is_empty() && parsed.warning.is_some());
     }
 
     #[test]

@@ -61,20 +61,6 @@ impl Value {
     pub fn is_number(self) -> bool {
         matches!(self, Value::Int(_) | Value::Float(_) | Value::Bool(_))
     }
-
-    /// A short name of the value's type, for error messages.
-    ///
-    /// Heap values report `"object"`; use [`crate::heap::Heap::type_name`]
-    /// when heap access is available.
-    pub fn coarse_type_name(self) -> &'static str {
-        match self {
-            Value::None => "NoneType",
-            Value::Bool(_) => "bool",
-            Value::Int(_) => "int",
-            Value::Float(_) => "float",
-            Value::Obj(_) => "object",
-        }
-    }
 }
 
 impl From<bool> for Value {

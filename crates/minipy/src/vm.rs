@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::builtins::{resolve_builtin, resolve_method, MethodId};
 use crate::bytecode::{Const, OpClass, Program};
@@ -376,15 +376,6 @@ impl Vm {
         self.heap.stats()
     }
 
-    /// JIT state summary: (compiled regions, blacklisted heads), zero for the
-    /// interpreter engine.
-    pub fn jit_summary(&self) -> (usize, usize) {
-        match &self.jit {
-            Some(j) => (j.compiled_regions(), j.blacklisted_count()),
-            None => (0, 0),
-        }
-    }
-
     /// Takes and clears everything `print` has emitted so far.
     pub fn take_stdout(&mut self) -> String {
         std::mem::take(&mut self.stdout)
@@ -633,17 +624,6 @@ pub fn invocation_seed(experiment_seed: u64, benchmark: &str, invocation: u32) -
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Convenience: a quick RNG for tests that need arbitrary values.
-pub fn test_rng(seed: u64) -> StdRng {
-    StdRng::seed_from_u64(seed)
-}
-
-/// Draws a random `u64` — exposed so downstream crates don't need a direct
-/// `rand` dependency for simple seeding tasks.
-pub fn random_seed_from(rng: &mut StdRng) -> u64 {
-    rng.gen()
 }
 
 #[cfg(test)]

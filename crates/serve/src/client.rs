@@ -506,9 +506,12 @@ impl RemoteStore {
         let label = record.label.as_deref().unwrap_or("run");
         let body = self.expect_ok(label, "PUT", "/runs", record_line(record).trim_end())?;
         let ack: Uploaded = self.parse(&body)?;
+        // The content id covers the precision, so the acknowledged run
+        // carries the record's.
         Ok(CellReceipt {
             run_id: ack.run_id,
             seq: ack.seq,
+            precision: record.precision.clone(),
         })
     }
 
@@ -659,13 +662,7 @@ impl CellSink for RemoteStore {
         cell: &Cell,
         measurement: &BenchmarkMeasurement,
     ) -> Result<CellReceipt, String> {
-        let label = cell.id.canonical();
-        let record = RunRecord::new(
-            cell.seq,
-            Some(label.clone()),
-            &cell.config,
-            vec![measurement.clone()],
-        );
+        let record = RunRecord::for_cell(cell, measurement);
         match self.upload(&record) {
             Ok(receipt) => {
                 // The server is reachable: opportunistically drain any
@@ -680,16 +677,12 @@ impl CellSink for RemoteStore {
             // it would just fail again on replay.
             Err(e @ RemoteError::Conflict { .. }) => Err(e.to_string()),
             Err(_) => {
-                let receipt = CellReceipt {
-                    run_id: record.id.clone(),
-                    seq: record.seq,
-                };
                 let spooled = self.spool_append(&record).map_err(|e| e.to_string())?;
                 self.emit(ExperimentEvent::ServerDegraded {
-                    label,
+                    label: cell.id.canonical(),
                     spooled: spooled as u32,
                 });
-                Ok(receipt)
+                Ok(record.receipt())
             }
         }
     }
@@ -716,10 +709,7 @@ impl CellSink for RemoteStore {
             let guard = self.spool.lock().expect("spool lock");
             if let Some(spool) = guard.as_ref() {
                 if let Some(r) = spool.find_label(&label) {
-                    return Ok(Some(CellReceipt {
-                        run_id: r.id.clone(),
-                        seq: r.seq,
-                    }));
+                    return Ok(Some(r.receipt()));
                 }
             }
         }

@@ -7,7 +7,7 @@
 //! |-------------------|--------------------------------------------------------|
 //! | `GET /health`     | liveness + run count                                   |
 //! | `GET /seq`        | next free sequence number                              |
-//! | `GET /completed`  | `?label=` → receipt of the run with that label, or 404 |
+//! | `GET /completed`  | `?label=` → the run's receipt, with precision, or 404  |
 //! | `PUT /runs`       | idempotent upload of one record line                   |
 //! | `GET /history`    | the archive as integrity-checked record lines (JSONL); |
 //! |                   | `?last=N`: the N runs with the highest seqs            |
@@ -38,7 +38,6 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use rigor::campaign::CellReceipt;
 use rigor::{
     check_regressions, BenchmarkMeasurement, Correction, GatePolicy, GateReport, NetFault,
     NetFaultPlan, Penalty, SteadyStateDetector, TrendConfig, TrendReport,
@@ -144,7 +143,8 @@ impl Deserialize for Measurements {
 // ------------------------------------------------------------ response bodies
 //
 // One type per response body: the server serializes it and the client
-// decodes it. `GET /completed` answers with a [`CellReceipt`].
+// decodes it. `GET /completed` answers with a `rigor::CellReceipt`, the
+// cell's precision included when the run carries one.
 
 /// `GET /health`.
 #[derive(Debug, Serialize, Deserialize)]
@@ -268,12 +268,15 @@ impl ServerHandle {
     }
 }
 
+/// How long a `Stall` fault delays the response; it trips a client whose
+/// read timeout is at most this, as the fault-injection clients' are.
+const STALL: Duration = Duration::from_millis(500);
+
 /// The archive service: a listener plus the one authoritative store.
 pub struct ArchiveServer {
     listener: TcpListener,
     store: Arc<Mutex<Store>>,
     faults: Option<NetFaultPlan>,
-    stall: Duration,
     stop: Arc<AtomicBool>,
     exchanges: Arc<AtomicU64>,
 }
@@ -297,7 +300,6 @@ impl ArchiveServer {
             listener,
             store: Arc::new(Mutex::new(store)),
             faults: None,
-            stall: Duration::from_millis(500),
             stop: Arc::new(AtomicBool::new(false)),
             exchanges: Arc::new(AtomicU64::new(0)),
         })
@@ -307,13 +309,6 @@ impl ArchiveServer {
     /// style) — the offline test double of a flaky production server.
     pub fn with_fault_plan(mut self, plan: NetFaultPlan) -> ArchiveServer {
         self.faults = Some(plan);
-        self
-    }
-
-    /// Sets how long a `Stall` fault delays the response (builder style).
-    /// Must exceed the client's read timeout to actually trip it.
-    pub fn with_stall(mut self, stall: Duration) -> ArchiveServer {
-        self.stall = stall;
         self
     }
 
@@ -351,8 +346,7 @@ impl ArchiveServer {
                         .map(|p| p.decide(n))
                         .unwrap_or(NetFault::None);
                     let store = Arc::clone(&self.store);
-                    let stall = self.stall;
-                    thread::spawn(move || handle_connection(stream, fault, stall, &store));
+                    thread::spawn(move || handle_connection(stream, fault, &store));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     thread::sleep(Duration::from_millis(2));
@@ -368,12 +362,7 @@ impl ArchiveServer {
     }
 }
 
-fn handle_connection(
-    mut stream: TcpStream,
-    fault: NetFault,
-    stall: Duration,
-    store: &Mutex<Store>,
-) {
+fn handle_connection(mut stream: TcpStream, fault: NetFault, store: &Mutex<Store>) {
     // Accepted sockets inherit the listener's non-blocking mode on some
     // platforms; request handling wants plain blocking reads with caps.
     let _ = stream.set_nonblocking(false);
@@ -394,7 +383,7 @@ fn handle_connection(
         }
     };
     match fault {
-        NetFault::Stall => thread::sleep(stall),
+        NetFault::Stall => thread::sleep(STALL),
         NetFault::ServerError => {
             let (status, content_type, body) = error(500, "injected server error");
             let _ = write_response(&mut stream, status, content_type, &body);
@@ -462,10 +451,7 @@ fn route(req: &Request, store: &Mutex<Store>) -> Response {
             };
             let store = store.lock().expect("store lock");
             match store.find_label(label) {
-                Some(r) => ok_json(&CellReceipt {
-                    run_id: r.id.clone(),
-                    seq: r.seq,
-                }),
+                Some(r) => ok_json(&r.receipt()),
                 None => error(404, "no run with that label"),
             }
         }

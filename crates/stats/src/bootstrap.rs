@@ -282,7 +282,9 @@ mod tests {
 /// acceleration `a` (from a leave-one-out jackknife) corrects for the
 /// statistic's variance changing with the parameter.
 ///
-/// Returns `None` for samples with fewer than 3 observations.
+/// Returns `None` for samples with fewer than 3 observations, and for
+/// fewer than 2 resamples: the bias correction clamps the replicate
+/// fraction to `[1/r, 1 − 1/r]`, which is empty below 2.
 ///
 /// ```
 /// let times = [10.2, 10.5, 9.9, 10.1, 10.4, 10.0, 10.3, 10.2];
@@ -302,7 +304,7 @@ where
 {
     use crate::dist::{normal_cdf, normal_quantile};
     let n = xs.len();
-    if n < 3 {
+    if n < 3 || resamples < 2 {
         return None;
     }
     let theta_hat = statistic(xs);
@@ -418,6 +420,11 @@ mod bca_tests {
     #[test]
     fn bca_degenerate_inputs() {
         assert!(bootstrap_bca_ci(&[1.0, 2.0], mean, 0.95, 100, 1).is_none());
+        let xs = [1.0, 2.0, 4.0, 3.0];
+        for resamples in [0, 1] {
+            assert!(bootstrap_bca_ci(&xs, mean, 0.95, resamples, 1).is_none());
+        }
+        assert!(bootstrap_bca_ci(&xs, mean, 0.95, 2, 1).is_some());
     }
 }
 
@@ -509,7 +516,7 @@ mod exactness_tests {
         seed: u64,
     ) -> Option<ConfidenceInterval> {
         let n = xs.len();
-        if n < 3 {
+        if n < 3 || resamples < 2 {
             return None;
         }
         let theta_hat = statistic(xs);
@@ -630,9 +637,9 @@ mod exactness_tests {
 
     #[test]
     fn every_size_shape_count_and_level_matches_the_buffered_reference() {
-        // Counts 0 and 1 leave no interval (the BCa bias clamp panics on
-        // both sides); count 5 at level 0.5 puts both tails exactly on an
-        // order statistic; the others land between two.
+        // Counts 0 and 1 leave no interval (BCa returns `None` on both
+        // sides); count 5 at level 0.5 puts both tails exactly on an order
+        // statistic; the others land between two.
         const COUNTS: [usize; 5] = [0, 1, 2, 5, 31];
         for n in 1..=300 {
             let shape = n % 5;

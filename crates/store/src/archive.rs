@@ -7,31 +7,33 @@
 //! {"len":987,"hash":"<32 hex>","run":{...}}
 //! ```
 //!
-//! Crash semantics mirror `rigor::checkpoint`: every append writes one
-//! complete line and fsyncs, so after a kill the file holds every archived
-//! run plus at most one torn final line. [`Store::open`] keeps the valid
-//! prefix and remembers where it ends; the next append truncates the torn
-//! tail before writing, so the file never accumulates garbage. A *complete*
-//! line that fails its length/hash check is corruption, not truncation, and
-//! is a hard error.
+//! Crash semantics are those of every `rigor::jsonl` file: every append
+//! writes one complete line and fsyncs, so after a kill the file holds
+//! every archived run plus at most one torn (unterminated) final line.
+//! [`Store::open`] keeps the valid prefix and remembers where it ends; the
+//! next append truncates the torn tail before writing, so the file never
+//! accumulates garbage. A *complete* line that fails its length/hash check
+//! is corruption, not truncation, and is a hard error.
 
 use std::fmt;
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+use rigor::jsonl::{journal_lines, Header};
 use rigor::measurement::BenchmarkMeasurement;
 use rigor::ExperimentConfig;
 use serde::json::{get_field, DeError, JsonValue};
-use serde::Serialize;
 
 use crate::record::RunRecord;
 
 /// File name of the archive journal inside the store directory.
 pub const ARCHIVE_FILE: &str = "archive.jsonl";
-/// Magic tag of the meta line.
-const MAGIC: &str = "rigor-archive";
-/// Archive format version.
-const VERSION: u32 = 1;
+/// The header of the meta line, which carries no other field.
+const HEADER: Header = Header {
+    tag: "store",
+    magic: "rigor-archive",
+    version: 1,
+};
 
 /// Any failure of the results archive.
 #[derive(Debug)]
@@ -127,11 +129,7 @@ fn io_err(path: &Path) -> impl Fn(io::Error) -> StoreError + '_ {
 }
 
 fn meta_line_text() -> String {
-    let meta = JsonValue::Object(vec![
-        ("store".into(), JsonValue::Str(MAGIC.into())),
-        ("version".into(), VERSION.to_value()),
-    ]);
-    serde_json::to_string(&meta).expect("meta is plain data")
+    HEADER.line(&JsonValue::Object(Vec::new()))
 }
 
 /// Formats one record line — `{"len":N,"hash":"…","run":{…}}` — the unit of
@@ -178,23 +176,6 @@ pub fn parse_record_line(line: &str) -> Result<RunRecord, DeError> {
         )));
     }
     Ok(record)
-}
-
-/// Splits the journal into its newline-*terminated* lines, each with its
-/// byte offset and without its `\n`. The flag is true when an unterminated
-/// (torn) final segment follows; that segment is never parsed. `open` and
-/// `verify` share this scan, so their line numbers and byte offsets agree.
-fn journal_lines(bytes: &[u8]) -> (Vec<(usize, &[u8])>, bool) {
-    let mut lines = Vec::new();
-    let mut offset = 0;
-    for piece in bytes.split_inclusive(|&b| b == b'\n') {
-        match piece.strip_suffix(b"\n") {
-            Some(line) => lines.push((offset, line)),
-            None => return (lines, true),
-        }
-        offset += piece.len();
-    }
-    (lines, false)
 }
 
 /// Decodes and integrity-checks one complete record line; `Ok(None)` is a
@@ -352,26 +333,12 @@ impl Store {
             self.valid_len = 0;
             return Ok(());
         };
-        let not_an_archive = |message: String| StoreError::NotAnArchive {
-            path: path.display().to_string(),
-            message,
-        };
-        let head: JsonValue = std::str::from_utf8(first)
-            .map_err(|e| e.to_string())
-            .and_then(|text| serde_json::from_str(text).map_err(|e| e.to_string()))
-            .map_err(not_an_archive)?;
-        let magic: Option<String> = get_field(&head, "store").ok();
-        if magic.as_deref() != Some(MAGIC) {
-            return Err(not_an_archive(format!(
-                "missing `\"store\":\"{MAGIC}\"` tag"
-            )));
-        }
-        let version: u32 = get_field(&head, "version").unwrap_or(0);
-        if version != VERSION {
-            return Err(not_an_archive(format!(
-                "unsupported archive version {version} (expected {VERSION})"
-            )));
-        }
+        HEADER
+            .check(first)
+            .map_err(|message| StoreError::NotAnArchive {
+                path: path.display().to_string(),
+                message,
+            })?;
 
         for (idx, &(offset, line)) in complete.iter().enumerate().skip(1) {
             let corrupt = |message| StoreError::Corrupt {
@@ -478,35 +445,18 @@ impl Store {
         config: &ExperimentConfig,
         measurements: Vec<BenchmarkMeasurement>,
     ) -> Result<&RunRecord, StoreError> {
-        self.append_at_seq(self.next_seq, label, config, measurements)
+        self.append_record(RunRecord::new(self.next_seq, label, config, measurements))
     }
 
-    /// Archives one run under an explicit sequence number instead of the
-    /// next free one. The campaign orchestrator uses this to give every
-    /// cell its campaign's seq base plus its grid index as `seq`, so a
-    /// cell's archived line is byte-identical whatever order concurrent
-    /// workers complete in (the content hash covers `seq`).
-    ///
-    /// # Errors
-    ///
-    /// I/O failures.
-    pub fn append_at_seq(
-        &mut self,
-        seq: u64,
-        label: Option<String>,
-        config: &ExperimentConfig,
-        measurements: Vec<BenchmarkMeasurement>,
-    ) -> Result<&RunRecord, StoreError> {
-        self.append_record(RunRecord::new(seq, label, config, measurements))
-    }
-
-    /// Archives a fully-formed record verbatim — the ingestion path for
-    /// runs that arrive over the wire (`rigor serve`). The record's id was
-    /// recomputed from its canonical payload when it was parsed
-    /// ([`RunRecord::from_payload`]), so the line written here is
-    /// byte-identical to the one the originating client would have written
-    /// locally. One line write plus one fsync, whatever the archive's
-    /// length.
+    /// Archives a fully-formed record verbatim, under its own seq: a
+    /// campaign cell's ([`RunRecord::for_cell`], at the campaign's seq base
+    /// plus the cell's grid index, so its line is byte-identical whatever
+    /// order concurrent workers finish in), or a run that arrived over the
+    /// wire (`rigor serve`), whose id was recomputed from its canonical
+    /// payload when it was parsed ([`RunRecord::from_payload`]), so the
+    /// line written here is byte-identical to the one the originating
+    /// client would have written locally. One line write plus one fsync,
+    /// whatever the archive's length.
     ///
     /// # Errors
     ///
@@ -969,13 +919,11 @@ mod tests {
     fn append_after_out_of_order_cells_takes_a_fresh_seq() {
         let dir = temp_store("nextseq");
         let mut store = Store::open(&dir).unwrap();
+        let at_seq =
+            |seq, level| RunRecord::new(seq, None, &config(), vec![measurement("a", level)]);
         // Campaign cells land in completion order, not grid order.
-        store
-            .append_at_seq(1, None, &config(), vec![measurement("a", 1.0)])
-            .unwrap();
-        store
-            .append_at_seq(0, None, &config(), vec![measurement("a", 2.0)])
-            .unwrap();
+        store.append_record(at_seq(1, 1.0)).unwrap();
+        store.append_record(at_seq(0, 2.0)).unwrap();
         assert_eq!(store.next_seq(), 2);
         let seq = store
             .append(None, &config(), vec![measurement("a", 3.0)])
@@ -992,9 +940,7 @@ mod tests {
         assert_eq!(store.next_seq(), 3);
         store.compact(Some(1)).unwrap();
         assert_eq!(store.next_seq(), 3);
-        store
-            .append_at_seq(7, None, &config(), vec![measurement("a", 4.0)])
-            .unwrap();
+        store.append_record(at_seq(7, 4.0)).unwrap();
         store.compact(Some(1)).unwrap();
         assert_eq!(store.next_seq(), 8);
         std::fs::remove_dir_all(&dir).ok();

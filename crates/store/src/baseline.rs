@@ -229,7 +229,12 @@ mod tests {
         let config = ExperimentConfig::interp();
         for seq in [1, 0, 2, 3, 5, 4, 7, 6] {
             store
-                .append_at_seq(seq, Some(format!("cell-{seq}")), &config, vec![])
+                .append_record(RunRecord::new(
+                    seq,
+                    Some(format!("cell-{seq}")),
+                    &config,
+                    vec![],
+                ))
                 .unwrap();
         }
         let seqs = |runs: Vec<&RunRecord>| runs.iter().map(|r| r.seq).collect::<Vec<_>>();

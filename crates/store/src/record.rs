@@ -2,7 +2,7 @@
 //! full per-benchmark measurements — content-addressed by its canonical
 //! JSON payload.
 
-use rigor::campaign::CellPrecision;
+use rigor::campaign::{Cell, CellPrecision, CellReceipt};
 use rigor::measurement::BenchmarkMeasurement;
 use rigor::ExperimentConfig;
 use rigor_workloads::Size;
@@ -147,6 +147,31 @@ impl RunRecord {
         self.precision = Some(precision);
         self.id = content_hash(self.payload_json().as_bytes());
         self
+    }
+
+    /// The record of a campaign cell, whichever archive it goes to:
+    /// labelled by the cell's canonical id, at the cell's seq, under its
+    /// config, with its precision when it has one.
+    pub fn for_cell(cell: &Cell, measurement: &BenchmarkMeasurement) -> RunRecord {
+        let record = RunRecord::new(
+            cell.seq,
+            Some(cell.id.canonical()),
+            &cell.config,
+            vec![measurement.clone()],
+        );
+        match &cell.precision {
+            Some(precision) => record.with_precision(precision.clone()),
+            None => record,
+        }
+    }
+
+    /// The campaign receipt of this run: its id, seq and precision.
+    pub fn receipt(&self) -> CellReceipt {
+        CellReceipt {
+            run_id: self.id.clone(),
+            seq: self.seq,
+            precision: self.precision.clone(),
+        }
     }
 
     /// The canonical payload: every field except the id, in fixed order.

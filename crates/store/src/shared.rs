@@ -17,26 +17,19 @@
 
 use std::sync::Mutex;
 
-use rigor::campaign::{Cell, CellPrecision, CellReceipt, CellSink};
+use rigor::campaign::{Cell, CellReceipt, CellSink};
 use rigor::measurement::BenchmarkMeasurement;
 
 use crate::archive::{Store, StoreError};
 use crate::record::RunRecord;
 
 /// A [`Store`] behind a writer lock; the on-disk [`CellSink`] of campaign
-/// runs. Each completed cell becomes one archived run whose label is the
-/// cell's canonical id and whose `seq` is the cell's [`Cell::seq`].
+/// runs. Each completed cell becomes one archived run,
+/// [`RunRecord::for_cell`]: labelled by the cell's canonical id, at the
+/// cell's [`Cell::seq`], with its precision.
 #[derive(Debug)]
 pub struct SharedStore {
     store: Mutex<Store>,
-}
-
-/// The receipt for a run that archived `cell`.
-fn receipt(record: &RunRecord) -> CellReceipt {
-    CellReceipt {
-        run_id: record.id.clone(),
-        seq: record.seq,
-    }
 }
 
 impl SharedStore {
@@ -75,68 +68,33 @@ impl CellSink for SharedStore {
         measurement: &BenchmarkMeasurement,
     ) -> Result<CellReceipt, String> {
         let mut store = self.store.lock().expect("store lock poisoned");
-        let label = cell.id.canonical();
         // Check-then-append under one lock: replays return the original
         // receipt instead of duplicating the run.
-        if let Some(existing) = store.find_label(&label) {
-            return Ok(receipt(existing));
+        if let Some(existing) = store.find_label(&cell.id.canonical()) {
+            return Ok(existing.receipt());
         }
         store
-            .append_at_seq(
-                cell.seq,
-                Some(label),
-                &cell.config,
-                vec![measurement.clone()],
-            )
-            .map(receipt)
+            .append_record(RunRecord::for_cell(cell, measurement))
+            .map(RunRecord::receipt)
             .map_err(|e| e.to_string())
     }
 
     fn completed_cell(&self, cell: &Cell) -> Result<Option<CellReceipt>, String> {
         let store = self.store.lock().expect("store lock poisoned");
-        Ok(store.find_label(&cell.id.canonical()).map(receipt))
-    }
-
-    fn archive_cell_precise(
-        &self,
-        cell: &Cell,
-        measurement: &BenchmarkMeasurement,
-        precision: &CellPrecision,
-    ) -> Result<CellReceipt, String> {
-        let mut store = self.store.lock().expect("store lock poisoned");
-        let label = cell.id.canonical();
-        if let Some(existing) = store.find_label(&label) {
-            return Ok(receipt(existing));
-        }
-        let record = RunRecord::new(
-            cell.seq,
-            Some(label),
-            &cell.config,
-            vec![measurement.clone()],
-        )
-        .with_precision(precision.clone());
-        store
-            .append_record(record)
-            .map(receipt)
-            .map_err(|e| e.to_string())
+        Ok(store
+            .find_label(&cell.id.canonical())
+            .map(RunRecord::receipt))
     }
 
     fn seq_base(&self) -> Result<u64, String> {
         Ok(self.store.lock().expect("store lock poisoned").next_seq())
-    }
-
-    fn completed_precision(&self, cell: &Cell) -> Result<Option<CellPrecision>, String> {
-        let store = self.store.lock().expect("store lock poisoned");
-        Ok(store
-            .find_label(&cell.id.canonical())
-            .and_then(|r| r.precision.clone()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rigor::campaign::CampaignSpec;
+    use rigor::campaign::{CampaignSpec, CellPrecision};
     use rigor::ExperimentConfig;
     use rigor_workloads::Size;
 
@@ -202,7 +160,7 @@ mod tests {
             std::env::temp_dir().join(format!("rigor-shared-store-precise-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let shared = SharedStore::open(&dir).unwrap();
-        let cells = cells();
+        let mut cells = cells();
         let m = measurement("sieve");
         let precision = CellPrecision {
             invocations_used: 9,
@@ -210,30 +168,22 @@ mod tests {
             target_rel_half_width: 0.02,
             target_met: true,
         };
+        cells[0].precision = Some(precision.clone());
 
-        assert_eq!(shared.completed_precision(&cells[0]).unwrap(), None);
-        let a = shared
-            .archive_cell_precise(&cells[0], &m, &precision)
-            .unwrap();
-        let b = shared
-            .archive_cell_precise(&cells[0], &m, &precision)
-            .unwrap();
+        assert_eq!(shared.completed_cell(&cells[0]).unwrap(), None);
+        let a = shared.archive_cell(&cells[0], &m).unwrap();
+        let b = shared.archive_cell(&cells[0], &m).unwrap();
         assert_eq!(a, b, "replay returns the original receipt");
-        assert_eq!(
-            shared.completed_precision(&cells[0]).unwrap(),
-            Some(precision.clone())
-        );
-        // A plain-archived cell reports no precision.
-        shared.archive_cell(&cells[1], &m).unwrap();
-        assert_eq!(shared.completed_precision(&cells[1]).unwrap(), None);
+        assert_eq!(a.precision, Some(precision.clone()));
+        assert_eq!(shared.completed_cell(&cells[0]).unwrap(), Some(a.clone()));
+        // A cell of the fixed grid carries no precision.
+        let plain = shared.archive_cell(&cells[1], &m).unwrap();
+        assert_eq!(plain.precision, None);
 
         // The precision record survives a kill-and-reopen.
         drop(shared);
         let reopened = SharedStore::open(&dir).unwrap();
-        assert_eq!(
-            reopened.completed_precision(&cells[0]).unwrap(),
-            Some(precision)
-        );
+        assert_eq!(reopened.completed_cell(&cells[0]).unwrap(), Some(a));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

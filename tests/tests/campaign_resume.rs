@@ -1,13 +1,13 @@
-//! Crash-safety of campaign orchestration: killing a campaign after *any*
-//! byte prefix of its journal and resuming must yield an archive
-//! byte-identical to the uninterrupted run's (single worker), and a
-//! content-id set identical to it under concurrent workers — the campaign
-//! analogue of `store_archive.rs`.
+//! Crash-safety of campaign orchestration: killing a campaign at any point
+//! and resuming must yield an archive byte-identical to the uninterrupted
+//! run's (single worker), and a content-id set identical to it under
+//! concurrent workers — the campaign analogue of `store_archive.rs`.
 //!
-//! The simulated kill point is "right after the journal flush of cell J":
-//! the archive (appended before the journal line, and authoritative on
-//! resume) holds exactly the first J cells, and the journal holds the
-//! prefix — possibly with a torn final line, which resume must forgive.
+//! The journal is one identity line, written before the first cell runs;
+//! the archive, appended cell by cell, is the only record of what is done.
+//! So a kill leaves either a prefix of the identity line and an archive
+//! without the campaign's cells, or the whole line and an archive holding
+//! the first J cells.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -66,40 +66,30 @@ fn id_set(dir: &PathBuf) -> BTreeSet<(u64, String)> {
 fn every_journal_byte_prefix_resumes_to_a_byte_identical_archive() {
     let clean_dir = temp_dir("clean");
     let (clean_archive, clean_journal) = clean_run(&clean_dir);
+    assert_eq!(
+        clean_journal.iter().filter(|&&b| b == b'\n').count(),
+        1,
+        "the journal is its identity line"
+    );
 
     // Archive line boundaries: meta line, then one line per cell in grid
     // order (workers=1). Slicing at these boundaries reconstructs the
     // archive state after any number of completed cells.
-    let archive_line_ends: Vec<usize> = clean_archive
-        .iter()
-        .enumerate()
-        .filter(|(_, &b)| b == b'\n')
-        .map(|(i, _)| i + 1)
-        .collect();
-    let journal_meta_end = clean_journal
-        .iter()
-        .position(|&b| b == b'\n')
-        .expect("journal meta newline")
-        + 1;
+    let archive_line_ends = line_ends(&clean_archive);
 
+    // (journal bytes, archived cells): every prefix of the identity line
+    // with no cell archived, then the whole line with every count.
+    let kills = (0..=clean_journal.len())
+        .map(|cut| (cut, 0))
+        .chain((0..archive_line_ends.len()).map(|cells| (clean_journal.len(), cells)));
     let work_dir = temp_dir("work");
-    for cut in 0..=clean_journal.len() {
-        // Complete journaled cells in this prefix.
-        let journaled = if cut < journal_meta_end {
-            0
-        } else {
-            clean_journal[journal_meta_end..cut]
-                .iter()
-                .filter(|&&b| b == b'\n')
-                .count()
-        };
+    for (cut, archived) in kills {
         fs::remove_dir_all(&work_dir).ok();
         fs::create_dir_all(&work_dir).expect("work dir");
         fs::write(work_dir.join("campaign.jsonl"), &clean_journal[..cut]).expect("journal prefix");
-        // Archive = meta line + the first `journaled` cell lines.
         fs::write(
             work_dir.join(ARCHIVE_FILE),
-            &clean_archive[..archive_line_ends[journaled]],
+            &clean_archive[..archive_line_ends[archived]],
         )
         .expect("archive prefix");
 
@@ -112,16 +102,69 @@ fn every_journal_byte_prefix_resumes_to_a_byte_identical_archive() {
             .unwrap_or_else(|e| panic!("resume after journal cut {cut} failed: {e}"));
         assert!(report.is_complete(), "cut {cut} left the campaign torn");
         assert_eq!(
-            report.skipped, journaled,
+            report.skipped, archived,
             "cut {cut} must skip exactly the archived cells"
         );
 
         let resumed = fs::read(work_dir.join(ARCHIVE_FILE)).expect("read resumed archive");
         assert_eq!(
             resumed, clean_archive,
-            "archive differs from uninterrupted run after journal cut {cut}"
+            "archive differs from uninterrupted run after journal cut {cut}, {archived} cells"
         );
     }
+    fs::remove_dir_all(&clean_dir).ok();
+    fs::remove_dir_all(&work_dir).ok();
+}
+
+/// Byte offsets just past each newline.
+fn line_ends(bytes: &[u8]) -> Vec<usize> {
+    bytes
+        .iter()
+        .enumerate()
+        .filter(|(_, &b)| b == b'\n')
+        .map(|(i, _)| i + 1)
+        .collect()
+}
+
+/// Earlier versions appended a `{"cell":…}` line per archived cell after
+/// the identity line. Such a journal, torn mid-line, still resumes — to the
+/// same archive — and is rewritten as its identity line.
+#[test]
+fn a_journal_with_cell_lines_resumes_to_the_same_archive() {
+    let clean_dir = temp_dir("cells-clean");
+    let (clean_archive, clean_journal) = clean_run(&clean_dir);
+    let work_dir = temp_dir("cells-work");
+    fs::create_dir_all(&work_dir).expect("work dir");
+    fs::write(
+        work_dir.join(ARCHIVE_FILE),
+        &clean_archive[..line_ends(&clean_archive)[2]],
+    )
+    .expect("archive prefix");
+    let mut journal = String::from_utf8(clean_journal.clone()).expect("utf-8 journal");
+    for (index, run) in Store::open(&work_dir).expect("open").runs().enumerate() {
+        let id = run.label.as_deref().expect("campaign cells are labeled");
+        journal.push_str(&format!(
+            "{{\"cell\":{{\"index\":{index},\"id\":\"{id}\",\"run_id\":\"{}\"}}}}\n",
+            run.id
+        ));
+    }
+    journal.push_str("{\"cell\":{\"index\":2,\"id\":\"leib");
+    let path = work_dir.join("campaign.jsonl");
+    fs::write(&path, journal).expect("journal");
+
+    let sink = SharedStore::open(&work_dir).expect("open work store");
+    let report = Campaign::new(spec())
+        .workers(1)
+        .journal(&path)
+        .resume(true)
+        .run(&sink)
+        .expect("resume from a journal with cell lines");
+    assert_eq!((report.skipped, report.executed), (2, 2));
+    assert_eq!(
+        fs::read(work_dir.join(ARCHIVE_FILE)).expect("read archive"),
+        clean_archive
+    );
+    assert_eq!(fs::read(&path).expect("read journal"), clean_journal);
     fs::remove_dir_all(&clean_dir).ok();
     fs::remove_dir_all(&work_dir).ok();
 }

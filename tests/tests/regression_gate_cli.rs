@@ -518,6 +518,68 @@ fn last_baselines_select_the_newest_campaign_on_both_forms() {
     }
 }
 
+/// An adaptive campaign under a binding budget, cut after six measurement
+/// jobs and resumed, archives the same lines locally and through `rigor
+/// serve`: every cell with its precision, so the resume charges archived
+/// cells what they spent and stays within the budget on both forms.
+#[test]
+fn a_resumed_adaptive_campaign_archives_the_same_precision_on_both_forms() {
+    let local = tmp_store("adaptive-local");
+    let served = tmp_store("adaptive-served");
+    let work = tmp_store("adaptive-work");
+    fs::create_dir_all(&served).expect("served store dir");
+    let server = rigor_serve::ArchiveServer::bind("127.0.0.1:0", &served).expect("bind");
+    let handle = server.handle();
+    let url = handle.addr().to_string();
+    let join = std::thread::spawn(move || server.serve().expect("serve"));
+    let flags = "campaign --benchmarks sieve,nbody_lite --engines interp,jit -n 2 -i 8 \
+                 --size small --workers 1 --precision 0.01 --budget 50 --quiet";
+    for (target, dir) in [
+        (format!("--store {}", local.display()), &local),
+        (
+            format!("--store-url {url} --store {}", work.display()),
+            &work,
+        ),
+    ] {
+        let journal = dir.join("campaign.jsonl");
+        for run in [
+            "--max-cells 6".to_string(),
+            format!("--resume {}", journal.display()),
+        ] {
+            assert_eq!(
+                rigor_cli::run(&argv(&format!("{flags} {target} {run}"))),
+                0,
+                "{target} {run}"
+            );
+        }
+    }
+    let sorted_lines = |dir: &std::path::Path| -> Vec<String> {
+        let text = fs::read_to_string(dir.join(rigor_store::ARCHIVE_FILE)).expect("archive");
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        lines.sort();
+        lines
+    };
+    assert_eq!(sorted_lines(&local), sorted_lines(&served));
+    let store = rigor_store::Store::open(&served).expect("open served store");
+    assert_eq!(store.len(), 4);
+    let spent: u32 = store
+        .runs()
+        .map(|r| {
+            let p = r.precision.as_ref().expect("every cell carries precision");
+            p.invocations_used
+        })
+        .sum();
+    assert!(
+        spent <= 50,
+        "{spent} invocations archived against a budget of 50"
+    );
+    handle.stop();
+    join.join().expect("server thread");
+    for dir in [&local, &served, &work] {
+        fs::remove_dir_all(dir).ok();
+    }
+}
+
 #[test]
 fn archive_history_and_an_unknown_baseline_agree_on_both_forms() {
     let local = tmp_store("one-path-local");
