@@ -8,13 +8,8 @@
 //! both error modes are rare on this suite.
 
 use rigor::{SteadyStateDetector, Table};
-use rigor_bench::{banner, jit_config};
+use rigor_bench::{banner, jit_config, runner};
 use rigor_workloads::suite;
-
-/// Builds a runner for a fixed harness config (shape validity asserted).
-fn runner(cfg: &rigor::ExperimentConfig) -> rigor::Runner {
-    rigor::Runner::new(cfg.clone()).expect("valid config")
-}
 
 const TOLERANCES: [f64; 5] = [0.005, 0.02, 0.03, 0.08, 0.3];
 

@@ -9,13 +9,8 @@
 //! at every point.
 
 use rigor::{fmt_ns, precision_of, SteadyStateDetector, Table};
-use rigor_bench::{banner, interp_config};
+use rigor_bench::{banner, interp_config, runner};
 use rigor_workloads::find;
-
-/// Builds a runner for a fixed harness config (shape validity asserted).
-fn runner(cfg: &rigor::ExperimentConfig) -> rigor::Runner {
-    rigor::Runner::new(cfg.clone()).expect("valid config")
-}
 
 const THRESHOLDS: [u64; 4] = [1_024, 8_192, 65_536, 1 << 22];
 

@@ -11,13 +11,8 @@
 
 use minipy::{EngineKind, JitConfig};
 use rigor::{compare, SteadyStateDetector, Table};
-use rigor_bench::{banner, interp_config, jit_config};
+use rigor_bench::{banner, interp_config, jit_config, runner};
 use rigor_workloads::find;
-
-/// Builds a runner for a fixed harness config (shape validity asserted).
-fn runner(cfg: &rigor::ExperimentConfig) -> rigor::Runner {
-    rigor::Runner::new(cfg.clone()).expect("valid config")
-}
 
 const THRESHOLDS: [u32; 5] = [50, 200, 500, 2_000, 20_000];
 const BENCHMARKS: [&str; 3] = ["spectral", "fib_recursive", "dict_churn"];

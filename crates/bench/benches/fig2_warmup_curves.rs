@@ -6,13 +6,8 @@
 //! except `polymorph`, whose deopt churn keeps perturbing the series.
 
 use rigor::{fmt_ns, sparkline};
-use rigor_bench::{banner, interp_config, jit_config};
+use rigor_bench::{banner, interp_config, jit_config, runner};
 use rigor_workloads::find;
-
-/// Builds a runner for a fixed harness config (shape validity asserted).
-fn runner(cfg: &rigor::ExperimentConfig) -> rigor::Runner {
-    rigor::Runner::new(cfg.clone()).expect("valid config")
-}
 
 const BENCHMARKS: [&str; 4] = ["leibniz", "spectral", "fib_recursive", "polymorph"];
 

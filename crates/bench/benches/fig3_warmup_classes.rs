@@ -7,13 +7,8 @@
 //! tail driven by the adversarial workloads.
 
 use rigor::{aggregate_classes, Table, WarmupClass, WarmupClassifier};
-use rigor_bench::{banner, bar, interp_config, jit_config};
+use rigor_bench::{banner, bar, interp_config, jit_config, runner};
 use rigor_workloads::suite;
-
-/// Builds a runner for a fixed harness config (shape validity asserted).
-fn runner(cfg: &rigor::ExperimentConfig) -> rigor::Runner {
-    rigor::Runner::new(cfg.clone()).expect("valid config")
-}
 
 fn main() {
     banner("Figure 3", "warmup classification breakdown per engine");

@@ -8,13 +8,8 @@
 //! intra-heavy counterexample.
 
 use rigor::{common_steady_start, decompose, SteadyStateDetector, Table};
-use rigor_bench::{banner, bar, interp_config};
+use rigor_bench::{banner, bar, interp_config, runner};
 use rigor_workloads::suite;
-
-/// Builds a runner for a fixed harness config (shape validity asserted).
-fn runner(cfg: &rigor::ExperimentConfig) -> rigor::Runner {
-    rigor::Runner::new(cfg.clone()).expect("valid config")
-}
 
 fn main() {
     banner(

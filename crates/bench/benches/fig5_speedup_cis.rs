@@ -7,13 +7,8 @@
 //! either converges to a modest number or is reported as non-converged.
 
 use rigor::{compare_suite, fmt_ci, SteadyStateDetector, Table};
-use rigor_bench::{banner, bar, interp_config, jit_config};
+use rigor_bench::{banner, bar, interp_config, jit_config, runner};
 use rigor_workloads::suite;
-
-/// Builds a runner for a fixed harness config (shape validity asserted).
-fn runner(cfg: &rigor::ExperimentConfig) -> rigor::Runner {
-    rigor::Runner::new(cfg.clone()).expect("valid config")
-}
 
 fn main() {
     banner(

@@ -11,14 +11,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rigor::{common_steady_start, SteadyStateDetector, Table};
-use rigor_bench::{banner, interp_config, EVAL_SEED};
+use rigor_bench::{banner, interp_config, runner, EVAL_SEED};
 use rigor_stats::{bootstrap_bca_ci, bootstrap_mean_ci, mean, mean_ci, std_dev};
 use rigor_workloads::find;
-
-/// Builds a runner for a fixed harness config (shape validity asserted).
-fn runner(cfg: &rigor::ExperimentConfig) -> rigor::Runner {
-    rigor::Runner::new(cfg.clone()).expect("valid config")
-}
 
 const NS: [usize; 5] = [3, 5, 10, 20, 30];
 const TRIALS: usize = 1000;

@@ -7,13 +7,8 @@
 //! variance is what limits precision.
 
 use rigor::{precision_of, SteadyStateDetector, Table};
-use rigor_bench::{banner, interp_config};
+use rigor_bench::{banner, interp_config, runner};
 use rigor_workloads::find;
-
-/// Builds a runner for a fixed harness config (shape validity asserted).
-fn runner(cfg: &rigor::ExperimentConfig) -> rigor::Runner {
-    rigor::Runner::new(cfg.clone()).expect("valid config")
-}
 
 const BENCHMARKS: [&str; 3] = ["leibniz", "dict_churn", "gc_pressure"];
 const INVOCATIONS: [u32; 4] = [3, 5, 10, 20];

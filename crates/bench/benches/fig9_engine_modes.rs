@@ -11,13 +11,8 @@
 
 use minipy::{EngineKind, JitConfig};
 use rigor::{compare, fmt_ci, SteadyStateDetector, Table};
-use rigor_bench::{banner, interp_config, EVAL_INVOCATIONS, EVAL_ITERATIONS, EVAL_SEED};
+use rigor_bench::{banner, interp_config, runner, EVAL_INVOCATIONS, EVAL_ITERATIONS, EVAL_SEED};
 use rigor_workloads::{find, Size};
-
-/// Builds a runner for a fixed harness config (shape validity asserted).
-fn runner(cfg: &rigor::ExperimentConfig) -> rigor::Runner {
-    rigor::Runner::new(cfg.clone()).expect("valid config")
-}
 
 const BENCHMARKS: [&str; 6] = [
     "leibniz",

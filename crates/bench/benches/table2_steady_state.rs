@@ -7,13 +7,8 @@
 //! `never` on at least one detector.
 
 use rigor::{common_steady_start, SteadyStateDetector, Table};
-use rigor_bench::{banner, interp_config, jit_config};
+use rigor_bench::{banner, interp_config, jit_config, runner};
 use rigor_workloads::suite;
-
-/// Builds a runner for a fixed harness config (shape validity asserted).
-fn runner(cfg: &rigor::ExperimentConfig) -> rigor::Runner {
-    rigor::Runner::new(cfg.clone()).expect("valid config")
-}
 
 fn fmt(start: Option<usize>) -> String {
     match start {

@@ -10,13 +10,8 @@
 //! one-process steady means remain overconfident.
 
 use rigor::{all_schemes, compare, evaluate_scheme, verdict_from_ci, SteadyStateDetector, Table};
-use rigor_bench::{banner, interp_config, jit_config};
+use rigor_bench::{banner, interp_config, jit_config, runner};
 use rigor_workloads::find;
-
-/// Builds a runner for a fixed harness config (shape validity asserted).
-fn runner(cfg: &rigor::ExperimentConfig) -> rigor::Runner {
-    rigor::Runner::new(cfg.clone()).expect("valid config")
-}
 
 const BENCHMARKS: [&str; 10] = [
     "leibniz",

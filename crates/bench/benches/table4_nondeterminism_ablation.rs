@@ -10,13 +10,8 @@
 
 use minipy::NoiseConfig;
 use rigor::{common_steady_start, decompose, SteadyStateDetector, Table};
-use rigor_bench::{banner, interp_config};
+use rigor_bench::{banner, interp_config, runner};
 use rigor_workloads::find;
-
-/// Builds a runner for a fixed harness config (shape validity asserted).
-fn runner(cfg: &rigor::ExperimentConfig) -> rigor::Runner {
-    rigor::Runner::new(cfg.clone()).expect("valid config")
-}
 
 const BENCHMARKS: [&str; 4] = ["leibniz", "dict_churn", "str_keys", "gc_pressure"];
 

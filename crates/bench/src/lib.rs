@@ -35,6 +35,11 @@ pub fn jit_config() -> ExperimentConfig {
         .with_size(Size::Default)
 }
 
+/// Builds a runner for a fixed harness config (shape validity asserted).
+pub fn runner(cfg: &ExperimentConfig) -> rigor::Runner {
+    rigor::Runner::new(cfg.clone()).expect("valid config")
+}
+
 /// Prints the standard experiment banner.
 pub fn banner(id: &str, what: &str) {
     println!();

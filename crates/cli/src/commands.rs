@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use minipy::{Session, VmConfig};
-use rigor::campaign::CellReceipt;
+use rigor::campaign::{CellReceipt, CellSink};
 use rigor::{
     compare, compare_suite, compute_plan, fmt_ci, fmt_ns, precision_of, sparkline, CellEstimate,
     ExperimentConfig, ExperimentEvent, ExperimentObserver, FaultPlan, Journal, JsonlTraceObserver,
@@ -1530,70 +1530,95 @@ fn cmd_campaign(opts: &GlobalOpts) -> CliResult {
         .clone()
         .unwrap_or_else(|| format!("{}/campaign.jsonl", opts.store));
     let obs = observers(opts)?;
-
-    if let Some(url) = opts.store_url.as_deref() {
-        // The spool rides in the store directory by default: a campaign
-        // may legitimately start — and finish — with the server down, and
-        // nothing measured may be lost.
-        let spool_dir = opts
-            .spool
-            .clone()
-            .unwrap_or_else(|| format!("{}/spool", opts.store));
-        let client = remote_client(url, opts, &obs)
-            .with_spool(&spool_dir)
-            .map_err(remote_err(url))?;
-        let report = run_campaign(opts, spec, &client, &journal_path, &obs)?;
-        let (_, remaining) = client.flush().map_err(remote_err(url))?;
-        print_campaign_summary(&report, url, &journal_path, opts);
-        if remaining > 0 {
-            println!(
-                "{remaining} run(s) spooled at {spool_dir} — replayed automatically on the \
-                 next campaign or successful exchange against {url}"
-            );
+    // The spool rides in the store directory by default: a campaign may
+    // legitimately start — and finish — with the `rigor serve` at
+    // `--store-url` down, and nothing measured may be lost.
+    let spool_dir = opts
+        .spool
+        .clone()
+        .unwrap_or_else(|| format!("{}/spool", opts.store));
+    let dest = opts.store_url.as_deref().unwrap_or(&opts.store);
+    let archive = match opts.store_url.as_deref() {
+        Some(url) => CampaignArchive::Remote(
+            remote_client(url, opts, &obs)
+                .with_spool(&spool_dir)
+                .map_err(remote_err(url))?,
+        ),
+        None => {
+            CampaignArchive::Local(rigor_store::SharedStore::open(dest).map_err(store_err(dest))?)
         }
-        if opts.json_out.is_some() || opts.csv_out.is_some() {
-            // Grid-order export, resolved from the server archive plus
-            // anything still spooled (the server may be down again).
-            let mut archived = client.history(None).unwrap_or_default();
-            archived.extend(client.spool_records());
-            let all: Vec<rigor::BenchmarkMeasurement> = cells
-                .iter()
-                .filter_map(|c| {
-                    let label = c.id.canonical();
-                    archived
-                        .iter()
-                        .find(|r| r.label.as_deref() == Some(label.as_str()))
-                        .map(|r| r.measurements.clone())
-                })
-                .flatten()
-                .collect();
-            export(opts, &all)?;
-        }
-        return campaign_verdict(&report);
+    };
+    let sink: &dyn CellSink = match &archive {
+        CampaignArchive::Local(store) => store,
+        CampaignArchive::Remote(client) => client,
+    };
+    let mut campaign = rigor::Campaign::new(spec)
+        .workers(opts.workers)
+        .journal(&journal_path)
+        .resume(opts.resume.is_some());
+    for o in &obs {
+        campaign = campaign.observer(o.clone());
+    }
+    if let Some(m) = opts.max_cells {
+        campaign = campaign.max_cells(m);
+    }
+    let report = campaign.run(sink)?;
+    let remaining = match &archive {
+        CampaignArchive::Remote(client) => client.flush().map_err(remote_err(dest))?.1,
+        CampaignArchive::Local(_) => 0,
+    };
+    print_campaign_summary(&report, dest, &journal_path, opts);
+    if remaining > 0 {
+        println!(
+            "{remaining} run(s) spooled at {spool_dir} — replayed automatically on the \
+             next campaign or successful exchange against {dest}"
+        );
     }
 
-    let sink = rigor_store::SharedStore::open(&opts.store).map_err(store_err(&opts.store))?;
-    let report = run_campaign(opts, spec, &sink, &journal_path, &obs)?;
-    print_campaign_summary(&report, &opts.store, &journal_path, opts);
-
-    // `--json`/`--csv` export every archived cell of the grid, flattened in
-    // grid order — deterministic however the workers interleaved.
+    // `--json`/`--csv` export each cell's run, the one at the cell's seq
+    // with its label, flattened in grid order — deterministic however the
+    // workers interleaved.
     if opts.json_out.is_some() || opts.csv_out.is_some() {
-        let all: Vec<rigor::BenchmarkMeasurement> = sink.with(|store| {
+        let of_cells = |runs: &[RunRecord]| -> Vec<rigor::BenchmarkMeasurement> {
             cells
                 .iter()
                 .filter_map(|c| {
-                    store
-                        .find_label(&c.id.canonical())
-                        .map(|r| r.measurements.clone())
+                    let (seq, label) = (report.seq_base + c.index as u64, c.id.canonical());
+                    runs.iter().find(|r| r.is_cell(seq, &label))
                 })
-                .flatten()
+                .flat_map(|r| r.measurements.clone())
                 .collect()
-        });
-        export(opts, &all)?;
+        };
+        let measurements = match &archive {
+            CampaignArchive::Local(store) => store.with(|store| of_cells(store.records())),
+            // The server archive plus anything still spooled (the server
+            // may be down again).
+            CampaignArchive::Remote(client) => {
+                let mut runs = client.history(None).unwrap_or_default();
+                runs.extend(client.spool_records());
+                of_cells(&runs)
+            }
+        };
+        export(opts, &measurements)?;
     }
+    if report.failures.is_empty() {
+        return Ok(());
+    }
+    let mut table = Table::new(vec!["cell", "error"]).with_title("failed cells");
+    for (cell, error) in &report.failures {
+        table.row(vec![cell.clone(), error.clone()]);
+    }
+    println!("{table}");
+    Err(CliError::CampaignCells {
+        failed: report.failures.iter().map(|(c, _)| c.clone()).collect(),
+    })
+}
 
-    campaign_verdict(&report)
+/// Where `rigor campaign` streams its cells: the local store behind its
+/// writer lock, or the `rigor serve` client with its write-ahead spool.
+enum CampaignArchive {
+    Local(rigor_store::SharedStore),
+    Remote(RemoteStore),
 }
 
 /// Renders a relative half-width for the allocation tables ("no CI" when
@@ -1754,29 +1779,7 @@ fn print_allocation(
     );
 }
 
-/// Builds and runs the campaign over any cell sink (the local shared
-/// store, or the remote client).
-fn run_campaign(
-    opts: &GlobalOpts,
-    spec: rigor::CampaignSpec,
-    sink: &dyn rigor::campaign::CellSink,
-    journal_path: &str,
-    obs: &[Arc<dyn ExperimentObserver>],
-) -> Result<rigor::CampaignReport, CliError> {
-    let mut campaign = rigor::Campaign::new(spec)
-        .workers(opts.workers)
-        .journal(journal_path)
-        .resume(opts.resume.is_some());
-    for o in obs {
-        campaign = campaign.observer(o.clone());
-    }
-    if let Some(m) = opts.max_cells {
-        campaign = campaign.max_cells(m);
-    }
-    Ok(campaign.run(sink)?)
-}
-
-/// Prints the campaign summary lines shared by the local and remote paths.
+/// Prints the campaign summary lines, whichever archive it streamed into.
 fn print_campaign_summary(
     report: &rigor::CampaignReport,
     dest: &str,
@@ -1818,22 +1821,6 @@ fn print_campaign_summary(
             report.quarantined.join(", ")
         );
     }
-}
-
-/// Converts a campaign report's failed cells into the exit-1 error, after
-/// printing them.
-fn campaign_verdict(report: &rigor::CampaignReport) -> CliResult {
-    if report.failures.is_empty() {
-        return Ok(());
-    }
-    let mut table = Table::new(vec!["cell", "error"]).with_title("failed cells");
-    for (cell, error) in &report.failures {
-        table.row(vec![cell.clone(), error.clone()]);
-    }
-    println!("{table}");
-    Err(CliError::CampaignCells {
-        failed: report.failures.iter().map(|(c, _)| c.clone()).collect(),
-    })
 }
 
 /// A workload that never finishes an iteration — only a deadline or fuel
@@ -2525,9 +2512,13 @@ mod tests {
         dispatch(&parse_args(&argv(&base)).unwrap()).unwrap();
         let opened = rigor_store::Store::open(&store).unwrap();
         assert_eq!(opened.len(), 4, "every cell becomes one archived run");
-        // Rerunning the same grid is a no-op: every cell is already archived.
+        // Rerunning the same grid is a new campaign: it archives its own
+        // four runs, at the seqs after the first campaign's.
         dispatch(&parse_args(&argv(&base)).unwrap()).unwrap();
-        assert_eq!(rigor_store::Store::open(&store).unwrap().len(), 4);
+        let reopened = rigor_store::Store::open(&store).unwrap();
+        let mut seqs: Vec<u64> = reopened.runs().map(|r| r.seq).collect();
+        seqs.sort_unstable();
+        assert_eq!(seqs, (0..8).collect::<Vec<u64>>());
         std::fs::remove_dir_all(&dir).ok();
     }
 

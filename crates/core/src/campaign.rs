@@ -345,11 +345,14 @@ pub struct CellReceipt {
 /// `SharedStore` (the archive behind a writer lock) and `rigor-serve`'s
 /// `RemoteStore`; [`MemorySink`] is the in-process stand-in for tests.
 ///
-/// Contract: `archive_cell` must be **idempotent** — archiving a cell that
-/// is already present returns the existing receipt instead of appending a
-/// duplicate — and callers may invoke it from many threads at once. A sink
-/// archives everything the cell carries, its precision included, and its
-/// receipts hand that precision back.
+/// Contract: `archive_cell` must be **idempotent for the same record** —
+/// archiving a cell whose run (same content, so same seq and label) is
+/// already present returns the existing receipt instead of appending a
+/// duplicate — and callers may invoke it from many threads at once. A cell
+/// is its [`Cell::seq`]: a repeat of a campaign, whose cells carry the same
+/// labels at new seqs, archives new runs, and a cell whose seq other
+/// content holds fails. A sink archives everything the cell carries, its
+/// precision included, and its receipts hand that precision back.
 pub trait CellSink: Send + Sync {
     /// Durably stores a completed cell's measurement, under the cell's
     /// config and with its precision, and returns its receipt.
@@ -363,8 +366,9 @@ pub trait CellSink: Send + Sync {
         measurement: &BenchmarkMeasurement,
     ) -> Result<CellReceipt, String>;
 
-    /// The receipt of `cell` if an earlier (possibly killed) campaign
-    /// already archived it — the resume authority.
+    /// The receipt of the run at `cell`'s seq, if it carries the cell's
+    /// label: the cell as an earlier (possibly killed) run of the same
+    /// campaign archived it — the resume authority.
     ///
     /// # Errors
     ///

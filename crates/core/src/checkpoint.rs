@@ -2,7 +2,7 @@
 //! experiment resumes where it stopped instead of restarting.
 //!
 //! Format: one JSON object per line. The first line is a *meta* line
-//! identifying the experiment (benchmark, engine, seed, shape); every
+//! identifying the experiment (benchmark, engine, seed, shape, size); every
 //! subsequent line is either a completed [`InvocationRecord`] or a
 //! [`CensoredInvocation`]:
 //!
@@ -24,6 +24,7 @@ use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::path::Path;
 
+use rigor_workloads::verify::size_label;
 use serde::json::{get_field, DeError, JsonValue};
 use serde::{Deserialize, Serialize};
 
@@ -53,6 +54,10 @@ pub struct JournalMeta {
     pub invocations: u32,
     /// Requested iterations per invocation.
     pub iterations: u32,
+    /// Workload size preset label (`"small"` / `"default"` / `"large"`).
+    /// A journal written before the field cannot prove its size: it does
+    /// not load.
+    pub size: String,
 }
 
 impl JournalMeta {
@@ -64,6 +69,7 @@ impl JournalMeta {
             experiment_seed: config.experiment_seed,
             invocations: config.invocations,
             iterations: config.iterations,
+            size: size_label(config.size).to_string(),
         }
     }
 }
@@ -257,6 +263,7 @@ mod tests {
             experiment_seed: 7,
             invocations: 4,
             iterations: 3,
+            size: "default".into(),
         }
     }
 
@@ -393,6 +400,17 @@ mod tests {
              \"engine\":\"interp\",\"experiment_seed\":1,\"invocations\":1,\"iterations\":1}\n";
         let err = Journal::parse(wrong_version).unwrap_err().to_string();
         assert!(err.contains("unsupported version 99"), "{err}");
+    }
+
+    #[test]
+    fn a_meta_line_without_a_size_is_refused_by_name() {
+        // Written before the meta line recorded the size: nothing proves
+        // which size its records were measured at.
+        let text = "{\"journal\":\"rigor-checkpoint\",\"version\":1,\"benchmark\":\"sieve\",\
+                    \"engine\":\"interp\",\"experiment_seed\":7,\"invocations\":4,\
+                    \"iterations\":3}\n";
+        let err = Journal::parse(text).unwrap_err().to_string();
+        assert!(err.contains("`size`"), "{err}");
     }
 
     #[test]

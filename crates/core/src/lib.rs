@@ -115,7 +115,7 @@ pub use steady::{
 };
 pub use telemetry::{
     parse_trace, CollectingObserver, ExperimentEvent, ExperimentObserver, JsonlTraceObserver,
-    NullObserver, ParsedTrace, ProgressObserver,
+    ParsedTrace, ProgressObserver,
 };
 pub use trend::{
     analyze_trend, analyze_trends, BenchmarkTrend, Changepoint, Penalty, ShiftDirection,

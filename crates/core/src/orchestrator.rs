@@ -61,6 +61,9 @@ pub struct CampaignReport {
     pub fingerprint: String,
     /// Cells in the grid.
     pub total: usize,
+    /// The seq of grid cell 0: cell `i` is archived at `seq_base + i`,
+    /// where an export finds it.
+    pub seq_base: u64,
     /// Cells skipped because a previous (interrupted) run had already
     /// archived them.
     pub skipped: usize,
@@ -69,7 +72,7 @@ pub struct CampaignReport {
     /// Canonical ids of executed cells whose measurement was quarantined.
     pub quarantined: Vec<String>,
     /// Cells that failed (canonical id, error) — compile-class measurement
-    /// errors or sink failures; not archived, so a rerun retries them.
+    /// errors or sink failures; not archived, so a resume retries them.
     pub failures: Vec<(String, String)>,
     /// Cells left unscheduled (a [`Campaign::max_cells`] budget ran out).
     pub remaining: usize,
@@ -295,6 +298,7 @@ impl Campaign {
         Ok(CampaignReport {
             fingerprint,
             total,
+            seq_base,
             skipped,
             ..report
         })
@@ -372,7 +376,7 @@ impl Campaign {
                     None => leftover.push(cell.index),
                     Some(Err(e)) => {
                         // A failed re-measurement drops the cell from the
-                        // campaign (recorded in `failures`); a rerun
+                        // campaign (recorded in `failures`); a resume
                         // retries it.
                         run.fail(&cell, e);
                         estimates.remove(&cell.index);

@@ -841,4 +841,23 @@ mod tests {
         assert!(r.is_err());
         std::fs::remove_file(&path).ok();
     }
+
+    #[test]
+    fn a_journal_of_another_size_is_rejected() {
+        let path = std::env::temp_dir().join(format!(
+            "rigor-runner-other-size-{}.jsonl",
+            std::process::id()
+        ));
+        let w = find("sieve").unwrap();
+        runner(quick_config()).journal(&path).measure(&w).unwrap();
+        // Another size runs another program: the journaled records are not
+        // invocations of this experiment.
+        let journal = Journal::load(&path).unwrap();
+        let err = runner(quick_config().with_size(Size::Default))
+            .resume(journal)
+            .measure(&w)
+            .unwrap_err();
+        assert!(err.to_string().contains("size: \"small\""), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
 }

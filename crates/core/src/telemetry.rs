@@ -490,15 +490,6 @@ pub(crate) fn with_events<T>(
     })
 }
 
-/// Ignores every event. Useful as an explicit "no telemetry" default and in
-/// tests that need an observer wired but silent.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullObserver;
-
-impl ExperimentObserver for NullObserver {
-    fn on_event(&self, _event: &ExperimentEvent) {}
-}
-
 /// Collects every event into memory, in arrival order. Thread-safe; the
 /// backbone of telemetry tests.
 #[derive(Debug, Default)]
@@ -1186,13 +1177,5 @@ mod tests {
         }
         // State is reset after ExperimentFinished.
         assert!(p.state.lock().unwrap().is_none());
-    }
-
-    #[test]
-    fn null_observer_ignores_everything() {
-        let n = NullObserver;
-        for ev in sample_events() {
-            n.on_event(&ev);
-        }
     }
 }

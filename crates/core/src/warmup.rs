@@ -1,11 +1,11 @@
 //! Warmup classification (the Barrett et al. taxonomy, adapted).
 //!
-//! Each per-invocation iteration series is classified by the shape of its
-//! changepoint segmentation; a benchmark-level classification aggregates the
+//! Each per-invocation iteration series is classified by where the
+//! steady-state detector finds its steady state and by the shape of the
+//! prefix before it; a benchmark-level classification aggregates the
 //! per-invocation verdicts (an *inconsistent* benchmark warms up in some
 //! invocations and not others — itself a methodology hazard).
 
-use rigor_stats::changepoint::{merge_equivalent, segment, Segment, SegmentConfig};
 use serde::{Deserialize, Serialize};
 
 use crate::steady::{tail_profile, SteadyState, SteadyStateDetector};
@@ -39,13 +39,8 @@ impl WarmupClass {
 /// Parameters of the classifier.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WarmupClassifier {
-    /// Segmentation parameters (used by the segment-based path).
-    pub segment_config: SegmentConfig,
     /// Relative tolerance for "same level" comparisons (0.01 = 1%).
     pub tolerance: f64,
-    /// Minimum fraction of the series the final segment must cover to count
-    /// as a steady tail.
-    pub min_tail_frac: f64,
     /// Detector whose steady verdict drives the classification.
     pub detector: SteadyStateDetector,
 }
@@ -53,9 +48,7 @@ pub struct WarmupClassifier {
 impl Default for WarmupClassifier {
     fn default() -> Self {
         WarmupClassifier {
-            segment_config: SegmentConfig::default(),
             tolerance: 0.01,
-            min_tail_frac: 0.25,
             detector: SteadyStateDetector::robust_tail(),
         }
     }
@@ -118,48 +111,6 @@ impl WarmupClassifier {
         if prefix_level > reference * (1.0 + self.tolerance) {
             WarmupClass::Warmup
         } else if prefix_level < reference * (1.0 - self.tolerance) {
-            WarmupClass::Slowdown
-        } else {
-            WarmupClass::Flat
-        }
-    }
-
-    /// Classifies via changepoint segmentation (the alternative path, kept
-    /// for detector-comparison experiments).
-    pub fn classify_by_segments(&self, times: &[f64]) -> WarmupClass {
-        let cleaned = rigor_stats::despike(times, 8.0);
-        let segs = merge_equivalent(
-            &segment(&cleaned, &self.segment_config),
-            crate::steady::SEGMENT_MERGE_TOL,
-        );
-        self.classify_segments(&segs, times.len())
-    }
-
-    /// Classifies from precomputed segments (exposed for the experiments that
-    /// also want the segment structure itself).
-    pub fn classify_segments(&self, segs: &[Segment], series_len: usize) -> WarmupClass {
-        if segs.len() <= 1 {
-            return WarmupClass::Flat;
-        }
-        let last = segs.last().expect("non-empty");
-        if (last.len() as f64) < self.min_tail_frac * series_len as f64 {
-            return WarmupClass::NoSteadyState;
-        }
-        let first = segs.first().expect("non-empty");
-        let tol = self.tolerance;
-        // The final level must also be the *best* level (within tolerance);
-        // a series that dips fast then regresses has no steady state in the
-        // "converged to its good state" sense.
-        let min_mean = segs.iter().map(|s| s.mean).fold(f64::INFINITY, f64::min);
-        if last.mean > min_mean * (1.0 + 4.0 * tol) && last.mean > first.mean * (1.0 + tol) {
-            return WarmupClass::Slowdown;
-        }
-        if last.mean > min_mean * (1.0 + 4.0 * tol) {
-            return WarmupClass::NoSteadyState;
-        }
-        if last.mean < first.mean * (1.0 - tol) {
-            WarmupClass::Warmup
-        } else if last.mean > first.mean * (1.0 + tol) {
             WarmupClass::Slowdown
         } else {
             WarmupClass::Flat

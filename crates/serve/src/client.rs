@@ -593,19 +593,13 @@ impl RemoteStore {
         self.parse(&resp)
     }
 
-    /// Appends `record` to the spool unless a record with the same label
-    /// is already there (idempotent, like the server).
+    /// Spools `record` through [`Store::put`], the server's own rule.
     fn spool_append(&self, record: &RunRecord) -> Result<usize, RemoteError> {
         let mut guard = self.spool.lock().expect("spool lock");
         let spool = guard.as_mut().ok_or_else(|| RemoteError::NoSpool {
             url: self.url.clone(),
         })?;
-        let label = record.label.as_deref();
-        if !spool.runs().any(|r| r.label.as_deref() == label) {
-            spool
-                .append_record(record.clone())
-                .map_err(RemoteError::Spool)?;
-        }
+        spool.put(record.clone()).map_err(RemoteError::Spool)?;
         Ok(spool.len())
     }
 
@@ -702,19 +696,26 @@ impl CellSink for RemoteStore {
         Ok(server.max(spool.as_ref().map_or(0, Store::next_seq)))
     }
 
+    /// The run at the cell's seq with the cell's label, in the spool or
+    /// on the server. A receipt at another seq is not the cell's: a server
+    /// that answers by label alone may name an earlier campaign's run.
     fn completed_cell(&self, cell: &Cell) -> Result<Option<CellReceipt>, String> {
         let label = cell.id.canonical();
         // The spool is authoritative for anything not yet delivered.
         {
             let guard = self.spool.lock().expect("spool lock");
             if let Some(spool) = guard.as_ref() {
-                if let Some(r) = spool.find_label(&label) {
+                if let Some(r) = spool.runs().find(|r| r.is_cell(cell.seq, &label)) {
                     return Ok(Some(r.receipt()));
                 }
             }
         }
-        match self.exchange(&label, "GET", &format!("/completed?label={label}"), "") {
-            Ok((200, body)) => self.parse(&body).map(Some).map_err(|e| e.to_string()),
+        let path = format!("/completed?seq={}&label={label}", cell.seq);
+        match self.exchange(&label, "GET", &path, "") {
+            Ok((200, body)) => self
+                .parse::<CellReceipt>(&body)
+                .map(|receipt| Some(receipt).filter(|r| r.seq == cell.seq))
+                .map_err(|e| e.to_string()),
             Ok(_) => Ok(None),
             // Unknown is safe: cells re-execute idempotently.
             Err(_) => Ok(None),
@@ -725,6 +726,7 @@ impl CellSink for RemoteStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::{read_request, write_response};
     use crate::server::ArchiveServer;
     use rigor::campaign::CampaignSpec;
     use rigor::measurement::BenchmarkMeasurement;
@@ -907,6 +909,32 @@ mod tests {
         join.join().unwrap();
         std::fs::remove_dir_all(&spool_dir).ok();
         std::fs::remove_dir_all(&store_dir).ok();
+    }
+
+    #[test]
+    fn a_receipt_at_another_seq_is_not_the_cells() {
+        // A server that answers `/completed` by label alone, as earlier
+        // versions did, names the first run with the label wherever it is.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let url = listener.local_addr().unwrap().to_string();
+        let server = thread::spawn(move || {
+            for _ in 0..2 {
+                let (mut stream, _) = listener.accept().unwrap();
+                read_request(&mut stream).unwrap();
+                let receipt = "{\"run_id\":\"0123456789abcdef\",\"seq\":0}";
+                write_response(&mut stream, 200, "application/json", receipt).unwrap();
+            }
+        });
+        let client = fast_client(&url);
+        let mut cell = cells().remove(0);
+        assert_eq!(
+            client.completed_cell(&cell).unwrap().map(|r| r.seq),
+            Some(0)
+        );
+        // The same cell of a repeated campaign, at seq 4, is not archived.
+        cell.seq = 4;
+        assert_eq!(client.completed_cell(&cell).unwrap(), None);
+        server.join().unwrap();
     }
 
     #[test]

@@ -4,12 +4,13 @@
 //!
 //! One request per connection (`Connection: close`), bodies delimited by
 //! `Content-Length`, everything UTF-8. Both sides enforce size caps so a
-//! garbage peer cannot make the other buffer unbounded input.
+//! garbage peer cannot make the other buffer unbounded input. The codec
+//! reads and writes any byte stream: the server and the client hand it
+//! their `TcpStream`s.
 
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
 
-/// Largest accepted header block, bytes.
+/// Largest accepted header block (the bytes before the blank line).
 const MAX_HEAD: usize = 16 * 1024;
 /// Largest accepted body, bytes (an archive of a few thousand runs).
 const MAX_BODY: usize = 64 * 1024 * 1024;
@@ -43,16 +44,22 @@ fn protocol_err(msg: impl Into<String>) -> io::Error {
 
 /// Reads from `stream` until the header/body separator, then reads the
 /// `Content-Length` body. Returns the parsed head text and body bytes.
-fn read_message(stream: &mut TcpStream) -> io::Result<(String, String)> {
+fn read_message(stream: &mut impl Read) -> io::Result<(String, String)> {
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 4096];
+    // No separator starts before `scanned`, so each read is searched once,
+    // however few bytes a peer sends at a time.
+    let mut scanned = 0;
     let head_end = loop {
-        if let Some(pos) = find_head_end(&buf) {
-            break pos;
+        // The separator of a head within the cap starts at MAX_HEAD at
+        // the latest.
+        if let Some(pos) = find_head_end(&buf[scanned..buf.len().min(MAX_HEAD + 4)]) {
+            break scanned + pos;
         }
-        if buf.len() > MAX_HEAD {
+        if buf.len() >= MAX_HEAD + 4 {
             return Err(protocol_err("header block exceeds 16 KiB"));
         }
+        scanned = buf.len().saturating_sub(3);
         let n = stream.read(&mut chunk)?;
         if n == 0 {
             return Err(protocol_err("connection closed before header end"));
@@ -98,7 +105,7 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
 ///
 /// I/O failures (including read timeouts) and malformed requests
 /// (`InvalidData`).
-pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
+pub fn read_request(stream: &mut impl Read) -> io::Result<Request> {
     let (head, body) = read_message(stream)?;
     let request_line = head.lines().next().unwrap_or_default();
     let mut parts = request_line.split_whitespace();
@@ -152,7 +159,7 @@ fn reason(status: u16) -> &'static str {
 ///
 /// I/O failures (including write timeouts).
 pub fn write_response(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     status: u16,
     content_type: &str,
     body: &str,
@@ -173,7 +180,7 @@ pub fn write_response(
 ///
 /// I/O failures (including write timeouts).
 pub fn write_request(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     method: &str,
     path: &str,
     body: &str,
@@ -193,7 +200,7 @@ pub fn write_request(
 ///
 /// I/O failures (including read timeouts) and non-HTTP responses
 /// (`InvalidData`) — a garbage-speaking peer is detected here.
-pub fn read_response(stream: &mut TcpStream) -> io::Result<(u16, String)> {
+pub fn read_response(stream: &mut impl Read) -> io::Result<(u16, String)> {
     let (head, body) = read_message(stream)?;
     let status_line = head.lines().next().unwrap_or_default();
     let mut parts = status_line.split_whitespace();
@@ -210,7 +217,7 @@ pub fn read_response(stream: &mut TcpStream) -> io::Result<(u16, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
+    use std::net::{TcpListener, TcpStream};
     use std::thread;
 
     #[test]

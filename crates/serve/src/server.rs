@@ -7,7 +7,9 @@
 //! |-------------------|--------------------------------------------------------|
 //! | `GET /health`     | liveness + run count                                   |
 //! | `GET /seq`        | next free sequence number                              |
-//! | `GET /completed`  | `?label=` → the run's receipt, with precision, or 404  |
+//! | `GET /completed`  | `?seq=&label=` → the receipt, with precision, of the   |
+//! |                   | run at that seq with that label, or 404; `?label=`     |
+//! |                   | alone: of the first run with that label                |
 //! | `PUT /runs`       | idempotent upload of one record line                   |
 //! | `GET /history`    | the archive as integrity-checked record lines (JSONL); |
 //! |                   | `?last=N`: the N runs with the highest seqs            |
@@ -18,9 +20,10 @@
 //! [`check`] and [`trend`] compute; the CLI calls the same two functions
 //! over a local store.
 //!
-//! `PUT /runs` is idempotent by the 128-bit content id: replaying an upload
-//! (a client that never saw its ack, a spool replayed after reconnect)
-//! dedups server-side, so the archive converges to the same line set as an
+//! `PUT /runs` is [`Store::put`], the rule of every archive writer: it is
+//! idempotent by the 128-bit content id, so replaying an upload (a client
+//! that never saw its ack, a spool replayed after reconnect) dedups
+//! server-side and the archive converges to the same line set as an
 //! uninterrupted local run. A `seq` already held by *different* content is
 //! a 409 — first writer wins, the loser re-fetches `/seq`.
 //!
@@ -449,8 +452,15 @@ fn route(req: &Request, store: &Mutex<Store>) -> Response {
             let Some(label) = req.query_param("label") else {
                 return bad_request("missing `label` query parameter");
             };
+            let Ok(seq) = req.query_param("seq").map(str::parse::<u64>).transpose() else {
+                return bad_request("bad `seq` query parameter");
+            };
             let store = store.lock().expect("store lock");
-            match store.find_label(label) {
+            let run = match seq {
+                Some(seq) => store.runs().find(|r| r.is_cell(seq, label)),
+                None => store.runs().find(|r| r.label.as_deref() == Some(label)),
+            };
+            match run {
                 Some(r) => ok_json(&r.receipt()),
                 None => error(404, "no run with that label"),
             }
@@ -477,41 +487,27 @@ fn route(req: &Request, store: &Mutex<Store>) -> Response {
     }
 }
 
-/// Idempotent upload of one record line. Dedup key: the content id.
+/// Upload of one record line through [`Store::put`]: the held run's
+/// receipt for content the archive holds, a 409 naming the run that holds
+/// the record's seq, or the appended run's receipt.
 fn put_run(req: &Request, store: &Mutex<Store>) -> Response {
     let record = match rigor_store::parse_record_line(&req.body) {
         Ok(r) => r,
         Err(e) => return bad_request(&format!("rejected upload: {e}")),
     };
-    // Check-then-append under the one writer lock, the same discipline as
-    // `SharedStore::archive_cell`.
-    let mut store = store.lock().expect("store lock");
-    if let Some(existing) = store.runs().find(|r| r.id == record.id) {
-        return ok_json(&Uploaded {
-            run_id: existing.id.clone(),
-            seq: existing.seq,
-            deduped: true,
-        });
-    }
-    if let Some(clash) = store.runs().find(|r| r.seq == record.seq) {
-        return json_response(
+    match store.lock().expect("store lock").put(record) {
+        Ok((run, deduped)) => ok_json(&Uploaded {
+            run_id: run.id.clone(),
+            seq: run.seq,
+            deduped,
+        }),
+        Err(e @ StoreError::Conflict { seq, .. }) => json_response(
             409,
             &ErrorBody {
-                error: format!(
-                    "seq {} is already held by run {} with different content",
-                    record.seq,
-                    clash.short_id()
-                ),
-                seq: Some(record.seq),
+                error: e.to_string(),
+                seq: Some(seq),
             },
-        );
-    }
-    match store.append_record(record) {
-        Ok(r) => ok_json(&Uploaded {
-            run_id: r.id.clone(),
-            seq: r.seq,
-            deduped: false,
-        }),
+        ),
         Err(e) => error(500, &e.to_string()),
     }
 }

@@ -77,6 +77,13 @@ pub enum StoreError {
     },
     /// The archive holds no runs yet.
     Empty,
+    /// A record's seq is held by a run with other content ([`Store::put`]).
+    Conflict {
+        /// The contested seq.
+        seq: u64,
+        /// The short id of the run that holds it.
+        held_by: String,
+    },
 }
 
 impl fmt::Display for StoreError {
@@ -107,6 +114,10 @@ impl fmt::Display for StoreError {
             StoreError::Empty => write!(
                 f,
                 "the archive holds no runs yet (run `rigor archive` first)"
+            ),
+            StoreError::Conflict { seq, held_by } => write!(
+                f,
+                "seq {seq} is already held by run {held_by} with different content"
             ),
         }
     }
@@ -411,11 +422,6 @@ impl Store {
         newest(&self.runs, n.max(1))
     }
 
-    /// The run labelled exactly `label`, if any.
-    pub fn find_label(&self, label: &str) -> Option<&RunRecord> {
-        self.runs.iter().find(|r| r.label.as_deref() == Some(label))
-    }
-
     /// Finds a run by id prefix (at least one hex character) or exact
     /// label.
     ///
@@ -448,15 +454,16 @@ impl Store {
         self.append_record(RunRecord::new(self.next_seq, label, config, measurements))
     }
 
-    /// Archives a fully-formed record verbatim, under its own seq: a
-    /// campaign cell's ([`RunRecord::for_cell`], at the campaign's seq base
-    /// plus the cell's grid index, so its line is byte-identical whatever
-    /// order concurrent workers finish in), or a run that arrived over the
-    /// wire (`rigor serve`), whose id was recomputed from its canonical
-    /// payload when it was parsed ([`RunRecord::from_payload`]), so the
-    /// line written here is byte-identical to the one the originating
-    /// client would have written locally. One line write plus one fsync,
-    /// whatever the archive's length.
+    /// Archives a fully-formed record verbatim, under its own seq, checking
+    /// nothing ([`Store::put`] is the checked form): a campaign cell's
+    /// ([`RunRecord::for_cell`], at the campaign's seq base plus the cell's
+    /// grid index, so its line is byte-identical whatever order concurrent
+    /// workers finish in), or a run that arrived over the wire (`rigor
+    /// serve`), whose id was recomputed from its canonical payload when it
+    /// was parsed ([`RunRecord::from_payload`]), so the line written here
+    /// is byte-identical to the one the originating client would have
+    /// written locally. One line write plus one fsync, whatever the
+    /// archive's length.
     ///
     /// # Errors
     ///
@@ -492,6 +499,30 @@ impl Store {
         self.torn = false;
         self.push(record);
         Ok(self.runs.last().expect("just pushed"))
+    }
+
+    /// Archives `record` unless the archive holds it: the one
+    /// check-then-append of every writer of whole records (campaign cells,
+    /// `PUT /runs`, the client's spool). Held content returns the held run
+    /// with `true`; a seq held by other content is
+    /// [`StoreError::Conflict`], first writer wins; anything else is
+    /// appended ([`Store::append_record`]) and returned with `false`.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Conflict`] and I/O failures.
+    pub fn put(&mut self, record: RunRecord) -> Result<(&RunRecord, bool), StoreError> {
+        if let Some(held) = self.runs.iter().position(|r| r.id == record.id) {
+            return Ok((&self.runs[held], true));
+        }
+        if let Some(held) = self.runs.iter().find(|r| r.seq == record.seq) {
+            let held_by = held.short_id().to_string();
+            return Err(StoreError::Conflict {
+                seq: record.seq,
+                held_by,
+            });
+        }
+        self.append_record(record).map(|run| (run, false))
     }
 
     /// Re-reads the journal from disk and integrity-checks every line
@@ -912,6 +943,39 @@ mod tests {
             let after = std::fs::metadata(&path).unwrap().modified().unwrap();
             assert_eq!(after, modified);
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn put_holds_each_content_once_and_each_seq_for_its_first_writer() {
+        let dir = temp_store("put");
+        let mut store = Store::open(&dir).unwrap();
+        let cell = |seq, label: &str| {
+            let label = Some(label.to_string());
+            RunRecord::new(seq, label, &config(), vec![measurement("a", 1.0)])
+        };
+        let (run, held) = store.put(cell(0, "a/interp/3x3/1")).unwrap();
+        assert_eq!((run.seq, held), (0, false));
+        let id = run.id.clone();
+        // The same record again is the held run.
+        let (run, held) = store.put(cell(0, "a/interp/3x3/1")).unwrap();
+        assert_eq!((run.id.as_str(), held), (id.as_str(), true));
+        // The same label at a new seq (a repeated campaign) is a new run.
+        let (run, held) = store.put(cell(1, "a/interp/3x3/1")).unwrap();
+        assert_eq!((run.seq, held), (1, false));
+        assert_ne!(run.id, id);
+        // Other content at a held seq is refused, naming the holder.
+        let err = store.put(cell(0, "b/interp/3x3/1")).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "seq 0 is already held by run {} with different content",
+                &id[..12]
+            )
+        );
+        assert!(matches!(err, StoreError::Conflict { seq: 0, .. }));
+        assert_eq!(store.len(), 2);
+        assert_eq!(Store::open(&dir).unwrap().len(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -70,37 +70,44 @@ pub fn trend_report(
     analyze_trends(&histories, config)
 }
 
-/// Pools, per benchmark, the measurements of the runs in the *current
-/// segment* ([`current_segment`]) — the final constant-level stretch of
-/// that benchmark's trend — into one baseline sample.
+/// Pools, per benchmark and engine, the measurements of the runs in the
+/// *current segment* ([`current_segment`]) — the final constant-level
+/// stretch of that series' trend — into one baseline sample.
 ///
 /// This is the `--baseline segment` source for the regression gate: it
-/// widens the baseline to every run since the benchmark's level last
-/// shifted, instead of a fixed last-N window that may straddle an old
-/// level. Benchmarks whose history is too short to segment fall back to
-/// pooling their entire history.
+/// widens the baseline to every run since the series' level last shifted,
+/// instead of a fixed last-N window that may straddle an old level. Each
+/// engine is its own series, so an archive holding both never segments an
+/// interleaved interpreter/JIT history. Series too short to segment fall
+/// back to pooling their entire history.
 pub fn segment_baseline(
     store: &Store,
     detector: &SteadyStateDetector,
     config: &TrendConfig,
 ) -> Vec<BenchmarkMeasurement> {
-    let mut baseline: Vec<BenchmarkMeasurement> = Vec::new();
-    for name in benchmark_names(store) {
-        // The per-run measurement list, kept in lock-step with the trend
-        // points so segment run indices map back to measurements.
-        let mut measurements: Vec<&BenchmarkMeasurement> = Vec::new();
-        let mut points: Vec<TrendPoint> = Vec::new();
-        for run in store.runs() {
-            if let Some(p) = point_of(run, &name, detector) {
-                points.push(p);
-                measurements.push(run.benchmark(&name).expect("point implies measurement"));
-            }
+    let mut series: Vec<(&str, &str)> = Vec::new();
+    for m in store.runs().flat_map(|run| &run.measurements) {
+        if !series.contains(&(&m.benchmark, &m.engine)) {
+            series.push((&m.benchmark, &m.engine));
         }
-        let slices: Vec<&[BenchmarkMeasurement]> = measurements[current_segment(&points, config)]
-            .iter()
-            .map(|m| std::slice::from_ref(*m))
-            .collect();
-        baseline.extend(pool_measurements(&slices));
+    }
+    let mut baseline: Vec<BenchmarkMeasurement> = Vec::new();
+    for (name, engine) in series {
+        // Each trend point with its run's measurement, so the segment's
+        // run indices map back to measurements.
+        let (points, runs): (Vec<TrendPoint>, Vec<&[BenchmarkMeasurement]>) = store
+            .runs()
+            .filter_map(|run| {
+                let m = run
+                    .measurements
+                    .iter()
+                    .find(|m| m.benchmark == name && m.engine == engine)?;
+                let label = run.label.as_deref();
+                let point = TrendPoint::from_measurement(run.seq, &run.id, label, m, detector)?;
+                Some((point, std::slice::from_ref(m)))
+            })
+            .unzip();
+        baseline.extend(pool_measurements(&runs[current_segment(&points, config)]));
     }
     baseline
 }
@@ -244,6 +251,35 @@ mod tests {
         assert_eq!(baseline[0].invocations.len(), 12);
         let level = baseline[0].invocations[0].iteration_ns[0];
         assert!(level > 120.0, "pooled from the new level, got {level}");
+        std::fs::remove_dir_all(store.dir()).ok();
+    }
+
+    #[test]
+    fn segment_baseline_segments_each_engine_apart() {
+        // A campaign's grid: five interpreter runs, then three JIT runs of
+        // the same benchmark. Segmented as one series, the current segment
+        // would hold only the JIT runs and gate the interpreter against
+        // them.
+        let mut store = tmp_store("engines");
+        let config = ExperimentConfig::interp();
+        for _ in 0..5 {
+            store
+                .append(None, &config, vec![measurement("a", 100.0, 4)])
+                .unwrap();
+        }
+        for _ in 0..3 {
+            let mut jit = measurement("a", 40.0, 4);
+            jit.engine = "jit".into();
+            store.append(None, &config, vec![jit]).unwrap();
+        }
+        let det = SteadyStateDetector::default();
+        let baseline = segment_baseline(&store, &det, &TrendConfig::default());
+        let engines: Vec<(&str, usize)> = baseline
+            .iter()
+            .map(|m| (m.engine.as_str(), m.invocations.len()))
+            .collect();
+        assert_eq!(engines, vec![("interp", 20), ("jit", 12)]);
+        assert!(baseline[0].invocations[0].iteration_ns[0] >= 100.0);
         std::fs::remove_dir_all(store.dir()).ok();
     }
 

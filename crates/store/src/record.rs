@@ -5,7 +5,7 @@
 use rigor::campaign::{Cell, CellPrecision, CellReceipt};
 use rigor::measurement::BenchmarkMeasurement;
 use rigor::ExperimentConfig;
-use rigor_workloads::Size;
+use rigor_workloads::verify::size_label;
 use serde::json::{get_field, DeError, JsonValue};
 use serde::{Deserialize, Serialize};
 
@@ -32,15 +32,6 @@ pub struct ConfigFingerprint {
     pub seed: u64,
     /// Confidence level the experiment was configured with.
     pub confidence: f64,
-}
-
-/// The stable label of a size preset.
-fn size_label(size: Size) -> &'static str {
-    match size {
-        Size::Small => "small",
-        Size::Default => "default",
-        Size::Large => "large",
-    }
 }
 
 impl ConfigFingerprint {
@@ -163,6 +154,13 @@ impl RunRecord {
             Some(precision) => record.with_precision(precision.clone()),
             None => record,
         }
+    }
+
+    /// True when this is the run of the campaign cell at `seq` labelled
+    /// `label`. A cell is found by its seq: a repeat of its campaign
+    /// labels its cells alike, at seqs of their own.
+    pub fn is_cell(&self, seq: u64, label: &str) -> bool {
+        self.seq == seq && self.label.as_deref() == Some(label)
     }
 
     /// The campaign receipt of this run: its id, seq and precision.

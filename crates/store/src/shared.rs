@@ -11,9 +11,10 @@
 //! campaign from the same starting archive always hold the same content-id
 //! *set*.
 //!
-//! Idempotency: the completed-check and the append happen under one lock
+//! Idempotency: a cell is archived through [`Store::put`] under one lock
 //! acquisition, so a cell replayed in a crash-recovery window is returned
-//! its existing receipt instead of being appended twice.
+//! its existing receipt instead of being appended twice, and a cell whose
+//! seq another run took fails with the conflict `rigor serve` answers.
 
 use std::sync::Mutex;
 
@@ -68,22 +69,17 @@ impl CellSink for SharedStore {
         measurement: &BenchmarkMeasurement,
     ) -> Result<CellReceipt, String> {
         let mut store = self.store.lock().expect("store lock poisoned");
-        // Check-then-append under one lock: replays return the original
-        // receipt instead of duplicating the run.
-        if let Some(existing) = store.find_label(&cell.id.canonical()) {
-            return Ok(existing.receipt());
-        }
         store
-            .append_record(RunRecord::for_cell(cell, measurement))
-            .map(RunRecord::receipt)
+            .put(RunRecord::for_cell(cell, measurement))
+            .map(|(run, _)| run.receipt())
             .map_err(|e| e.to_string())
     }
 
     fn completed_cell(&self, cell: &Cell) -> Result<Option<CellReceipt>, String> {
+        let label = cell.id.canonical();
         let store = self.store.lock().expect("store lock poisoned");
-        Ok(store
-            .find_label(&cell.id.canonical())
-            .map(RunRecord::receipt))
+        let run = store.runs().find(|r| r.is_cell(cell.seq, &label));
+        Ok(run.map(RunRecord::receipt))
     }
 
     fn seq_base(&self) -> Result<u64, String> {

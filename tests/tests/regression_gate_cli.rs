@@ -6,6 +6,8 @@
 use std::fs;
 use std::path::PathBuf;
 
+use rigor::campaign::CellSink;
+
 fn argv(s: &str) -> Vec<String> {
     s.split_whitespace().map(String::from).collect()
 }
@@ -518,6 +520,211 @@ fn last_baselines_select_the_newest_campaign_on_both_forms() {
     }
 }
 
+/// An archive's lines, sorted: two archives of the same runs compare equal
+/// whatever order their cells landed in.
+fn sorted_lines(dir: &std::path::Path) -> Vec<String> {
+    let text = fs::read_to_string(dir.join(rigor_store::ARCHIVE_FILE)).expect("archive");
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    lines.sort();
+    lines
+}
+
+/// A `rigor serve` over `dir` on a free port: its URL, stop handle and
+/// thread.
+fn serve(
+    dir: &std::path::Path,
+) -> (
+    String,
+    rigor_serve::ServerHandle,
+    std::thread::JoinHandle<()>,
+) {
+    fs::create_dir_all(dir).expect("served store dir");
+    let server = rigor_serve::ArchiveServer::bind("127.0.0.1:0", dir).expect("bind");
+    let handle = server.handle();
+    let url = handle.addr().to_string();
+    (
+        url,
+        handle,
+        std::thread::spawn(move || server.serve().expect("serve")),
+    )
+}
+
+/// The grid of the repeat and conflict scenarios: four interpreter cells.
+const GRID: &str = "campaign --benchmarks sieve,leibniz --engines interp --seeds 1,2 -n 2 -i 5 \
+                    --size small --workers 1 --quiet";
+
+/// Two campaigns that differ only in `--size` are two sets of runs: both
+/// land in the archive, locally and through `rigor serve`, and each
+/// `--json` exports its own measurements, as a campaign into a fresh store
+/// does.
+#[test]
+fn a_re_sized_campaign_archives_and_exports_its_own_runs_on_both_forms() {
+    let local = tmp_store("sized-local");
+    let served = tmp_store("sized-served");
+    let work = tmp_store("sized-work");
+    let fresh = tmp_store("sized-fresh");
+    fs::create_dir_all(&fresh).expect("fresh dir");
+    let (url, handle, join) = serve(&served);
+    let grid =
+        "campaign --benchmarks sieve --engines interp --seeds 1 -n 2 -i 5 --workers 1 --quiet";
+    for size in ["small", "default"] {
+        let mut exports = Vec::new();
+        for (side, target) in [
+            ("fresh", format!("--store {}", fresh.join(size).display())),
+            ("local", format!("--store {}", local.display())),
+            (
+                "served",
+                format!("--store-url {url} --store {}", work.display()),
+            ),
+        ] {
+            let json = fresh.join(format!("{size}-{side}.json"));
+            let command = format!("{grid} --size {size} {target} --json {}", json.display());
+            assert_eq!(rigor_cli::run(&argv(&command)), 0, "{command}");
+            exports.push(fs::read_to_string(&json).expect("export written"));
+        }
+        assert_eq!(exports[1], exports[0], "{size}: the local export");
+        assert_eq!(exports[2], exports[0], "{size}: the served export");
+    }
+    assert_eq!(rigor_store::Store::open(&local).expect("store").len(), 2);
+    assert_eq!(sorted_lines(&local), sorted_lines(&served));
+    handle.stop();
+    join.join().expect("server thread");
+    for dir in [&local, &served, &work, &fresh] {
+        fs::remove_dir_all(dir).ok();
+    }
+}
+
+/// A finished grid run again is a new campaign at new seqs: cut after its
+/// first cell and resumed with its own journal, it skips that cell and
+/// executes the other three, locally and through `rigor serve`, instead of
+/// taking the first campaign's cells for its own.
+#[test]
+fn a_repeated_campaign_resumes_its_own_cells_on_both_forms() {
+    let local = tmp_store("repeat-local");
+    let served = tmp_store("repeat-served");
+    let work = tmp_store("repeat-work");
+    let traces = tmp_store("repeat-traces");
+    fs::create_dir_all(&traces).expect("trace dir");
+    let (url, handle, join) = serve(&served);
+    for (side, target, dir) in [
+        ("local", format!("--store {}", local.display()), &local),
+        (
+            "served",
+            format!("--store-url {url} --store {}", work.display()),
+            &work,
+        ),
+    ] {
+        let journal = dir.join("campaign.jsonl");
+        let trace = traces.join(format!("{side}.jsonl"));
+        for run in [
+            String::new(),
+            "--max-cells 1".to_string(),
+            format!("--resume {} --trace {}", journal.display(), trace.display()),
+        ] {
+            let command = format!("{GRID} {target} {run}");
+            assert_eq!(rigor_cli::run(&argv(&command)), 0, "{command}");
+        }
+        let events = trace_events(&trace);
+        let resumed: Vec<&String> = events
+            .iter()
+            .filter(|e| e.contains("\"campaign_resumed\""))
+            .collect();
+        assert_eq!(resumed.len(), 1, "{side}");
+        assert!(
+            resumed[0].contains("\"completed\":1,"),
+            "{side}: {}",
+            resumed[0]
+        );
+        let executed = events
+            .iter()
+            .filter(|e| e.contains("\"cell_completed\""))
+            .count();
+        assert_eq!(executed, 3, "{side}");
+    }
+    assert_eq!(rigor_store::Store::open(&local).expect("store").len(), 8);
+    assert_eq!(sorted_lines(&local), sorted_lines(&served));
+    handle.stop();
+    join.join().expect("server thread");
+    for dir in [&local, &served, &work, &traces] {
+        fs::remove_dir_all(dir).ok();
+    }
+}
+
+/// A run archived between a campaign's cut and its resume takes the next
+/// seq, the one the campaign reserved for its second cell. The resume
+/// refuses that cell with the conflict `rigor serve` answers and exits 1,
+/// on both forms, and archives the other cells at their own seqs.
+#[test]
+fn a_seq_taken_before_the_resume_is_a_conflict_on_both_forms() {
+    let local = tmp_store("taken-local");
+    let served = tmp_store("taken-served");
+    let work = tmp_store("taken-work");
+    let (url, handle, join) = serve(&served);
+    for (target, archive, dir) in [
+        (
+            format!("--store {}", local.display()),
+            format!("--store {}", local.display()),
+            &local,
+        ),
+        (
+            format!("--store-url {url} --store {}", work.display()),
+            format!("--store-url {url}"),
+            &work,
+        ),
+    ] {
+        let journal = dir.join("campaign.jsonl");
+        for (command, code) in [
+            (format!("{GRID} {target} --max-cells 1"), 0),
+            (
+                format!("archive sieve -n 2 -i 5 --size small --quiet {archive}"),
+                0,
+            ),
+            (format!("{GRID} {target} --resume {}", journal.display()), 1),
+        ] {
+            assert_eq!(rigor_cli::run(&argv(&command)), code, "{command}");
+        }
+    }
+    assert_eq!(sorted_lines(&local), sorted_lines(&served));
+    let store = rigor_store::Store::open(&local).expect("store");
+    let mut seqs: Vec<(u64, Option<&str>)> =
+        store.runs().map(|r| (r.seq, r.label.as_deref())).collect();
+    seqs.sort();
+    assert_eq!(
+        seqs,
+        vec![
+            (0, Some("sieve/interp/2x5/1")),
+            (1, None),
+            (2, Some("leibniz/interp/2x5/1")),
+            (3, Some("leibniz/interp/2x5/2")),
+        ]
+    );
+
+    // What the resume met at seq 1, from either sink.
+    let held = store.runs().find(|r| r.seq == 1).expect("seq 1").short_id();
+    let conflict = format!("seq 1 is already held by run {held} with different content");
+    let base = rigor::ExperimentConfig::interp()
+        .with_invocations(2)
+        .with_iterations(5)
+        .with_size(rigor_workloads::Size::Small);
+    let cells = rigor::CampaignSpec::new(base)
+        .with_benchmarks(["sieve", "leibniz"])
+        .with_seeds(vec![1, 2])
+        .cells()
+        .expect("grid");
+    let measurement = store.latest().expect("a run").measurements[0].clone();
+    let local_sink = rigor_store::SharedStore::open(&local).expect("store");
+    let remote_sink = rigor_serve::RemoteStore::connect(&url);
+    for sink in [&local_sink as &dyn CellSink, &remote_sink] {
+        let err = sink.archive_cell(&cells[1], &measurement).unwrap_err();
+        assert!(err.ends_with(&conflict), "{err}");
+    }
+    handle.stop();
+    join.join().expect("server thread");
+    for dir in [&local, &served, &work] {
+        fs::remove_dir_all(dir).ok();
+    }
+}
+
 /// An adaptive campaign under a binding budget, cut after six measurement
 /// jobs and resumed, archives the same lines locally and through `rigor
 /// serve`: every cell with its precision, so the resume charges archived
@@ -553,12 +760,6 @@ fn a_resumed_adaptive_campaign_archives_the_same_precision_on_both_forms() {
             );
         }
     }
-    let sorted_lines = |dir: &std::path::Path| -> Vec<String> {
-        let text = fs::read_to_string(dir.join(rigor_store::ARCHIVE_FILE)).expect("archive");
-        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-        lines.sort();
-        lines
-    };
     assert_eq!(sorted_lines(&local), sorted_lines(&served));
     let store = rigor_store::Store::open(&served).expect("open served store");
     assert_eq!(store.len(), 4);
