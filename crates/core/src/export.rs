@@ -1,14 +1,12 @@
-//! Measurement export: CSV (long format) and JSON, both machine-readable
-//! in round trip — [`from_json`] / [`from_csv`] parse what [`to_json`] /
-//! [`to_csv`] write, and JSON carries a `schema_version` so archived
-//! records stay readable as the format evolves.
+//! Measurement export: CSV (long format) for downstream tooling, and JSON,
+//! which round-trips — [`from_json`] parses what [`to_json`] writes — and
+//! carries a `schema_version` so archived records stay readable as the
+//! format evolves.
 
 use serde::json::{get_field, DeError, JsonValue};
 use serde::{Deserialize, Serialize};
 
-use crate::measurement::{
-    BenchmarkMeasurement, CensoredInvocation, FailureKind, InvocationRecord, IterationCounters,
-};
+use crate::measurement::BenchmarkMeasurement;
 
 /// Version of the measurement export schema written by [`to_json`].
 ///
@@ -19,7 +17,7 @@ use crate::measurement::{
 /// * **v1** — `{"schema_version": 1, "measurements": [...]}`.
 pub const SCHEMA_VERSION: u32 = 1;
 
-/// The CSV header [`to_csv`] writes and [`from_csv`] requires.
+/// The CSV header [`to_csv`] writes.
 pub const CSV_HEADER: &str =
     "benchmark,engine,invocation,seed,iteration,virtual_ns,gc_cycles,jit_compiles,deopts,attempts,status";
 
@@ -72,194 +70,6 @@ pub fn to_csv(measurements: &[BenchmarkMeasurement]) -> String {
         }
     }
     out
-}
-
-/// A CSV line that could not be parsed back into measurements.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CsvError {
-    /// 1-based line number (0 for file-level problems).
-    pub line: usize,
-    /// What was wrong.
-    pub message: String,
-}
-
-impl CsvError {
-    fn new(line: usize, message: impl Into<String>) -> CsvError {
-        CsvError {
-            line,
-            message: message.into(),
-        }
-    }
-}
-
-impl std::fmt::Display for CsvError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.line == 0 {
-            write!(f, "bad measurement CSV: {}", self.message)
-        } else {
-            write!(
-                f,
-                "bad measurement CSV (line {}): {}",
-                self.line, self.message
-            )
-        }
-    }
-}
-
-impl std::error::Error for CsvError {}
-
-fn parse_col<T: std::str::FromStr>(line: usize, field: &str, name: &str) -> Result<T, CsvError> {
-    field
-        .parse()
-        .map_err(|_| CsvError::new(line, format!("bad {name} value `{field}`")))
-}
-
-/// Parses measurements back from the long-format CSV [`to_csv`] writes.
-///
-/// The CSV is the *iteration-level* view, so fields that only exist in
-/// JSON are reconstructed conservatively: `startup_ns` is 0, checksums are
-/// empty, per-invocation counter totals are summed from the per-iteration
-/// columns (0 when those are empty), censored rows keep their failure kind
-/// but lose the original error message, and no benchmark is marked
-/// quarantined. Timings, seeds, attempts and the censoring structure —
-/// everything the statistics consume — survive exactly, and
-/// `to_csv(&from_csv(csv)?)` reproduces `csv` byte-for-byte.
-///
-/// # Errors
-///
-/// A wrong header, a wrong column count, an unparsable field, or
-/// non-contiguous iteration indices within an invocation.
-pub fn from_csv(csv: &str) -> Result<Vec<BenchmarkMeasurement>, CsvError> {
-    let mut lines = csv.lines().enumerate();
-    let (_, header) = lines
-        .next()
-        .ok_or_else(|| CsvError::new(0, "empty input"))?;
-    if header.trim_end() != CSV_HEADER {
-        return Err(CsvError::new(1, format!("unexpected header `{header}`")));
-    }
-    let n_cols = CSV_HEADER.split(',').count();
-
-    let mut out: Vec<BenchmarkMeasurement> = Vec::new();
-    for (idx, line) in lines {
-        let lineno = idx + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let cols: Vec<&str> = line.split(',').collect();
-        if cols.len() != n_cols {
-            return Err(CsvError::new(
-                lineno,
-                format!("expected {n_cols} columns, found {}", cols.len()),
-            ));
-        }
-        let (benchmark, engine) = (cols[0], cols[1]);
-        let m = match out
-            .iter_mut()
-            .find(|m| m.benchmark == benchmark && m.engine == engine)
-        {
-            Some(m) => m,
-            None => {
-                out.push(BenchmarkMeasurement {
-                    benchmark: benchmark.to_string(),
-                    engine: engine.to_string(),
-                    invocations: Vec::new(),
-                    censored: Vec::new(),
-                    quarantined: false,
-                });
-                out.last_mut().expect("just pushed")
-            }
-        };
-        let invocation: u32 = parse_col(lineno, cols[2], "invocation")?;
-        let attempts: u32 = parse_col(lineno, cols[9], "attempts")?;
-        let status = cols[10];
-
-        if let Some(kind) = status.strip_prefix("censored:") {
-            let failure = FailureKind::from_name(kind)
-                .ok_or_else(|| CsvError::new(lineno, format!("unknown failure kind `{kind}`")))?;
-            m.censored.push(CensoredInvocation {
-                invocation,
-                attempts,
-                failure,
-                error: String::new(),
-            });
-            continue;
-        }
-        if status != "measured" && status != "retried" {
-            return Err(CsvError::new(lineno, format!("unknown status `{status}`")));
-        }
-
-        let seed: u64 = parse_col(lineno, cols[3], "seed")?;
-        let iteration: usize = parse_col(lineno, cols[4], "iteration")?;
-        let virtual_ns: f64 = parse_col(lineno, cols[5], "virtual_ns")?;
-        let counters = match (cols[6], cols[7], cols[8]) {
-            ("", "", "") => None,
-            (gc, jit, de) => Some(IterationCounters {
-                gc_cycles: parse_col(lineno, gc, "gc_cycles")?,
-                jit_compiles: parse_col(lineno, jit, "jit_compiles")?,
-                deopts: parse_col(lineno, de, "deopts")?,
-            }),
-        };
-
-        let r = match m
-            .invocations
-            .iter_mut()
-            .find(|r| r.invocation == invocation)
-        {
-            Some(r) => r,
-            None => {
-                m.invocations.push(InvocationRecord {
-                    invocation,
-                    seed,
-                    startup_ns: 0.0,
-                    iteration_ns: Vec::new(),
-                    gc_cycles: 0,
-                    jit_compiles: 0,
-                    deopts: 0,
-                    checksum: String::new(),
-                    iteration_counters: Some(Vec::new()),
-                    attempts,
-                });
-                m.invocations.last_mut().expect("just pushed")
-            }
-        };
-        if iteration != r.iteration_ns.len() {
-            return Err(CsvError::new(
-                lineno,
-                format!(
-                    "invocation {invocation} iteration {iteration} out of order \
-                     (expected {})",
-                    r.iteration_ns.len()
-                ),
-            ));
-        }
-        r.iteration_ns.push(virtual_ns);
-        let mixed = || {
-            CsvError::new(
-                lineno,
-                format!("invocation {invocation} mixes empty and non-empty counter columns"),
-            )
-        };
-        match counters {
-            Some(c) => match &mut r.iteration_counters {
-                Some(have) => {
-                    have.push(c);
-                    r.gc_cycles += c.gc_cycles;
-                    r.jit_compiles += c.jit_compiles;
-                    r.deopts += c.deopts;
-                }
-                None => return Err(mixed()),
-            },
-            // A counter-less iteration means the whole invocation was
-            // recorded without counters (to_csv never mixes within one).
-            None => {
-                if r.iteration_counters.as_ref().is_some_and(|v| !v.is_empty()) {
-                    return Err(mixed());
-                }
-                r.iteration_counters = None;
-            }
-        }
-    }
-    Ok(out)
 }
 
 // `schema_version` envelope, serialized manually so field order is fixed.
@@ -396,65 +206,6 @@ mod tests {
         // Every row has the same column count as the header.
         let cols = lines[0].split(',').count();
         assert!(lines.iter().all(|l| l.split(',').count() == cols));
-    }
-
-    #[test]
-    fn csv_roundtrips_byte_for_byte() {
-        let mut with_faults = sample();
-        with_faults.invocations[0].attempts = 2;
-        with_faults.censored.push(CensoredInvocation {
-            invocation: 1,
-            attempts: 3,
-            failure: FailureKind::FuelExhausted,
-            error: "fuel gone".into(),
-        });
-        let mut no_counters = sample();
-        no_counters.benchmark = "nbody".into();
-        no_counters.invocations[0].iteration_counters = None;
-        let csv = to_csv(&[with_faults, no_counters]);
-        let parsed = from_csv(&csv).unwrap();
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(to_csv(&parsed), csv);
-    }
-
-    #[test]
-    fn from_csv_reconstructs_structure() {
-        let mut m = sample();
-        m.censored.push(CensoredInvocation {
-            invocation: 1,
-            attempts: 2,
-            failure: FailureKind::Panic,
-            error: "boom".into(),
-        });
-        let parsed = from_csv(&to_csv(&[m])).unwrap();
-        assert_eq!(parsed.len(), 1);
-        let p = &parsed[0];
-        assert_eq!(p.benchmark, "sieve");
-        assert_eq!(p.invocations.len(), 1);
-        assert_eq!(p.invocations[0].iteration_ns, vec![1.5, 2.5]);
-        assert_eq!(p.invocations[0].seed, 42);
-        assert_eq!(p.invocations[0].gc_cycles, 1); // summed from counters
-        assert_eq!(p.censored.len(), 1);
-        assert_eq!(p.censored[0].failure, FailureKind::Panic);
-        assert_eq!(p.censored[0].error, ""); // lossy: message lives in JSON
-        assert_eq!(p.n_requested(), 2);
-    }
-
-    #[test]
-    fn from_csv_rejects_malformed_input() {
-        assert!(from_csv("").is_err());
-        assert!(from_csv("wrong,header\n").is_err());
-        let short_row = format!("{CSV_HEADER}\nsieve,interp,0\n");
-        assert!(from_csv(&short_row).is_err());
-        let bad_time = format!("{CSV_HEADER}\nsieve,interp,0,42,0,fast,,,,1,measured\n");
-        assert!(from_csv(&bad_time).is_err());
-        let bad_status = format!("{CSV_HEADER}\nsieve,interp,0,42,0,1.5,,,,1,wat\n");
-        assert!(from_csv(&bad_status).is_err());
-        let bad_kind = format!("{CSV_HEADER}\nsieve,interp,0,,,,,,,1,censored:gremlins\n");
-        assert!(from_csv(&bad_kind).is_err());
-        // Iterations must be contiguous within an invocation.
-        let gap = format!("{CSV_HEADER}\nsieve,interp,0,42,1,1.5,,,,1,measured\n");
-        assert!(from_csv(&gap).is_err());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Deterministic fault injection: a seeded plan that decides, per invocation
-//! attempt, whether to crash the worker, trip the deadline, or stall the VM.
+//! attempt, whether to crash the worker.
 //!
 //! The harness's fault-tolerance machinery (retry, quarantine, checkpointing)
 //! is itself code that can rot; [`FaultPlan`] exists so that machinery is
@@ -12,52 +12,23 @@
 
 use minipy::invocation_seed;
 
-/// What, if anything, to inject into one invocation attempt.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum InjectedFault {
-    /// Run the attempt normally.
-    None,
-    /// Panic the worker thread (exercises the panic guard + retry path).
-    Panic,
-    /// Shrink the VM's virtual-time deadline to (effectively) zero so the
-    /// real deadline machinery trips (exercises `Timeout` classification).
-    Timeout,
-    /// Stall the VM clock by `stall_ns` before the timed iterations
-    /// (exercises outlier handling, and the deadline if one is configured).
-    Slow {
-        /// Virtual nanoseconds to stall.
-        stall_ns: f64,
-    },
-}
-
-/// A seeded, deterministic fault-injection plan.
-///
-/// Rates are probabilities in `[0, 1]` and are evaluated in order
-/// panic → timeout → slow against a single uniform draw, so their sum
-/// should not exceed 1 (the remainder is the no-fault probability).
+/// A seeded, deterministic fault-injection plan: each invocation attempt
+/// panics its worker (exercising the panic guard and the retry path) with
+/// probability `panic_rate`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed of the plan's decision stream (independent of workload seeds).
     pub seed: u64,
-    /// Probability an attempt panics.
+    /// Probability in `[0, 1]` that an attempt panics.
     pub panic_rate: f64,
-    /// Probability an attempt gets a zero deadline.
-    pub timeout_rate: f64,
-    /// Probability an attempt is stalled.
-    pub slow_rate: f64,
-    /// Stall size for `Slow` faults, virtual ns.
-    pub slow_stall_ns: f64,
 }
 
 impl FaultPlan {
-    /// A plan with the given seed and all rates zero.
+    /// A plan with the given seed that injects nothing.
     pub fn new(seed: u64) -> FaultPlan {
         FaultPlan {
             seed,
             panic_rate: 0.0,
-            timeout_rate: 0.0,
-            slow_rate: 0.0,
-            slow_stall_ns: 5.0e6,
         }
     }
 
@@ -67,27 +38,9 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the timeout rate (builder style).
-    pub fn with_timeout_rate(mut self, rate: f64) -> FaultPlan {
-        self.timeout_rate = rate;
-        self
-    }
-
-    /// Sets the slow-iteration rate (builder style).
-    pub fn with_slow_rate(mut self, rate: f64) -> FaultPlan {
-        self.slow_rate = rate;
-        self
-    }
-
-    /// Sets the stall size for `Slow` faults (builder style).
-    pub fn with_slow_stall_ns(mut self, ns: f64) -> FaultPlan {
-        self.slow_stall_ns = ns;
-        self
-    }
-
-    /// The plan's decision for one invocation attempt. Pure and
-    /// deterministic: same arguments, same fault, every time.
-    pub fn decide(&self, benchmark: &str, invocation: u32, attempt: u32) -> InjectedFault {
+    /// Whether one invocation attempt panics. Pure and deterministic: same
+    /// arguments, same decision, every time.
+    pub fn panics(&self, benchmark: &str, invocation: u32, attempt: u32) -> bool {
         // Domain-separate the plan stream from workload seed derivation so a
         // fault plan never correlates with the timings it perturbs.
         let h = invocation_seed(self.seed ^ 0xFA01_7E57_FA01_7E57, benchmark, invocation);
@@ -96,17 +49,7 @@ impl FaultPlan {
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^= z >> 31;
         let u = (z >> 11) as f64 / (1u64 << 53) as f64;
-        if u < self.panic_rate {
-            InjectedFault::Panic
-        } else if u < self.panic_rate + self.timeout_rate {
-            InjectedFault::Timeout
-        } else if u < self.panic_rate + self.timeout_rate + self.slow_rate {
-            InjectedFault::Slow {
-                stall_ns: self.slow_stall_ns,
-            }
-        } else {
-            InjectedFault::None
-        }
+        u < self.panic_rate
     }
 }
 
@@ -240,15 +183,12 @@ mod tests {
 
     #[test]
     fn decisions_are_deterministic() {
-        let plan = FaultPlan::new(7)
-            .with_panic_rate(0.2)
-            .with_timeout_rate(0.2)
-            .with_slow_rate(0.2);
+        let plan = FaultPlan::new(7).with_panic_rate(0.2);
         for inv in 0..10 {
             for attempt in 0..3 {
                 assert_eq!(
-                    plan.decide("sieve", inv, attempt),
-                    plan.decide("sieve", inv, attempt)
+                    plan.panics("sieve", inv, attempt),
+                    plan.panics("sieve", inv, attempt)
                 );
             }
         }
@@ -258,7 +198,7 @@ mod tests {
     fn zero_rates_inject_nothing() {
         let plan = FaultPlan::new(1);
         for inv in 0..50 {
-            assert_eq!(plan.decide("x", inv, 0), InjectedFault::None);
+            assert!(!plan.panics("x", inv, 0));
         }
     }
 
@@ -266,19 +206,17 @@ mod tests {
     fn full_panic_rate_always_panics() {
         let plan = FaultPlan::new(1).with_panic_rate(1.0);
         for inv in 0..50 {
-            assert_eq!(plan.decide("x", inv, 0), InjectedFault::Panic);
+            assert!(plan.panics("x", inv, 0));
         }
     }
 
     #[test]
     fn rates_roughly_match_frequencies() {
-        let plan = FaultPlan::new(3).with_timeout_rate(0.5);
-        let timeouts = (0..1000)
-            .filter(|&i| plan.decide("bench", i, 0) == InjectedFault::Timeout)
-            .count();
+        let plan = FaultPlan::new(3).with_panic_rate(0.5);
+        let panics = (0..1000).filter(|&i| plan.panics("bench", i, 0)).count();
         assert!(
-            (350..=650).contains(&timeouts),
-            "expected ~500 timeouts, got {timeouts}"
+            (350..=650).contains(&panics),
+            "expected ~500 panics, got {panics}"
         );
     }
 
@@ -287,19 +225,8 @@ mod tests {
         // A fault on attempt 0 must not force the same fault on attempt 1,
         // otherwise retries could never succeed under injection.
         let plan = FaultPlan::new(9).with_panic_rate(0.5);
-        let differs = (0..100).any(|i| plan.decide("b", i, 0) != plan.decide("b", i, 1));
+        let differs = (0..100).any(|i| plan.panics("b", i, 0) != plan.panics("b", i, 1));
         assert!(differs);
-    }
-
-    #[test]
-    fn slow_carries_the_configured_stall() {
-        let plan = FaultPlan::new(4)
-            .with_slow_rate(1.0)
-            .with_slow_stall_ns(123.0);
-        assert_eq!(
-            plan.decide("x", 0, 0),
-            InjectedFault::Slow { stall_ns: 123.0 }
-        );
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! 2. **Detect steady state** — [`SteadyStateDetector`] excises warmup per
 //!    invocation (CoV-window à la Georges et al., or changepoint à la
 //!    Barrett et al.); [`WarmupClassifier`] names the series shape.
-//! 3. **Analyze** — [`compare`] produces speedups with confidence intervals
+//! 3. **Analyze** — [`compare()`] produces speedups with confidence intervals
 //!    over per-invocation steady means; [`decompose`] splits variance into
 //!    intra- vs inter-invocation components; [`run_until_precise`] samples
 //!    sequentially until a precision target is met.
@@ -92,8 +92,8 @@ pub use campaign::{
 pub use checkpoint::{Journal, JournalMeta, JournalWriter};
 pub use compare::{compare, compare_suite, CompareError, SpeedupResult, SuiteComparison};
 pub use config::{ConfigError, ExperimentConfig};
-pub use export::{from_csv, from_json, from_json_value, to_csv, to_json, SCHEMA_VERSION};
-pub use fault::{FaultPlan, InjectedFault, NetFault, NetFaultPlan};
+pub use export::{from_json, from_json_value, to_csv, to_json, SCHEMA_VERSION};
+pub use fault::{FaultPlan, NetFault, NetFaultPlan};
 pub use measurement::{
     BenchmarkMeasurement, CensoredInvocation, FailureKind, InvocationRecord, IterationCounters,
 };

@@ -72,18 +72,6 @@ impl FailureKind {
     pub fn is_budget_exhaustion(self) -> bool {
         matches!(self, FailureKind::Timeout | FailureKind::FuelExhausted)
     }
-
-    /// Parses a wire name produced by [`FailureKind::name`] (used when
-    /// reading the CSV `status` column back).
-    pub fn from_name(name: &str) -> Option<FailureKind> {
-        match name {
-            "timeout" => Some(FailureKind::Timeout),
-            "fuel_exhausted" => Some(FailureKind::FuelExhausted),
-            "panic" => Some(FailureKind::Panic),
-            "vm_error" => Some(FailureKind::VmError),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for FailureKind {
@@ -274,15 +262,6 @@ impl BenchmarkMeasurement {
     pub fn startup_times(&self) -> Vec<f64> {
         self.invocations.iter().map(|r| r.startup_ns).collect()
     }
-
-    /// Total virtual time across every invocation (startup + iterations), a
-    /// rough experiment-cost figure.
-    pub fn total_virtual_ns(&self) -> f64 {
-        self.invocations
-            .iter()
-            .map(|r| r.startup_ns + r.iteration_ns.iter().sum::<f64>())
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -352,12 +331,6 @@ mod tests {
     fn startup_times_are_per_invocation() {
         let m = measurement();
         assert_eq!(m.startup_times(), vec![100.0, 100.0]);
-    }
-
-    #[test]
-    fn total_cost() {
-        let m = measurement();
-        assert!((m.total_virtual_ns() - (100.0 + 22.0 + 100.0 + 30.0)).abs() < 1e-9);
     }
 
     #[test]

@@ -47,7 +47,7 @@ use rigor_workloads::Workload;
 
 use crate::checkpoint::{Journal, JournalMeta, JournalWriter};
 use crate::config::{ConfigError, ExperimentConfig};
-use crate::fault::{FaultPlan, InjectedFault};
+use crate::fault::FaultPlan;
 use crate::measurement::{BenchmarkMeasurement, CensoredInvocation, FailureKind, InvocationRecord};
 use crate::pool;
 use crate::telemetry::{with_events, EventSink, ExperimentEvent, ExperimentObserver};
@@ -69,7 +69,7 @@ fn attempt_seed(experiment_seed: u64, benchmark: &str, invocation: u32, attempt:
 }
 
 /// Runs one invocation attempt: fresh session from the frozen program,
-/// setup, `iterations` timed runs, with an optional injected fault.
+/// setup, `iterations` timed runs; `fault` injects a panic first.
 fn run_invocation(
     program: &CompiledProgram,
     benchmark: &str,
@@ -77,7 +77,7 @@ fn run_invocation(
     attempt: u32,
     config: &ExperimentConfig,
     sink: &EventSink,
-    fault: InjectedFault,
+    fault: bool,
 ) -> MpResult<InvocationRecord> {
     let seed = attempt_seed(config.experiment_seed, benchmark, invocation, attempt);
     sink.send(ExperimentEvent::InvocationStarted {
@@ -85,20 +85,10 @@ fn run_invocation(
         invocation,
         seed,
     });
-    if fault == InjectedFault::Panic {
+    if fault {
         panic!("injected fault: panic (invocation {invocation}, attempt {attempt})");
     }
-    let mut vm_config = config.vm_config();
-    if fault == InjectedFault::Timeout {
-        // Trip the *real* deadline machinery rather than synthesizing an
-        // error, so injection exercises the same path a divergent workload
-        // takes.
-        vm_config.time_budget_ns = Some(1.0);
-    }
-    let mut session = Session::start_from(program, seed, vm_config)?;
-    if let InjectedFault::Slow { stall_ns } = fault {
-        session.vm_mut().inject_stall(stall_ns);
-    }
+    let mut session = Session::start_from(program, seed, config.vm_config())?;
     let startup_ns = session.startup_ns();
     let before = session.vm().counters();
     let mut iteration_ns = Vec::with_capacity(config.iterations as usize);
@@ -145,7 +135,7 @@ fn run_invocation_guarded(
     attempt: u32,
     config: &ExperimentConfig,
     sink: &EventSink,
-    fault: InjectedFault,
+    fault: bool,
 ) -> MpResult<InvocationRecord> {
     catch_unwind(AssertUnwindSafe(|| {
         run_invocation(program, benchmark, invocation, attempt, config, sink, fault)
@@ -187,9 +177,7 @@ fn run_with_retries(
     let attempts_allowed = config.max_retries.saturating_add(1);
     let mut attempt = 0;
     loop {
-        let fault = faults
-            .map(|p| p.decide(benchmark, invocation, attempt))
-            .unwrap_or(InjectedFault::None);
+        let fault = faults.is_some_and(|p| p.panics(benchmark, invocation, attempt));
         let result =
             run_invocation_guarded(program, benchmark, invocation, attempt, config, sink, fault);
         sink.send(ExperimentEvent::InvocationFinished {

@@ -29,23 +29,6 @@ pub enum BinOp {
     NotIn,
 }
 
-impl BinOp {
-    /// True for the comparison operators (including membership tests).
-    pub fn is_comparison(self) -> bool {
-        matches!(
-            self,
-            BinOp::Eq
-                | BinOp::NotEq
-                | BinOp::Lt
-                | BinOp::LtEq
-                | BinOp::Gt
-                | BinOp::GtEq
-                | BinOp::In
-                | BinOp::NotIn
-        )
-    }
-}
-
 /// A unary operator.
 #[allow(missing_docs)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -265,14 +248,6 @@ pub struct Module {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn comparison_classification() {
-        assert!(BinOp::Eq.is_comparison());
-        assert!(BinOp::In.is_comparison());
-        assert!(!BinOp::Add.is_comparison());
-        assert!(!BinOp::Pow.is_comparison());
-    }
 
     #[test]
     fn expr_span_accessor() {

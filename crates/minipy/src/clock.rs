@@ -28,11 +28,6 @@ impl VirtualClock {
             self.ns += delta_ns;
         }
     }
-
-    /// Returns elapsed nanoseconds since `start_ns`.
-    pub fn elapsed_since(&self, start_ns: f64) -> f64 {
-        (self.ns - start_ns).max(0.0)
-    }
 }
 
 #[cfg(test)]
@@ -53,14 +48,5 @@ mod tests {
         c.advance(10.0);
         c.advance(-100.0);
         assert_eq!(c.now_ns(), 10.0);
-    }
-
-    #[test]
-    fn elapsed_since_checkpoint() {
-        let mut c = VirtualClock::new();
-        c.advance(100.0);
-        let t0 = c.now_ns();
-        c.advance(42.0);
-        assert!((c.elapsed_since(t0) - 42.0).abs() < 1e-12);
     }
 }

@@ -92,14 +92,6 @@ impl DynCounters {
         }
     }
 
-    /// Fraction of executed opcodes that belong to `class` (0 if nothing ran).
-    pub fn class_fraction(&self, class: OpClass) -> f64 {
-        if self.total_ops == 0 {
-            return 0.0;
-        }
-        self.ops_by_class[op_class_index(class)] as f64 / self.total_ops as f64
-    }
-
     /// Difference `self - earlier`, for per-iteration deltas.
     pub fn delta_since(&self, earlier: &DynCounters) -> DynCounters {
         let mut out = *self;
@@ -147,7 +139,7 @@ mod tests {
         c.count_op(OpClass::Call, false);
         assert_eq!(c.total_ops, 3);
         assert_eq!(c.jit_ops, 1);
-        assert!((c.class_fraction(OpClass::Arith) - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(c.ops_by_class[op_class_index(OpClass::Arith)], 2);
     }
 
     #[test]

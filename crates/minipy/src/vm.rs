@@ -381,17 +381,6 @@ impl Vm {
         std::mem::take(&mut self.stdout)
     }
 
-    /// Advances the virtual clock by `ns` without executing anything — a
-    /// hook for fault-injection harnesses that model external stalls
-    /// (noisy neighbours, page faults). The stall counts toward any
-    /// configured virtual-time deadline, so injected slowness exercises
-    /// the same timeout machinery as a genuinely divergent workload.
-    pub fn inject_stall(&mut self, ns: f64) {
-        self.clock.advance(ns);
-        self.counters.jitter_ns += ns;
-        self.counters.jitter_events += 1;
-    }
-
     /// Borrows the heap (for inspecting returned values).
     pub fn heap(&self) -> &Heap {
         &self.heap
@@ -678,29 +667,6 @@ mod tests {
         // The budget is enforced at housekeeping boundaries, so overshoot is
         // bounded by one housekeeping interval.
         assert!(vm.counters().total_ops < 10_000 + 128);
-    }
-
-    #[test]
-    fn injected_stall_advances_clock_and_counts() {
-        let mut vm = Vm::compile_and_load("x = 1\n", 1, VmConfig::interp()).unwrap();
-        vm.run_module().unwrap();
-        let before = vm.now_ns();
-        vm.inject_stall(5_000.0);
-        assert!((vm.now_ns() - before - 5_000.0).abs() < 1e-9);
-        assert_eq!(vm.counters().jitter_events, 1);
-    }
-
-    #[test]
-    fn injected_stall_trips_the_deadline() {
-        let mut cfg = VmConfig::interp();
-        cfg.time_budget_ns = Some(1.0e6);
-        let src =
-            "def run():\n    s = 0\n    for i in range(1000):\n        s += i\n    return s\n";
-        let mut vm = Vm::compile_and_load(src, 1, cfg).unwrap();
-        vm.run_module().unwrap();
-        vm.inject_stall(2.0e6);
-        let err = vm.call_function("run", &[]).expect_err("deadline passed");
-        assert_eq!(err.runtime_kind(), Some(RuntimeErrorKind::Timeout));
     }
 
     #[test]

@@ -727,13 +727,14 @@ impl CellSink for RemoteStore {
 mod tests {
     use super::*;
     use crate::http::{read_request, write_response};
-    use crate::server::ArchiveServer;
+    use crate::server::{ArchiveServer, STALL};
     use rigor::campaign::CampaignSpec;
     use rigor::measurement::BenchmarkMeasurement;
-    use rigor::{CollectingObserver, ExperimentConfig, NetFaultPlan};
+    use rigor::{CollectingObserver, ExperimentConfig, NetFault, NetFaultPlan};
     use rigor_workloads::Size;
     use std::net::TcpListener;
     use std::thread;
+    use std::time::Instant;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -821,6 +822,46 @@ mod tests {
         assert_eq!(history.len(), 1);
         assert_eq!(history[0].id, record.id);
         assert_eq!(history[0].label.as_deref(), Some("a/b"));
+
+        handle.stop();
+        join.join().unwrap();
+        std::fs::remove_dir_all(&store_dir).ok();
+    }
+
+    #[test]
+    fn a_stalled_upload_times_out_and_its_retry_lands_once() {
+        // Seed 8 stalls exchange 0, the upload's first attempt, and no
+        // exchange after it.
+        let plan = NetFaultPlan::new(8).with_stall_rate(0.5);
+        assert_eq!(plan.decide(0), NetFault::Stall);
+        assert!((1..=3).all(|x| plan.decide(x) == NetFault::None));
+        let store_dir = temp_dir("server-stall");
+        let (url, handle, join) = start_server(&store_dir, Some(plan));
+        let observer = Arc::new(CollectingObserver::default());
+        let client = fast_client(&url)
+            .with_timeout(STALL / 5)
+            .with_observer(observer.clone());
+
+        let record = RunRecord::new(0, Some("a/b".into()), &config(), vec![measurement("sieve")]);
+        let start = Instant::now();
+        let receipt = client.upload(&record).unwrap();
+        assert!(
+            start.elapsed() < STALL,
+            "the client waited out the stall instead of timing out"
+        );
+        assert_eq!(receipt.run_id, record.id);
+        assert!(observer
+            .events()
+            .iter()
+            .any(|e| matches!(e, ExperimentEvent::UploadRetried { attempt: 1, .. })));
+
+        // The stalled handler applies its copy of the write STALL after it
+        // read the request. That write dedups, so nothing outside the
+        // server shows when it lands: wait well past it.
+        thread::sleep(STALL * 2);
+        let history = client.history(None).unwrap();
+        assert_eq!(history.len(), 1);
+        assert_eq!(history[0].id, record.id);
 
         handle.stop();
         join.join().unwrap();

@@ -273,7 +273,7 @@ impl ServerHandle {
 
 /// How long a `Stall` fault delays the response; it trips a client whose
 /// read timeout is at most this, as the fault-injection clients' are.
-const STALL: Duration = Duration::from_millis(500);
+pub(crate) const STALL: Duration = Duration::from_millis(500);
 
 /// The archive service: a listener plus the one authoritative store.
 pub struct ArchiveServer {

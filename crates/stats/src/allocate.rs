@@ -67,18 +67,6 @@ fn apportion(weights: &[f64], total: u64) -> Vec<u64> {
     shares
 }
 
-/// Neyman allocation: integer shares of `total` proportional to the
-/// per-cell standard deviations `sigmas` (the closed-form optimum for
-/// minimizing total estimator variance at equal per-sample cost).
-///
-/// Deterministic: largest-remainder rounding with lower-index tie-break.
-/// Non-finite or negative sigmas get zero weight; if every sigma is zero
-/// the budget splits evenly.
-pub fn neyman_allocation(sigmas: &[f64], total: u64) -> Vec<u64> {
-    let weights: Vec<f64> = sigmas.iter().map(|&s| weight(s)).collect();
-    apportion(&weights, total)
-}
-
 /// Neyman allocation under per-cell clamps: every cell receives at least
 /// `min(floor, ceilings[i])` and at most `ceilings[i]`, with budget beyond
 /// the floors distributed in Neyman proportion and any share a cell cannot
@@ -176,30 +164,33 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Unclamped Neyman allocation: no floor and no ceiling, so for
+    /// positive σ every share is proportional to σ.
+    fn neyman(sigmas: &[f64], total: u64) -> Vec<u64> {
+        clamped_allocation(sigmas, total, 0, &vec![u64::MAX; sigmas.len()])
+    }
+
     #[test]
     fn two_cell_closed_form() {
         // σ-ratio 3:1 → shares 75:25 of 100.
-        assert_eq!(neyman_allocation(&[3.0, 1.0], 100), vec![75, 25]);
+        assert_eq!(neyman(&[3.0, 1.0], 100), vec![75, 25]);
         // Equal σ → even split, odd leftover to the lower index.
-        assert_eq!(neyman_allocation(&[2.0, 2.0], 101), vec![51, 50]);
+        assert_eq!(neyman(&[2.0, 2.0], 101), vec![51, 50]);
     }
 
     #[test]
     fn zero_and_degenerate_sigmas() {
-        assert_eq!(neyman_allocation(&[0.0, 0.0, 0.0], 9), vec![3, 3, 3]);
-        assert_eq!(neyman_allocation(&[f64::NAN, 1.0], 10), vec![0, 10]);
-        assert_eq!(neyman_allocation(&[-1.0, 1.0], 10), vec![0, 10]);
-        assert_eq!(neyman_allocation(&[], 10), Vec::<u64>::new());
-        assert_eq!(neyman_allocation(&[1.0], 0), vec![0]);
+        assert_eq!(neyman(&[0.0, 0.0, 0.0], 9), vec![3, 3, 3]);
+        assert_eq!(neyman(&[f64::NAN, 1.0], 10), vec![0, 10]);
+        assert_eq!(neyman(&[-1.0, 1.0], 10), vec![0, 10]);
+        assert_eq!(neyman(&[], 10), Vec::<u64>::new());
+        assert_eq!(neyman(&[1.0], 0), vec![0]);
     }
 
     #[test]
     fn allocation_is_deterministic() {
         let sigmas = [1.0, 2.5, 0.5, 2.5, 7.0];
-        assert_eq!(
-            neyman_allocation(&sigmas, 97),
-            neyman_allocation(&sigmas, 97)
-        );
+        assert_eq!(neyman(&sigmas, 97), neyman(&sigmas, 97));
         assert_eq!(
             clamped_allocation(&sigmas, 97, 3, &[50; 5]),
             clamped_allocation(&sigmas, 97, 3, &[50; 5])
@@ -257,7 +248,7 @@ mod tests {
             s2 in 0.01f64..1e6,
             total in 0u64..100_000,
         ) {
-            let a = neyman_allocation(&[s1, s2], total);
+            let a = neyman(&[s1, s2], total);
             prop_assert_eq!(a.iter().sum::<u64>(), total);
             let exact1 = total as f64 * s1 / (s1 + s2);
             prop_assert!((a[0] as f64 - exact1).abs() < 1.0 + 1e-9);
@@ -270,7 +261,7 @@ mod tests {
             sigmas in prop::collection::vec(0.01f64..1e4, 1..12),
             total in 0u64..50_000,
         ) {
-            let a = neyman_allocation(&sigmas, total);
+            let a = neyman(&sigmas, total);
             prop_assert_eq!(a.iter().sum::<u64>(), total);
             let sum: f64 = sigmas.iter().sum();
             for (share, sigma) in a.iter().zip(&sigmas) {

@@ -4,6 +4,8 @@
 //! compilation and OS scheduling induce serial correlation. The methodology
 //! uses the lag-k autocorrelation to decide whether treating iterations as
 //! i.i.d. samples is defensible.
+//!
+//! No caller yet: held for ROADMAP item 3, which may pick it.
 
 use crate::descriptive::mean;
 

@@ -102,7 +102,7 @@ impl IndexSampler {
 }
 
 /// The percentile interval of `replicates` around `estimate`: the
-/// `(1 − confidence)/2` and `1 − (1 − confidence)/2` type-7 quantiles.
+/// type-7 quantile at `(1 − confidence)/2` and at `1 − (1 − confidence)/2`.
 /// NaN bounds when there are no replicates.
 pub fn percentile_ci(
     estimate: f64,
@@ -138,28 +138,8 @@ where
         .collect()
 }
 
-/// Percentile-bootstrap CI for an arbitrary statistic of one sample.
-///
-/// Returns `None` for samples with fewer than 2 observations.
-pub fn bootstrap_ci<F>(
-    xs: &[f64],
-    statistic: F,
-    confidence: f64,
-    resamples: usize,
-    seed: u64,
-) -> Option<ConfidenceInterval>
-where
-    F: Fn(&[f64]) -> f64,
-{
-    if xs.len() < 2 {
-        return None;
-    }
-    let stats = replicates(xs, &statistic, resamples, seed);
-    Some(percentile_ci(statistic(xs), stats, confidence))
-}
-
-/// Percentile-bootstrap CI for the mean: [`bootstrap_ci`] of [`mean`],
-/// with each resample's mean summed as it is drawn.
+/// Percentile-bootstrap CI for the [`mean`], with each resample's mean
+/// summed as it is drawn.
 pub fn bootstrap_mean_ci(
     xs: &[f64],
     confidence: f64,
@@ -257,13 +237,6 @@ mod tests {
         assert!((ci.estimate - 3.0).abs() < 0.15, "{ci:?}");
         assert!(ci.contains(3.0));
         assert!(ci.excludes(1.0));
-    }
-
-    #[test]
-    fn custom_statistic_median() {
-        let xs = sample(40, 5);
-        let ci = bootstrap_ci(&xs, crate::descriptive::median, 0.90, 800, 11).unwrap();
-        assert!(ci.contains(crate::descriptive::median(&xs)));
     }
 
     #[test]
@@ -441,7 +414,6 @@ mod exactness_tests {
     use rand::Rng;
 
     use super::*;
-    use crate::descriptive::median;
     use crate::dist::{normal_cdf, normal_quantile};
     use crate::quantile::quantile;
 
@@ -617,11 +589,6 @@ mod exactness_tests {
             outcome(|| bootstrap_mean_ci(a, confidence, resamples, seed)),
             outcome(|| reference_ci(a, mean, confidence, resamples, seed)),
             "bootstrap_mean_ci {case}"
-        );
-        assert_eq!(
-            outcome(|| bootstrap_ci(a, median, confidence, resamples, seed)),
-            outcome(|| reference_ci(a, median, confidence, resamples, seed)),
-            "bootstrap_ci {case}"
         );
         assert_eq!(
             outcome(|| bootstrap_ratio_ci(a, b, confidence, resamples, seed)),

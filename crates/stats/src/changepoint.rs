@@ -191,11 +191,11 @@ const STABLE_FACTOR_COUNT: usize = 3;
 /// mean shift survives a wide penalty range, so its boundary recurs across
 /// many factors; spurious noise-driven splits exist only in a narrow window
 /// at the aggressive end of the grid, recurring once or twice. Boundaries
-/// reproduced by at least [`STABLE_FACTOR_COUNT`] factors form the stable
-/// segmentation, and the returned factor is the middle of the grid factors
-/// that yield exactly that segmentation. On a pure-noise series the stable
-/// set is empty and the selection lands on the (conservative) unsplit
-/// factors.
+/// reproduced by at least three factors (`STABLE_FACTOR_COUNT`) form the
+/// stable segmentation, and the returned factor is the middle of the grid
+/// factors that yield exactly that segmentation. On a pure-noise series the
+/// stable set is empty and the selection lands on the (conservative)
+/// unsplit factors.
 ///
 /// Degenerate inputs (too short to ever split) and series where no grid
 /// factor reproduces the stable set exactly return plain BIC (1.0).

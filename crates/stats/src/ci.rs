@@ -42,12 +42,6 @@ impl ConfidenceInterval {
     pub fn excludes(&self, value: f64) -> bool {
         !self.contains(value)
     }
-
-    /// True if two intervals overlap. Non-overlap implies a significant
-    /// difference (the converse does not hold — see the paper's discussion).
-    pub fn overlaps(&self, other: &ConfidenceInterval) -> bool {
-        self.lower <= other.upper && other.lower <= self.upper
-    }
 }
 
 /// Student-t confidence interval for the mean of `xs`.
@@ -70,6 +64,8 @@ pub fn mean_ci(xs: &[f64], confidence: f64) -> Option<ConfidenceInterval> {
 
 /// Welch confidence interval for the difference of means (a − b), using the
 /// Welch–Satterthwaite degrees of freedom.
+///
+/// No caller yet: held for ROADMAP item 2, which may pick it.
 pub fn welch_diff_ci(a: &[f64], b: &[f64], confidence: f64) -> Option<ConfidenceInterval> {
     if a.len() < 2 || b.len() < 2 {
         return None;
@@ -98,6 +94,8 @@ pub fn welch_diff_ci(a: &[f64], b: &[f64], confidence: f64) -> Option<Confidence
 ///
 /// For speedups, `a` is the baseline and `b` the improved system, so values
 /// above 1 mean "b is faster".
+///
+/// No caller yet: held for ROADMAP item 2, which may pick it.
 pub fn ratio_ci_delta(a: &[f64], b: &[f64], confidence: f64) -> Option<ConfidenceInterval> {
     if a.len() < 2 || b.len() < 2 {
         return None;
@@ -190,21 +188,6 @@ mod tests {
             upper: 6.0,
             confidence: 0.95,
         };
-        let b = ConfidenceInterval {
-            estimate: 6.5,
-            lower: 5.5,
-            upper: 7.5,
-            confidence: 0.95,
-        };
-        let c = ConfidenceInterval {
-            estimate: 9.0,
-            lower: 8.0,
-            upper: 10.0,
-            confidence: 0.95,
-        };
-        assert!(a.overlaps(&b));
-        assert!(b.overlaps(&a));
-        assert!(!a.overlaps(&c));
         assert!((a.half_width() - 1.0).abs() < 1e-12);
         assert!((a.relative_half_width() - 0.2).abs() < 1e-12);
     }

@@ -23,7 +23,7 @@ pub fn std_dev(xs: &[f64]) -> f64 {
 }
 
 /// Standard error of the mean.
-pub fn sem(xs: &[f64]) -> f64 {
+pub(crate) fn sem(xs: &[f64]) -> f64 {
     std_dev(xs) / (xs.len() as f64).sqrt()
 }
 
@@ -59,62 +59,6 @@ pub fn geomean(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
-/// Harmonic mean. All inputs must be positive; returns `NaN` otherwise.
-pub fn harmonic_mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() || xs.iter().any(|&x| x <= 0.0) {
-        return f64::NAN;
-    }
-    xs.len() as f64 / xs.iter().map(|x| 1.0 / x).sum::<f64>()
-}
-
-/// Minimum (ignores nothing; `NaN` for empty input).
-pub fn min(xs: &[f64]) -> f64 {
-    xs.iter()
-        .copied()
-        .fold(f64::NAN, |a, b| if a.is_nan() || b < a { b } else { a })
-}
-
-/// Maximum.
-pub fn max(xs: &[f64]) -> f64 {
-    xs.iter()
-        .copied()
-        .fold(f64::NAN, |a, b| if a.is_nan() || b > a { b } else { a })
-}
-
-/// A compact numeric summary of a sample.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Sample size.
-    pub n: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Sample standard deviation.
-    pub std_dev: f64,
-    /// Median.
-    pub median: f64,
-    /// Minimum.
-    pub min: f64,
-    /// Maximum.
-    pub max: f64,
-    /// Coefficient of variation.
-    pub cov: f64,
-}
-
-impl Summary {
-    /// Summarizes `xs`.
-    pub fn of(xs: &[f64]) -> Summary {
-        Summary {
-            n: xs.len(),
-            mean: mean(xs),
-            std_dev: std_dev(xs),
-            median: median(xs),
-            min: min(xs),
-            max: max(xs),
-            cov: cov(xs),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,12 +88,6 @@ mod tests {
     }
 
     #[test]
-    fn harmonic_known_value() {
-        let xs = [1.0, 2.0, 4.0];
-        assert!((harmonic_mean(&xs) - 3.0 / 1.75).abs() < EPS);
-    }
-
-    #[test]
     fn cov_scale_invariance() {
         let xs = [10.0, 12.0, 14.0];
         let ys: Vec<f64> = xs.iter().map(|x| x * 100.0).collect();
@@ -161,24 +99,6 @@ mod tests {
         let xs: Vec<f64> = (0..10).map(|i| i as f64).collect();
         let ys: Vec<f64> = (0..1000).map(|i| (i % 10) as f64).collect();
         assert!(sem(&ys) < sem(&xs));
-    }
-
-    #[test]
-    fn min_max() {
-        let xs = [3.0, -1.0, 7.0];
-        assert_eq!(min(&xs), -1.0);
-        assert_eq!(max(&xs), 7.0);
-    }
-
-    #[test]
-    fn summary_is_consistent() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        let s = Summary::of(&xs);
-        assert_eq!(s.n, 4);
-        assert!((s.mean - 2.5).abs() < EPS);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 4.0);
-        assert_eq!(s.median, 2.5);
     }
 
     #[test]

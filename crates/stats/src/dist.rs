@@ -7,7 +7,7 @@
 //! a bisection/Newton hybrid on the CDF.
 
 /// Error function, |ε| < 1.5e-7 (Abramowitz & Stegun 7.1.26).
-pub fn erf(x: f64) -> f64 {
+pub(crate) fn erf(x: f64) -> f64 {
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
     let x = x.abs();
     let t = 1.0 / (1.0 + 0.327_591_1 * x);
@@ -88,7 +88,7 @@ pub fn normal_quantile(p: f64) -> f64 {
 }
 
 /// ln Γ(x) via the Lanczos approximation.
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     const G: [f64; 6] = [
         76.180_091_729_471_46,
         -86.505_320_329_416_77,
@@ -110,7 +110,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 
 /// Regularized incomplete beta function I_x(a, b) (continued fraction,
 /// Numerical Recipes style).
-pub fn beta_inc(a: f64, b: f64, x: f64) -> f64 {
+pub(crate) fn beta_inc(a: f64, b: f64, x: f64) -> f64 {
     if x <= 0.0 {
         return 0.0;
     }
@@ -173,71 +173,6 @@ fn beta_cf(a: f64, b: f64, x: f64) -> f64 {
     h
 }
 
-/// Regularized lower incomplete gamma P(a, x) (series for x < a+1,
-/// continued fraction otherwise; Numerical Recipes style).
-pub fn gamma_inc_lower(a: f64, x: f64) -> f64 {
-    if x <= 0.0 || a <= 0.0 {
-        return 0.0;
-    }
-    if x < a + 1.0 {
-        // Series representation.
-        let mut ap = a;
-        let mut sum = 1.0 / a;
-        let mut del = sum;
-        for _ in 0..500 {
-            ap += 1.0;
-            del *= x / ap;
-            sum += del;
-            if del.abs() < sum.abs() * 3e-14 {
-                break;
-            }
-        }
-        sum * (-x + a * x.ln() - ln_gamma(a)).exp()
-    } else {
-        // Continued fraction for Q(a, x); P = 1 - Q.
-        const FPMIN: f64 = 1e-300;
-        let mut b = x + 1.0 - a;
-        let mut c = 1.0 / FPMIN;
-        let mut d = 1.0 / b;
-        let mut h = d;
-        for i in 1..500 {
-            let an = -(i as f64) * (i as f64 - a);
-            b += 2.0;
-            d = an * d + b;
-            if d.abs() < FPMIN {
-                d = FPMIN;
-            }
-            c = b + an / c;
-            if c.abs() < FPMIN {
-                c = FPMIN;
-            }
-            d = 1.0 / d;
-            let del = d * c;
-            h *= del;
-            if (del - 1.0).abs() < 3e-14 {
-                break;
-            }
-        }
-        1.0 - h * (-x + a * x.ln() - ln_gamma(a)).exp()
-    }
-}
-
-/// Chi-square CDF with `df` degrees of freedom.
-pub fn chi2_cdf(x: f64, df: f64) -> f64 {
-    if x <= 0.0 {
-        return 0.0;
-    }
-    gamma_inc_lower(df / 2.0, x / 2.0).clamp(0.0, 1.0)
-}
-
-/// F-distribution CDF with `d1`/`d2` degrees of freedom.
-pub fn f_cdf(x: f64, d1: f64, d2: f64) -> f64 {
-    if x <= 0.0 {
-        return 0.0;
-    }
-    beta_inc(d1 / 2.0, d2 / 2.0, d1 * x / (d1 * x + d2)).clamp(0.0, 1.0)
-}
-
 /// Student's t CDF with `df` degrees of freedom.
 pub fn t_cdf(t: f64, df: f64) -> f64 {
     if df <= 0.0 {
@@ -253,7 +188,7 @@ pub fn t_cdf(t: f64, df: f64) -> f64 {
 }
 
 /// Two-sided tail probability P(|T| > |t|) for Student's t.
-pub fn t_sf_two_sided(t: f64, df: f64) -> f64 {
+pub(crate) fn t_sf_two_sided(t: f64, df: f64) -> f64 {
     let x = df / (df + t * t);
     beta_inc(df / 2.0, 0.5, x)
 }
@@ -297,7 +232,7 @@ pub fn t_quantile(p: f64, df: f64) -> f64 {
 
 /// The two-sided critical t value for confidence level `conf` (e.g. 0.95)
 /// with `df` degrees of freedom.
-pub fn t_critical(conf: f64, df: f64) -> f64 {
+pub(crate) fn t_critical(conf: f64, df: f64) -> f64 {
     t_quantile(1.0 - (1.0 - conf) / 2.0, df)
 }
 
@@ -372,34 +307,6 @@ mod tests {
         assert_eq!(beta_inc(2.0, 3.0, 1.0), 1.0);
         // I_x(1,1) = x (uniform distribution).
         assert!((beta_inc(1.0, 1.0, 0.3) - 0.3).abs() < 1e-10);
-    }
-
-    #[test]
-    fn chi2_cdf_table_values() {
-        // Classic 95th percentiles: chi2(1)=3.841, chi2(2)=5.991, chi2(5)=11.07.
-        assert!((chi2_cdf(3.841, 1.0) - 0.95).abs() < 1e-3);
-        assert!((chi2_cdf(5.991, 2.0) - 0.95).abs() < 1e-3);
-        assert!((chi2_cdf(11.07, 5.0) - 0.95).abs() < 1e-3);
-        assert_eq!(chi2_cdf(-1.0, 2.0), 0.0);
-    }
-
-    #[test]
-    fn f_cdf_table_values() {
-        // 95th percentiles: F(2,6)=5.143, F(3,10)=3.708.
-        assert!((f_cdf(5.143, 2.0, 6.0) - 0.95).abs() < 1e-3);
-        assert!((f_cdf(3.708, 3.0, 10.0) - 0.95).abs() < 1e-3);
-    }
-
-    #[test]
-    fn gamma_inc_monotone_and_bounded() {
-        let mut prev = 0.0;
-        for i in 1..40 {
-            let p = gamma_inc_lower(3.0, i as f64 * 0.5);
-            assert!(p >= prev - 1e-12);
-            assert!((0.0..=1.0).contains(&p));
-            prev = p;
-        }
-        assert!((gamma_inc_lower(3.0, 100.0) - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Effect sizes: Cohen's d and Cliff's delta.
+//! Effect size: Cohen's d.
 //!
 //! Statistical significance without effect size is the classic benchmarking
 //! trap (with enough invocations any 0.1% difference becomes "significant");
@@ -19,53 +19,6 @@ pub fn cohens_d(a: &[f64], b: &[f64]) -> f64 {
         return f64::NAN;
     }
     (mean(a) - mean(b)) / pooled_var.sqrt()
-}
-
-/// Cliff's delta: P(a > b) − P(a < b) over all cross pairs. Nonparametric,
-/// bounded in [−1, 1].
-pub fn cliffs_delta(a: &[f64], b: &[f64]) -> f64 {
-    if a.is_empty() || b.is_empty() {
-        return f64::NAN;
-    }
-    let mut gt = 0i64;
-    let mut lt = 0i64;
-    for &x in a {
-        for &y in b {
-            if x > y {
-                gt += 1;
-            } else if x < y {
-                lt += 1;
-            }
-        }
-    }
-    (gt - lt) as f64 / (a.len() * b.len()) as f64
-}
-
-/// Conventional interpretation buckets for |Cohen's d|.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EffectMagnitude {
-    /// |d| < 0.2.
-    Negligible,
-    /// 0.2 ≤ |d| < 0.5.
-    Small,
-    /// 0.5 ≤ |d| < 0.8.
-    Medium,
-    /// |d| ≥ 0.8.
-    Large,
-}
-
-/// Classifies a Cohen's d value into conventional magnitude buckets.
-pub fn classify_cohens_d(d: f64) -> EffectMagnitude {
-    let a = d.abs();
-    if a < 0.2 {
-        EffectMagnitude::Negligible
-    } else if a < 0.5 {
-        EffectMagnitude::Small
-    } else if a < 0.8 {
-        EffectMagnitude::Medium
-    } else {
-        EffectMagnitude::Large
-    }
 }
 
 #[cfg(test)]
@@ -92,39 +45,8 @@ mod tests {
     }
 
     #[test]
-    fn cliffs_delta_extremes() {
-        let a = [10.0, 11.0, 12.0];
-        let b = [1.0, 2.0, 3.0];
-        assert_eq!(cliffs_delta(&a, &b), 1.0);
-        assert_eq!(cliffs_delta(&b, &a), -1.0);
-    }
-
-    #[test]
-    fn cliffs_delta_identical_is_zero() {
-        let a = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(cliffs_delta(&a, &a), 0.0);
-    }
-
-    #[test]
-    fn cliffs_delta_interleaved_is_small() {
-        let a = [1.0, 3.0, 5.0, 7.0];
-        let b = [2.0, 4.0, 6.0, 8.0];
-        let d = cliffs_delta(&a, &b);
-        assert!(d.abs() < 0.5, "d = {d}");
-    }
-
-    #[test]
-    fn magnitude_buckets() {
-        assert_eq!(classify_cohens_d(0.1), EffectMagnitude::Negligible);
-        assert_eq!(classify_cohens_d(-0.3), EffectMagnitude::Small);
-        assert_eq!(classify_cohens_d(0.6), EffectMagnitude::Medium);
-        assert_eq!(classify_cohens_d(-2.0), EffectMagnitude::Large);
-    }
-
-    #[test]
     fn degenerate_inputs_nan() {
         assert!(cohens_d(&[1.0], &[1.0, 2.0]).is_nan());
         assert!(cohens_d(&[1.0, 1.0], &[1.0, 1.0]).is_nan());
-        assert!(cliffs_delta(&[], &[1.0]).is_nan());
     }
 }

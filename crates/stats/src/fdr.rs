@@ -8,10 +8,10 @@
 //! among the rejections made (FDR), which is the usual choice for suite
 //! gating because its power does not collapse as the suite grows.
 //!
-//! Both are exposed in two forms: a rejection mask at a given level, and
-//! *adjusted* p-values (as R's `p.adjust` computes them) so reports can
-//! print a single per-benchmark number that is comparable against the
-//! level directly: `adjusted <= q` iff the hypothesis is rejected.
+//! Both are exposed as *adjusted* p-values (as R's `p.adjust` computes
+//! them) so reports can print a single per-benchmark number that is
+//! comparable against the level directly: `adjusted <= q` iff the
+//! hypothesis is rejected.
 
 /// Treats NaN (no test possible) as 1.0 and clamps into [0, 1], so a
 /// degenerate p-value can never become a rejection.
@@ -51,13 +51,6 @@ pub fn bh_adjusted(ps: &[f64]) -> Vec<f64> {
     adjusted
 }
 
-/// Benjamini–Hochberg step-up procedure at FDR level `q`: returns, in input
-/// order, whether each hypothesis is rejected. NaN p-values are never
-/// rejected.
-pub fn benjamini_hochberg(ps: &[f64], q: f64) -> Vec<bool> {
-    bh_adjusted(ps).into_iter().map(|a| a <= q).collect()
-}
-
 /// Holm–Bonferroni adjusted p-values (the `holm` method of R's `p.adjust`):
 /// `adjusted[i] <= alpha` iff hypothesis `i` is rejected by the step-down
 /// procedure at FWER level `alpha`. Output is in input order.
@@ -75,12 +68,6 @@ pub fn holm_adjusted(ps: &[f64]) -> Vec<f64> {
     adjusted
 }
 
-/// Holm–Bonferroni step-down procedure at FWER level `alpha`: returns, in
-/// input order, whether each hypothesis is rejected.
-pub fn holm_bonferroni(ps: &[f64], alpha: f64) -> Vec<bool> {
-    holm_adjusted(ps).into_iter().map(|a| a <= alpha).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,20 +80,23 @@ mod tests {
         0.5719, 0.6528, 0.7590, 1.0000,
     ];
 
+    /// The rejection mask at `level`: `adjusted <= level`.
+    fn rejected(adjusted: Vec<f64>, level: f64) -> Vec<bool> {
+        adjusted.into_iter().map(|a| a <= level).collect()
+    }
+
     #[test]
     fn bh_matches_the_1995_worked_example() {
-        let rejected = benjamini_hochberg(&BH_1995, 0.05);
         let expected: Vec<bool> = (0..15).map(|i| i < 4).collect();
-        assert_eq!(rejected, expected);
+        assert_eq!(rejected(bh_adjusted(&BH_1995), 0.05), expected);
     }
 
     #[test]
     fn holm_is_more_conservative_on_the_same_table() {
         // Holm thresholds 0.05/15, 0.05/14, ... admit only the three
         // smallest entries (0.0095 > 0.05/12 ≈ 0.00417 stops the walk).
-        let rejected = holm_bonferroni(&BH_1995, 0.05);
         let expected: Vec<bool> = (0..15).map(|i| i < 3).collect();
-        assert_eq!(rejected, expected);
+        assert_eq!(rejected(holm_adjusted(&BH_1995), 0.05), expected);
     }
 
     #[test]
@@ -142,8 +132,8 @@ mod tests {
     fn single_hypothesis_reduces_to_the_raw_test() {
         assert_eq!(bh_adjusted(&[0.03]), vec![0.03]);
         assert_eq!(holm_adjusted(&[0.03]), vec![0.03]);
-        assert_eq!(benjamini_hochberg(&[0.03], 0.05), vec![true]);
-        assert_eq!(holm_bonferroni(&[0.07], 0.05), vec![false]);
+        assert_eq!(rejected(bh_adjusted(&[0.03]), 0.05), vec![true]);
+        assert_eq!(rejected(holm_adjusted(&[0.07]), 0.05), vec![false]);
     }
 
     #[test]
@@ -153,17 +143,17 @@ mod tests {
         // NaN (no test possible) must never be rejected, and must not
         // poison its neighbours.
         let ps = [f64::NAN, 0.0001];
-        assert_eq!(benjamini_hochberg(&ps, 0.05), vec![false, true]);
-        assert_eq!(holm_bonferroni(&ps, 0.05), vec![false, true]);
+        assert_eq!(rejected(bh_adjusted(&ps), 0.05), vec![false, true]);
+        assert_eq!(rejected(holm_adjusted(&ps), 0.05), vec![false, true]);
         // p = 0 survives any correction; p = 1 survives none.
-        assert_eq!(benjamini_hochberg(&[0.0, 1.0], 0.05), vec![true, false]);
+        assert_eq!(rejected(bh_adjusted(&[0.0, 1.0]), 0.05), vec![true, false]);
     }
 
     #[test]
     fn bh_rejects_everything_the_uncorrected_test_would_when_all_tiny() {
         let ps = vec![1e-6; 20];
-        assert!(benjamini_hochberg(&ps, 0.05).iter().all(|&r| r));
-        assert!(holm_bonferroni(&ps, 0.05).iter().all(|&r| r));
+        assert!(rejected(bh_adjusted(&ps), 0.05).iter().all(|&r| r));
+        assert!(rejected(holm_adjusted(&ps), 0.05).iter().all(|&r| r));
     }
 
     #[test]
@@ -173,7 +163,7 @@ mod tests {
         let mut ps = vec![0.5; 20];
         ps[7] = 0.03;
         assert!(ps[7] < 0.05, "uncorrected test would reject");
-        assert!(!benjamini_hochberg(&ps, 0.05)[7]);
-        assert!(!holm_bonferroni(&ps, 0.05)[7]);
+        assert!(!rejected(bh_adjusted(&ps), 0.05)[7]);
+        assert!(!rejected(holm_adjusted(&ps), 0.05)[7]);
     }
 }

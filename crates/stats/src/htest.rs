@@ -1,16 +1,16 @@
-//! Hypothesis tests: Welch's t-test and the Mann–Whitney U test.
+//! Hypothesis test: Welch's t-test.
 
 use crate::descriptive::{mean, variance};
-use crate::dist::{normal_cdf, t_sf_two_sided};
+use crate::dist::t_sf_two_sided;
 
-/// Result of a two-sample test.
+/// Result of a two-sample t-test.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TestResult {
-    /// The test statistic (t or standardized U).
+    /// The t statistic.
     pub statistic: f64,
     /// Two-sided p-value.
     pub p_value: f64,
-    /// Degrees of freedom (Welch only; `NaN` for Mann–Whitney).
+    /// Welch–Satterthwaite degrees of freedom.
     pub df: f64,
 }
 
@@ -49,64 +49,6 @@ pub fn welch_t_test(a: &[f64], b: &[f64]) -> Option<TestResult> {
         statistic: t,
         p_value: t_sf_two_sided(t, df).clamp(0.0, 1.0),
         df,
-    })
-}
-
-/// Mann–Whitney U test (two-sided, normal approximation with tie
-/// correction). Suitable for the skewed timing distributions benchmarks
-/// produce.
-///
-/// Returns `None` for samples smaller than 2.
-pub fn mann_whitney_u(a: &[f64], b: &[f64]) -> Option<TestResult> {
-    let (na, nb) = (a.len(), b.len());
-    if na < 2 || nb < 2 {
-        return None;
-    }
-    // Rank the pooled sample with average ranks for ties.
-    let mut pooled: Vec<(f64, usize)> = a
-        .iter()
-        .map(|&x| (x, 0usize))
-        .chain(b.iter().map(|&x| (x, 1usize)))
-        .collect();
-    pooled.sort_by(|x, y| x.0.partial_cmp(&y.0).expect("no NaN in data"));
-    let n = pooled.len();
-    let mut ranks = vec![0.0; n];
-    let mut tie_term = 0.0;
-    let mut i = 0;
-    while i < n {
-        let mut j = i;
-        while j + 1 < n && pooled[j + 1].0 == pooled[i].0 {
-            j += 1;
-        }
-        let avg_rank = (i + j) as f64 / 2.0 + 1.0;
-        for r in ranks.iter_mut().take(j + 1).skip(i) {
-            *r = avg_rank;
-        }
-        let t = (j - i + 1) as f64;
-        tie_term += t * t * t - t;
-        i = j + 1;
-    }
-    let rank_sum_a: f64 = pooled
-        .iter()
-        .zip(&ranks)
-        .filter(|((_, g), _)| *g == 0)
-        .map(|(_, &r)| r)
-        .sum();
-    let (naf, nbf) = (na as f64, nb as f64);
-    let u_a = rank_sum_a - naf * (naf + 1.0) / 2.0;
-    let mu = naf * nbf / 2.0;
-    let nf = n as f64;
-    let sigma2 = naf * nbf / 12.0 * ((nf + 1.0) - tie_term / (nf * (nf - 1.0)));
-    if sigma2 <= 0.0 {
-        return None;
-    }
-    // Continuity correction.
-    let z = (u_a - mu - 0.5 * (u_a - mu).signum()) / sigma2.sqrt();
-    let p = 2.0 * (1.0 - normal_cdf(z.abs()));
-    Some(TestResult {
-        statistic: z,
-        p_value: p.clamp(0.0, 1.0),
-        df: f64::NAN,
     })
 }
 
@@ -157,38 +99,8 @@ mod tests {
     }
 
     #[test]
-    fn mann_whitney_detects_shift() {
-        let a = jittered(10.0, 30, 5);
-        let b = jittered(11.5, 30, 6);
-        let r = mann_whitney_u(&a, &b).unwrap();
-        assert!(r.significant_at(0.01), "p = {}", r.p_value);
-    }
-
-    #[test]
-    fn mann_whitney_identical_samples() {
-        let a = jittered(10.0, 30, 7);
-        let r = mann_whitney_u(&a, &a).unwrap();
-        assert!(
-            r.p_value > 0.9,
-            "identical samples should not differ: p = {}",
-            r.p_value
-        );
-    }
-
-    #[test]
-    fn mann_whitney_robust_to_outliers() {
-        // A huge outlier should not flip the rank test's conclusion.
-        let mut a = jittered(10.0, 25, 8);
-        let b = jittered(10.0, 25, 9);
-        a[0] = 10_000.0;
-        let r = mann_whitney_u(&a, &b).unwrap();
-        assert!(!r.significant_at(0.05), "p = {}", r.p_value);
-    }
-
-    #[test]
     fn degenerate_inputs_are_none() {
         assert!(welch_t_test(&[1.0], &[1.0, 2.0]).is_none());
         assert!(welch_t_test(&[1.0, 1.0], &[1.0, 1.0]).is_none());
-        assert!(mann_whitney_u(&[1.0], &[1.0, 2.0]).is_none());
     }
 }

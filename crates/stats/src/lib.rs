@@ -1,13 +1,13 @@
 //! # rigor-stats — statistics for rigorous performance analysis
 //!
 //! The statistical substrate of the `rigor` workspace, implemented from
-//! scratch: descriptive statistics, quantiles, the Student-t / chi-square / F
-//! machinery needed for inference (incomplete beta and gamma functions,
-//! quantile inversion), nonparametric bootstrap CIs (percentile and BCa),
-//! outlier fences and despiking, autocorrelation diagnostics, mean-shift
-//! changepoint segmentation (for warmup detection), two-sample tests (Welch
-//! t, Mann–Whitney U), k-sample omnibus tests (one-way ANOVA,
-//! Kruskal–Wallis) and effect sizes.
+//! scratch: descriptive statistics, the type-7 quantile, the normal and
+//! Student-t distributions (the t through the incomplete beta function,
+//! inverted by search), t and nonparametric bootstrap CIs (percentile and
+//! BCa), MAD despiking, autocorrelation diagnostics, mean-shift changepoint
+//! segmentation (for warmup detection), Welch's t-test, Benjamini–Hochberg
+//! and Holm adjusted p-values, Cohen's d, and the sample allocation the
+//! precision planner uses.
 //!
 //! ## Example: a 95% confidence interval on a mean
 //!
@@ -24,7 +24,6 @@
 #![warn(missing_docs)]
 
 pub mod allocate;
-pub mod anova;
 pub mod autocorr;
 pub mod bootstrap;
 pub mod changepoint;
@@ -37,23 +36,20 @@ pub mod htest;
 pub mod outlier;
 pub mod quantile;
 
-pub use allocate::{
-    clamped_allocation, invocations_for_target, neyman_allocation, predicted_rel_half_width,
-};
-pub use anova::{kruskal_wallis, one_way_anova};
+pub use allocate::{clamped_allocation, invocations_for_target, predicted_rel_half_width};
 pub use autocorr::{autocorrelation, autocorrelations, effective_sample_size};
 pub use bootstrap::{
-    bootstrap_bca_ci, bootstrap_ci, bootstrap_mean_ci, bootstrap_ratio_ci, percentile_ci,
-    IndexSampler, DEFAULT_RESAMPLES,
+    bootstrap_bca_ci, bootstrap_mean_ci, bootstrap_ratio_ci, percentile_ci, IndexSampler,
+    DEFAULT_RESAMPLES,
 };
 pub use changepoint::{
     merge_equivalent, segment, select_penalty_factor, Segment, SegmentConfig, PENALTY_GRID,
 };
 pub use ci::{mean_ci, ratio_ci_delta, welch_diff_ci, ConfidenceInterval};
-pub use descriptive::{cov, geomean, harmonic_mean, mean, median, sem, std_dev, variance, Summary};
-pub use dist::{chi2_cdf, f_cdf, normal_cdf, normal_quantile, t_cdf, t_critical, t_quantile};
-pub use effect::{classify_cohens_d, cliffs_delta, cohens_d, EffectMagnitude};
-pub use fdr::{benjamini_hochberg, bh_adjusted, holm_adjusted, holm_bonferroni};
-pub use htest::{mann_whitney_u, welch_t_test, TestResult};
-pub use outlier::{despike, mad, mad_outliers, remove_tukey_outliers, tukey_outliers};
-pub use quantile::{iqr, quantile, quantiles};
+pub use descriptive::{cov, geomean, mean, median, std_dev, variance};
+pub use dist::{normal_cdf, normal_quantile, t_cdf, t_quantile};
+pub use effect::cohens_d;
+pub use fdr::{bh_adjusted, holm_adjusted};
+pub use htest::{welch_t_test, TestResult};
+pub use outlier::{despike, mad};
+pub use quantile::quantile;

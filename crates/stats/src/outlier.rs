@@ -1,34 +1,6 @@
-//! Outlier detection: Tukey fences and MAD-based robust z-scores.
+//! Outlier handling: the median absolute deviation and MAD-based despiking.
 
 use crate::descriptive::median;
-use crate::quantile::quantiles;
-
-/// Indices of points outside the Tukey fences `[Q1 − k·IQR, Q3 + k·IQR]`
-/// (`k = 1.5` is the classic setting; `k = 3.0` flags only extreme outliers).
-pub fn tukey_outliers(xs: &[f64], k: f64) -> Vec<usize> {
-    if xs.len() < 4 {
-        return Vec::new();
-    }
-    let qs = quantiles(xs, &[0.25, 0.75]);
-    let iqr = qs[1] - qs[0];
-    let lo = qs[0] - k * iqr;
-    let hi = qs[1] + k * iqr;
-    xs.iter()
-        .enumerate()
-        .filter(|(_, &x)| x < lo || x > hi)
-        .map(|(i, _)| i)
-        .collect()
-}
-
-/// Returns `xs` with Tukey outliers removed (`k` as in [`tukey_outliers`]).
-pub fn remove_tukey_outliers(xs: &[f64], k: f64) -> Vec<f64> {
-    let bad = tukey_outliers(xs, k);
-    xs.iter()
-        .enumerate()
-        .filter(|(i, _)| !bad.contains(i))
-        .map(|(_, &x)| x)
-        .collect()
-}
 
 /// Median absolute deviation, scaled by 1.4826 to be consistent with the
 /// standard deviation under normality.
@@ -41,80 +13,15 @@ pub fn mad(xs: &[f64]) -> f64 {
     1.4826 * median(&devs)
 }
 
-/// Robust z-scores `(x − median) / MAD`. Returns an empty vector when the MAD
-/// is zero (constant data).
-pub fn robust_z_scores(xs: &[f64]) -> Vec<f64> {
-    let m = median(xs);
-    let s = mad(xs);
-    if s.is_nan() || s <= 0.0 {
-        return Vec::new();
-    }
-    xs.iter().map(|x| (x - m) / s).collect()
-}
-
-/// Indices where the robust z-score exceeds `threshold` in magnitude
-/// (3.5 is the conventional cut-off).
-pub fn mad_outliers(xs: &[f64], threshold: f64) -> Vec<usize> {
-    robust_z_scores(xs)
-        .iter()
-        .enumerate()
-        .filter(|(_, z)| z.abs() > threshold)
-        .map(|(i, _)| i)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tukey_flags_the_spike() {
-        let mut xs: Vec<f64> = (0..30).map(|i| 10.0 + (i % 5) as f64 * 0.1).collect();
-        xs.push(100.0);
-        let out = tukey_outliers(&xs, 1.5);
-        assert_eq!(out, vec![30]);
-    }
-
-    #[test]
-    fn tukey_clean_data_has_no_outliers() {
-        let xs: Vec<f64> = (0..50).map(|i| (i % 10) as f64).collect();
-        assert!(tukey_outliers(&xs, 1.5).is_empty());
-    }
-
-    #[test]
-    fn removal_preserves_order() {
-        let xs = vec![1.0, 2.0, 100.0, 3.0, 2.0, 1.0, 2.0, 3.0];
-        let clean = remove_tukey_outliers(&xs, 1.5);
-        assert_eq!(clean, vec![1.0, 2.0, 3.0, 2.0, 1.0, 2.0, 3.0]);
-    }
 
     #[test]
     fn mad_of_known_sample() {
         // median=3, abs devs = [2,1,0,1,2] → median dev 1 → MAD = 1.4826
         let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
         assert!((mad(&xs) - 1.4826).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mad_outliers_detects_gc_spike_pattern() {
-        // Typical per-iteration times with two GC-pause spikes.
-        let mut xs = vec![10.0; 40];
-        xs[13] = 25.0;
-        xs[29] = 31.0;
-        // Add small jitter so MAD is non-degenerate.
-        for (i, x) in xs.iter_mut().enumerate() {
-            *x += (i % 7) as f64 * 0.01;
-        }
-        let out = mad_outliers(&xs, 3.5);
-        assert!(out.contains(&13) && out.contains(&29), "{out:?}");
-        assert_eq!(out.len(), 2);
-    }
-
-    #[test]
-    fn constant_data_yields_no_robust_scores() {
-        let xs = vec![5.0; 10];
-        assert!(robust_z_scores(&xs).is_empty());
-        assert!(mad_outliers(&xs, 3.5).is_empty());
     }
 }
 

@@ -14,7 +14,7 @@ pub fn quantile(xs: &[f64], q: f64) -> f64 {
 }
 
 /// Quantile of an already ascending-sorted slice (no copy).
-pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
+pub(crate) fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     position(sorted.len(), q).map_or(f64::NAN, |pos| interpolate(pos, |k| sorted[k]))
 }
 
@@ -83,19 +83,6 @@ fn interpolate(pos: f64, stat: impl Fn(usize) -> f64) -> f64 {
     }
 }
 
-/// Convenience: several quantiles at once (sorts once).
-pub fn quantiles(xs: &[f64], qs: &[f64]) -> Vec<f64> {
-    let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in data"));
-    qs.iter().map(|&q| quantile_sorted(&v, q)).collect()
-}
-
-/// Interquartile range (Q3 − Q1).
-pub fn iqr(xs: &[f64]) -> f64 {
-    let qs = quantiles(xs, &[0.25, 0.75]);
-    qs[1] - qs[0]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,12 +114,6 @@ mod tests {
         assert!(quantile(&[], 0.5).is_nan());
         assert!(quantile(&[1.0], -0.1).is_nan());
         assert!(quantile(&[1.0], 1.1).is_nan());
-    }
-
-    #[test]
-    fn iqr_known_value() {
-        let xs: Vec<f64> = (1..=9).map(|i| i as f64).collect();
-        assert!((iqr(&xs) - 4.0).abs() < 1e-12);
     }
 
     #[test]

@@ -95,11 +95,6 @@ impl Workload {
     pub fn source(&self, size: Size) -> String {
         (self.source_fn)(self.size_param(size))
     }
-
-    /// Generates the MiniPy source with an explicit size parameter.
-    pub fn source_with(&self, n: u32) -> String {
-        (self.source_fn)(n)
-    }
 }
 
 /// Returns the full benchmark suite in canonical order.
@@ -529,6 +524,5 @@ mod tests {
     fn sources_embed_the_size_parameter() {
         let w = find("leibniz").unwrap();
         assert!(w.source(Size::Small).contains("TERMS = 800"));
-        assert!(w.source_with(123).contains("TERMS = 123"));
     }
 }

@@ -17,6 +17,22 @@ pub fn test_seed(case: &str) -> u64 {
     hash
 }
 
+/// One mangling of `bytes`, as hostile-input properties draw them: cut at
+/// `at`, flip bit `bit` of the byte at `at`, or splice `junk` in at `at`
+/// (by `how`). `at` wraps to the input's length.
+pub fn mangle(mut bytes: Vec<u8>, how: u8, at: usize, bit: u8, junk: Vec<u8>) -> Vec<u8> {
+    let at = at % (bytes.len() + 1);
+    match how {
+        0 => bytes.truncate(at),
+        1 if at < bytes.len() => bytes[at] ^= 1 << bit,
+        1 => {}
+        _ => {
+            bytes.splice(at..at, junk);
+        }
+    }
+    bytes
+}
+
 #[cfg(test)]
 mod tests {
     use super::test_seed;

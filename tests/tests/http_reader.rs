@@ -7,6 +7,7 @@
 
 use std::io::{self, Read};
 
+use integration_tests::mangle;
 use proptest::prelude::*;
 use rigor_serve::http::{read_request, read_response, write_request, write_response};
 
@@ -42,21 +43,6 @@ impl Read for Feed<'_> {
         self.bytes = &self.bytes[n..];
         Ok(n)
     }
-}
-
-/// One mangling of `bytes`: cut at `at`, flip bit `bit` of the byte at
-/// `at`, or splice `junk` in at `at` (by `how`).
-fn mangle(mut bytes: Vec<u8>, how: u8, at: usize, bit: u8, junk: Vec<u8>) -> Vec<u8> {
-    let at = at % (bytes.len() + 1);
-    match how {
-        0 => bytes.truncate(at),
-        1 if at < bytes.len() => bytes[at] ^= 1 << bit,
-        1 => {}
-        _ => {
-            bytes.splice(at..at, junk);
-        }
-    }
-    bytes
 }
 
 /// A failed read is the reader's typed protocol error, never another kind

@@ -13,8 +13,8 @@ proptest! {
     #[test]
     fn mean_is_between_min_and_max(xs in finite_vec(1)) {
         let m = rigor_stats::mean(&xs);
-        let lo = rigor_stats::descriptive::min(&xs);
-        let hi = rigor_stats::descriptive::max(&xs);
+        let lo = xs.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         prop_assert!(m >= lo - 1e-9 && m <= hi + 1e-9);
     }
 
@@ -25,15 +25,10 @@ proptest! {
     }
 
     #[test]
-    fn harmonic_le_geomean(xs in finite_vec(1)) {
-        prop_assert!(rigor_stats::harmonic_mean(&xs) <= rigor_stats::geomean(&xs) + 1e-9);
-    }
-
-    #[test]
     fn quantiles_are_monotone(xs in finite_vec(2), qs in prop::collection::vec(0.0f64..=1.0, 2..8)) {
         let mut sorted_q = qs.clone();
         sorted_q.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let vals = rigor_stats::quantiles(&xs, &sorted_q);
+        let vals: Vec<f64> = sorted_q.iter().map(|&q| rigor_stats::quantile(&xs, q)).collect();
         for w in vals.windows(2) {
             prop_assert!(w[0] <= w[1] + 1e-9);
         }
@@ -98,14 +93,6 @@ proptest! {
     }
 
     #[test]
-    fn cliffs_delta_is_antisymmetric_and_bounded(a in finite_vec(1), b in finite_vec(1)) {
-        let d1 = rigor_stats::cliffs_delta(&a, &b);
-        let d2 = rigor_stats::cliffs_delta(&b, &a);
-        prop_assert!((d1 + d2).abs() < 1e-12);
-        prop_assert!((-1.0..=1.0).contains(&d1));
-    }
-
-    #[test]
     fn t_quantile_round_trips_with_cdf(p in 0.011f64..0.989, df in 2.0f64..200.0) {
         let t = rigor_stats::t_quantile(p, df);
         prop_assert!((rigor_stats::t_cdf(t, df) - p).abs() < 1e-6);
@@ -115,15 +102,6 @@ proptest! {
     fn normal_quantile_round_trips(p in 0.001f64..0.999) {
         let x = rigor_stats::normal_quantile(p);
         prop_assert!((rigor_stats::normal_cdf(x) - p).abs() < 1e-6);
-    }
-
-    #[test]
-    fn outlier_removal_is_idempotent_enough(xs in finite_vec(8)) {
-        let once = rigor_stats::remove_tukey_outliers(&xs, 1.5);
-        let twice = rigor_stats::remove_tukey_outliers(&once, 1.5);
-        // Removing outliers can expose new ones, but the count never grows.
-        prop_assert!(twice.len() <= once.len());
-        prop_assert!(once.len() <= xs.len());
     }
 
     #[test]
